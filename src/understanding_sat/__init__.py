@@ -28,7 +28,6 @@ from .engine import (
     EngineState,
     GuardExceeded,
     RunLog,
-    concept_set_type,
     concept_type_of,
 )
 from .algorithms import algorithm_d, algorithm_g, lemma_g_conditions
@@ -72,7 +71,6 @@ __all__ = [
     "algorithm_g",
     "brute_force",
     "build_instance",
-    "concept_set_type",
     "concept_type_of",
     "diff_run",
     "dpll",

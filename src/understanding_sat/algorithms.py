@@ -120,7 +120,9 @@ def algorithm_d(
         )
     log = state.log
     log.emit("D_ENTER", literal=literal)
-    work = state.fork()
+    # ``work`` is read, never changed, until it is replaced by a trial,
+    # which is always a private fork; until then it may be ``state``.
+    work = state
     considered: set = set()
     while True:
         pending = [
@@ -164,6 +166,8 @@ def algorithm_d(
         if not covered:
             log.emit("D_RESULT", literal=literal, new="none")
             return None
+    if work is state:
+        work = state.fork()
     res = work.compute_fixpoint([literal])
     if res is not None or work.value(literal) != FREE:
         # The concepts forcing the literal false were all covered, yet the

@@ -43,8 +43,6 @@ FREE: TruthValue = "e"
 
 CPLUS = "C+"
 CSTAR = "C*"
-SET_PLUS = "set+"
-SET_STAR = "set*"
 
 _FLIP = {TRUE: FALSE, FALSE: TRUE, FREE: FREE}
 
@@ -64,17 +62,6 @@ def concept_type_of(a: TruthValue, b: TruthValue) -> str:
     ee/ff/ef -> C+ and tt/et/tf -> C*.
     """
     return CSTAR if a == TRUE or b == TRUE else CPLUS
-
-
-def concept_set_type(types) -> str:
-    """``set+`` when at least one member concept is C+, else ``set*``.
-
-    The empty set is not accepted; callers treat it as its own case.
-    """
-    types = list(types)
-    if not types:
-        raise ValueError("concept set type is undefined for the empty set")
-    return SET_PLUS if CPLUS in types else SET_STAR
 
 
 class GuardExceeded(RuntimeError):
@@ -141,7 +128,18 @@ class RunLog:
 
 class EngineState:
     """Mutable engine state: admitted clauses, concept store, value map,
-    constraint overlay, and the shared run log."""
+    constraint overlay, and the shared run log.
+
+    The concept index (``concepts``, ``by_focus``, ``by_member`` and
+    ``admitted``) is copy-on-write.  ``fork`` hands the child the
+    parent's index and marks both states as sharing it; whichever of them
+    next inserts a concept copies the index first and owns its copy from
+    then on, so neither ever sees the other's later inserts.  (A concept
+    is removed only to undo its insert on the same state, which already
+    owns its index by then.)  Values and the overlay are copied on every
+    fork; ``restrict_to`` builds a view with an index of its own.  Code
+    outside this class reads the index and never changes it.
+    """
 
     __slots__ = (
         "inst",
@@ -152,6 +150,7 @@ class EngineState:
         "admitted",
         "overlay",
         "log",
+        "_shared",
     )
 
     def __init__(self, inst: Instance, log: RunLog | None = None):
@@ -163,6 +162,7 @@ class EngineState:
         self.admitted: set[int] = set()
         self.overlay = ConstraintOverlay()
         self.log = log if log is not None else RunLog()
+        self._shared = False  # the index may be another state's too
 
     # -- reads ---------------------------------------------------------
 
@@ -325,15 +325,29 @@ class EngineState:
             raise ValueError(f"concept {key} already present")
         if focus not in clause.literals:
             raise ValueError(f"focus {focus} not in clause {clause.id}")
-        members = tuple(lit for lit in clause.literals if lit != focus)
-        self.concepts[key] = members
-        self.by_focus.setdefault(focus, []).append(key)
-        for m in members:
-            self.by_member.setdefault(m, []).append(key)
-        self.admitted.add(clause.id)
+        self._own_index()
+        self._index(key, tuple(lit for lit in clause.literals if lit != focus))
         return key
 
+    def _index(self, key: ConceptKey, members: tuple[int, int]) -> None:
+        self.concepts[key] = members
+        self.by_focus.setdefault(key[1], []).append(key)
+        for m in members:
+            self.by_member.setdefault(m, []).append(key)
+        self.admitted.add(key[0])
+
+    def _own_index(self) -> None:
+        """Copy a shared concept index before changing it."""
+        if self._shared:
+            self.concepts = dict(self.concepts)
+            self.by_focus = {k: list(v) for k, v in self.by_focus.items()}
+            self.by_member = {k: list(v) for k, v in self.by_member.items()}
+            self.admitted = set(self.admitted)
+            self._shared = False
+
     def _remove_concept(self, key: ConceptKey, newly_admitted: bool) -> None:
+        # Only ever undoes an insert_concept on this same state, so the
+        # index is already this state's own copy.
         members = self.concepts.pop(key)
         focus = key[1]
         self.by_focus[focus].remove(key)
@@ -363,44 +377,46 @@ class EngineState:
     # -- copies --------------------------------------------------------
 
     def fork(self) -> "EngineState":
-        """Observationally independent copy sharing the run log."""
+        """Observationally independent copy sharing the run log.
+
+        Only the values and the overlay are copied.  The concept index is
+        shared with this state until either of the two inserts a concept,
+        which copies it first (see the class docstring).
+        """
+        self._shared = True
         n = object.__new__(EngineState)
         n.inst = self.inst
         n.values = dict(self.values)
-        n.concepts = dict(self.concepts)
-        n.by_focus = {k: list(v) for k, v in self.by_focus.items()}
-        n.by_member = {k: list(v) for k, v in self.by_member.items()}
-        n.admitted = set(self.admitted)
+        n.concepts = self.concepts
+        n.by_focus = self.by_focus
+        n.by_member = self.by_member
+        n.admitted = self.admitted
         n.overlay = self.overlay.copy()
         n.log = self.log
+        n._shared = True
         return n
 
     def restrict_to(self, literal: int) -> "EngineState":
         """Copy restricted to admitted clauses containing the literal or
-        its negation; values and overlay carry over unchanged."""
-        keep = {
-            cid
-            for cid in self.admitted
-            if literal in self.inst.clauses[cid].literals
-            or -literal in self.inst.clauses[cid].literals
-        }
-        n = object.__new__(EngineState)
-        n.inst = self.inst
+        its negation; values and overlay carry over unchanged.
+
+        Every concept of a clause holds all three of the clause's
+        literals, as focus or companion, so the concepts indexed under
+        ``literal`` and ``-literal`` in ``by_focus`` and ``by_member`` are
+        exactly the concepts of the kept clauses.  The view is built from
+        those keys alone, without scanning the rest of the store, and owns
+        its index.
+        """
+        keys = set()
+        for lit in (literal, -literal):
+            keys.update(self.by_focus.get(lit, ()))
+            keys.update(self.by_member.get(lit, ()))
+        n = EngineState(self.inst, self.log)
         n.values = dict(self.values)
-        n.admitted = keep
-        n.concepts = {k: v for k, v in self.concepts.items() if k[0] in keep}
-        n.by_focus = {}
-        n.by_member = {}
-        for focus, keys in self.by_focus.items():
-            kept = [k for k in keys if k[0] in keep]
-            if kept:
-                n.by_focus[focus] = kept
-        for member, keys in self.by_member.items():
-            kept = [k for k in keys if k[0] in keep]
-            if kept:
-                n.by_member[member] = kept
         n.overlay = self.overlay.copy()
-        n.log = self.log
+        concepts = self.concepts
+        for key in sorted(keys):
+            n._index(key, concepts[key])
         return n
 
     # -- inspection helpers (used by tests and the harness) -------------

@@ -41,7 +41,8 @@ ANOMALY_GUARD = "DepthGuard"
 class SolveConfig:
     """Run options.
 
-    ``clause_order`` is ``input`` or ``perm`` (with ``order_seed``);
+    ``clause_order`` is ``input`` or ``perm``, which requires an
+    ``order_seed`` so that the run can be replayed;
     ``default_free`` fills variables the final map leaves free;
     ``depth_guard_factor`` scales the recursion guard, which is
     factor * (number of literals) + 1.
@@ -142,6 +143,9 @@ def _admit_clause(state: EngineState, clause: Clause, cfg: SolveConfig, on_step=
 def _clause_order(inst: Instance, cfg: SolveConfig) -> list[int]:
     order = list(range(len(inst.clauses)))
     if cfg.clause_order == "perm":
+        if cfg.order_seed is None:
+            # random.Random(None) would seed from OS entropy: no replay.
+            raise ValueError("clause order 'perm' requires an order_seed")
         random.Random(cfg.order_seed).shuffle(order)
     elif cfg.clause_order != "input":
         raise ValueError(f"unknown clause order {cfg.clause_order!r}")

@@ -167,6 +167,42 @@ def sweep_assumption_check(
     return stats
 
 
+def scanning_restrict_to(state: EngineState, literal: int) -> EngineState:
+    """Reference for ``EngineState.restrict_to``: keep the admitted
+    clauses that contain the literal or its negation by scanning every
+    admitted clause, then filter every concept and index list."""
+    keep = {
+        cid
+        for cid in state.admitted
+        if literal in state.inst.clauses[cid].literals
+        or -literal in state.inst.clauses[cid].literals
+    }
+    view = EngineState(state.inst, state.log)
+    view.values = dict(state.values)
+    view.admitted = keep
+    view.concepts = {k: v for k, v in state.concepts.items() if k[0] in keep}
+    for index, out in (
+        (state.by_focus, view.by_focus),
+        (state.by_member, view.by_member),
+    ):
+        for lit, keys in index.items():
+            kept = [k for k in keys if k[0] in keep]
+            if kept:
+                out[lit] = kept
+    view.overlay = state.overlay.copy()
+    return view
+
+
+def index_of(state: EngineState):
+    """The whole concept index in canonical form, lookup lists included
+    (``snapshot`` leaves those out)."""
+    return (
+        state.snapshot(),
+        sorted((lit, sorted(keys)) for lit, keys in state.by_focus.items()),
+        sorted((lit, sorted(keys)) for lit, keys in state.by_member.items()),
+    )
+
+
 def random_instance(rng: random.Random, n: int, m: int) -> Instance:
     """Arbitrary well-formed instance; clauses may repeat a variable in
     both polarities (unlike the uniform generator)."""

@@ -7,15 +7,16 @@ adjudication bin, and the serialization round trip.  Each test below
 prints a single verdict line and asserts one independently checkable
 property of that audit.
 
-The numeric tables and the fitted exponent are frozen: every generator
-and the procedure itself are deterministic from the master seed, so any
-drift in these numbers is a real behavior change, not noise.  Two of
-the verdicts record adverse findings on purpose: the adjudication
-tables contain disagreements (the main procedure answers unsat on
-satisfiable inputs under its fixed clause order), and the structural
-freeing conditions do not coincide with the behavioral freeing check on
-reachable states — that test fails, with the full evidence in its
-message, because the agreement it demands does not hold.
+The numeric tables, the fuzz corpus's operation total and the fitted
+exponent are frozen: every generator and the procedure itself are
+deterministic from the master seed, so any drift in these numbers is a
+real behavior change, not noise.  Two of the verdicts record adverse
+findings on purpose: the adjudication tables contain disagreements (the
+main procedure answers unsat on satisfiable inputs under its fixed
+clause order), and the structural freeing conditions do not coincide
+with the behavioral freeing check on reachable states — that test fails,
+with the full evidence in its message, because the agreement it demands
+does not hold.
 """
 
 import random
@@ -59,6 +60,9 @@ MASTER_SEED = 20260814
 EXHAUSTIVE_TABLE = {"AgreeSat": 6160, "FalseUnsat": 6}
 FUZZ_TABLE = {"AgreeSat": 2424, "AgreeUnsat": 1801, "FalseUnsat": 815}
 CORPUS_TOTAL = 6166 + 5040
+# Frozen basic-operation total of the main procedure on the fuzz corpus
+# (the exhaustive corpus's total is pinned in test_solver.py).
+FUZZ_OPS_TOTAL = 3_016_176
 
 # Frozen operation-growth fit on the standard grid (ratio 4.0).
 BENCH_PAIRS = ((5, 20), (10, 40), (20, 80), (40, 160))
@@ -80,6 +84,7 @@ class CorpusAudit:
     elapsed: float = 0.0
     total: int = 0
     tables: dict = field(default_factory=dict)
+    ops_totals: Counter = field(default_factory=Counter)
     records: list = field(default_factory=list)
     sat_reverify_failures: list = field(default_factory=list)
     unverified_sat_records: list = field(default_factory=list)
@@ -106,6 +111,7 @@ def audit() -> CorpusAudit:
             a.total += 1
             tag = f"{label}#{a.total}"
             outcome = solve(inst, cfg)
+            a.ops_totals[label] += outcome.ops
             brute = brute_force(inst)
             kind = classify(outcome, brute)
             table[kind] += 1
@@ -197,6 +203,19 @@ def test_a2_adjudication_tables_are_frozen_and_every_disagreement_replays(
         f"{len(audit.records)} disagreement records, {len(broken)} failed to "
         f"minimize-and-replay; wrong-unsat answers refute the "
         f"terminates-iff-satisfiable claim",
+    )
+    assert ok, line
+
+
+def test_ops_total_on_fuzz_corpus_is_frozen(audit):
+    # ``ops`` counts the paper's basic operations (reevaluations).  An
+    # optimisation that keeps the procedure keeps this total exactly.
+    ok = audit.ops_totals["fuzz"] == FUZZ_OPS_TOTAL
+    line = _verdict(
+        "ops",
+        ok,
+        f"fuzz corpus took {audit.ops_totals['fuzz']:,} basic operations "
+        f"(frozen: {FUZZ_OPS_TOTAL:,})",
     )
     assert ok, line
 

@@ -16,12 +16,17 @@ from understanding_sat.engine import (
     GuardExceeded,
     RunLog,
     TRUE,
-    concept_set_type,
     concept_type_of,
     flip,
 )
 
-from helpers import admitted_state, fresh_state, random_instance
+from helpers import (
+    admitted_state,
+    fresh_state,
+    index_of,
+    random_instance,
+    scanning_restrict_to,
+)
 
 
 class TestConceptTypes:
@@ -40,12 +45,6 @@ class TestConceptTypes:
     def test_single_concept_table(self, a, b, expected):
         assert concept_type_of(a, b) == expected
         assert concept_type_of(b, a) == expected
-
-    def test_set_type(self):
-        assert concept_set_type([CSTAR, CPLUS]) == "set+"
-        assert concept_set_type([CSTAR, CSTAR]) == "set*"
-        with pytest.raises(ValueError):
-            concept_set_type([])
 
     def test_flip(self):
         assert flip(TRUE) == FALSE
@@ -241,6 +240,59 @@ class TestViews:
         assert view.overlay.pinned[2] == TRUE
 
 
+class TestCopyIsolation:
+    # Forks share the concept index until one side inserts or removes a
+    # concept; each case checks that the copy happens on the right side.
+
+    def _state(self):
+        inst = build_instance(4, [(1, 2, 3), (-1, -2, 3), (2, -3, 4)])
+        status, st_ = admitted_state(inst, upto=1)
+        assert status == "ok"
+        return inst, st_
+
+    def test_parent_insert_after_fork_is_not_seen_by_child(self):
+        inst, st_ = self._state()
+        child = st_.fork()
+        before = index_of(child)
+        assert st_.add_concept(inst.clauses[2], 4) is None
+        assert (2, 4) in st_.concepts
+        assert index_of(child) == before
+
+    def test_child_insert_is_not_seen_by_parent_or_sibling(self):
+        inst, st_ = self._state()
+        before = index_of(st_)
+        child, sibling = st_.fork(), st_.fork()
+        grandchild = child.fork()
+        child.insert_concept(inst.clauses[2], 4)
+        grandchild.insert_concept(inst.clauses[1], 3)
+        assert (2, 4) in child.concepts and (1, 3) not in child.concepts
+        assert (1, 3) in grandchild.concepts and (2, 4) not in grandchild.concepts
+        assert index_of(st_) == before
+        assert index_of(sibling) == before
+
+    def test_restricted_view_insert_is_not_seen_by_parent(self):
+        inst, st_ = self._state()
+        before = index_of(st_)
+        view = st_.restrict_to(3)
+        view.insert_concept(inst.clauses[1], -1)
+        view.insert_concept(inst.clauses[2], 2)
+        assert (1, -1) in view.by_focus[-1]
+        assert index_of(st_) == before
+
+    def test_rolled_back_add_concept_in_fork_leaves_parent_unchanged(self):
+        inst = build_instance(3, [(1, 2, 3), (-1, 2, 3)])
+        st_ = fresh_state(inst)
+        assert st_.add_concept(inst.clauses[0], 1) is None
+        before = index_of(st_)
+        child = st_.fork()
+        assert isinstance(child.add_concept(inst.clauses[1], -1), Contradiction)
+        assert index_of(child) == before
+        assert index_of(st_) == before
+        # the parent still owns a working index after the child's copy
+        assert st_.add_concept(inst.clauses[1], 2) is None
+        assert index_of(child) == before
+
+
 @st.composite
 def admission_scripts(draw):
     n = draw(st.integers(min_value=3, max_value=5))
@@ -267,3 +319,34 @@ def test_values_stay_canonical(script):
     inst = random_instance(random.Random(seed), n, m)
     status, st_ = admitted_state(inst)
     assert FREE not in st_.values.values()
+
+
+@st.composite
+def staged_states(draw):
+    """Admit a prefix of a random instance as the solver does, fork, then
+    insert some of the remaining clauses' concepts (often not all three)
+    and pin a few literals on either side."""
+    n, m, seed = draw(admission_scripts())
+    rng = random.Random(seed)
+    inst = random_instance(rng, n, m)
+    _, parent = admitted_state(inst, upto=rng.randint(0, len(inst.clauses)))
+    child = parent.fork()
+    for clause in inst.clauses:
+        for focus in clause.literals:
+            side = rng.choice((parent, child, None))
+            if side is not None and (clause.id, focus) not in side.concepts:
+                side.insert_concept(clause, focus)
+    for side in (parent, child):
+        for _ in range(rng.randint(0, 2)):
+            side.pin_literal(rng.choice((1, -1)) * rng.randint(1, n), TRUE)
+    return parent, child
+
+
+@given(staged_states())
+def test_restrict_to_matches_scanning_reference(states):
+    for state in states:
+        n = state.inst.variable_count
+        for lit in (l for v in range(1, n + 1) for l in (v, -v)):
+            assert index_of(state.restrict_to(lit)) == index_of(
+                scanning_restrict_to(state, lit)
+            )

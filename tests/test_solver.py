@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from understanding_sat.cnf import Assignment, build_instance, evaluate
 from understanding_sat.engine import Contradiction, EngineState
+from understanding_sat.harness import enumerate_small
 from understanding_sat.solver import (
     ANOMALY_GUARD,
     ANOMALY_UNDEFINED,
@@ -78,6 +79,18 @@ class TestVerdicts:
     def test_unknown_clause_order_raises(self):
         with pytest.raises(ValueError):
             solve(build_instance(3, [(1, 2, 3)]), SolveConfig(clause_order="dfs"))
+
+    def test_permuted_order_without_seed_raises(self):
+        # An unseeded permutation would differ on every call, so a run
+        # (and any record of it) could not be replayed.
+        with pytest.raises(ValueError, match="order_seed"):
+            solve(order_trap_instance(), SolveConfig(clause_order="perm"))
+
+    def test_ops_total_on_exhaustive_corpus_is_frozen(self):
+        # ``ops`` is the paper's count of basic operations; an engine
+        # change that keeps the procedure must keep every count.
+        total = sum(solve(inst).ops for inst in enumerate_small(3, 4))
+        assert total == 184_468
 
 
 class TestAnomalies:
