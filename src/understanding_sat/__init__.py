@@ -38,6 +38,7 @@ from .harness import (
     CounterexampleRecord,
     DiffReport,
     GenSpec,
+    adjudicate,
     diff_run,
     enumerate_small,
     fit_complexity,
@@ -67,6 +68,7 @@ __all__ = [
     "SolveConfig",
     "SolverOutcome",
     "TRUE",
+    "adjudicate",
     "algorithm_d",
     "algorithm_g",
     "brute_force",

@@ -19,18 +19,19 @@ The environment variable ``UNDERSTANDING_SAT_SEED`` overrides any
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
 import sys
 
-from .cnf import DimacsError, parse_dimacs
+from .cnf import parse_dimacs
 from .harness import (
-    DISAGREEMENT_KINDS,
     CounterexampleRecord,
+    DiffReport,
     GenSpec,
+    adjudicate,
     bench_samples,
-    classify,
     enumerate_small,
     fit_complexity,
     gen_random,
@@ -125,62 +126,33 @@ def _cmd_oracle(args) -> int:
     return EXIT_UNSAT
 
 
-def _adjudicate(items, cfg: SolveConfig, oracle: str):
-    """items: iterable of (meta, instance).  Returns rows, counts, cexes."""
-    rows = []
-    counts: dict[str, int] = {}
-    cexes = []
-    from .cnf import emit_dimacs
-
-    for meta, inst in items:
-        outcome = solve(inst, cfg)
-        verdict = run_oracle(inst, oracle)
-        kind = classify(outcome, verdict)
-        counts[kind] = counts.get(kind, 0) + 1
-        row = dict(meta)
-        row.update(
-            kind=kind,
-            solver=outcome.kind,
-            oracle_sat=verdict.sat,
-            ops=outcome.ops,
-        )
-        rows.append(row)
-        if kind in DISAGREEMENT_KINDS:
-            cexes.append(
-                CounterexampleRecord(
-                    dimacs=emit_dimacs(inst),
-                    config={
-                        "clause_order": cfg.clause_order,
-                        "order_seed": cfg.order_seed,
-                        "default_free": cfg.default_free,
-                        "trace": cfg.trace,
-                        "depth_guard_factor": cfg.depth_guard_factor,
-                    },
-                    solver_outcome=outcome.as_dict(),
-                    oracle_verdict=verdict.as_dict(),
-                    kind=kind,
+def _run_corpus(args, items, cfg: SolveConfig) -> int:
+    """Adjudicate ``(meta, instance)`` items, streaming one JSONL row each
+    to ``--out``; then write the CSV summary, the counterexample records
+    and the one-line JSON summary."""
+    report = DiffReport()
+    sink = open(args.out, "w", encoding="utf-8", newline="\n") if args.out else None
+    with sink or contextlib.nullcontext() as fh:
+        for row in adjudicate(items, cfg, args.oracle):
+            report.add(row)
+            if fh is not None:
+                line = dict(
+                    row.meta,
+                    kind=row.bin,
+                    solver=row.outcome.kind,
+                    oracle_sat=row.verdict.sat,
+                    ops=row.outcome.ops,
                 )
-            )
-    return rows, counts, cexes
-
-
-def _finish_corpus(args, rows, counts, cexes) -> int:
-    total = len(rows)
+                fh.write(_json_line(line) + "\n")
     if args.out:
-        _write_jsonl(args.out, rows)
-        _write_summary_csv(args.out + ".summary.csv", counts, total)
-    if args.cex_dir and cexes:
+        _write_summary_csv(args.out + ".summary.csv", report.counts, report.total)
+    if args.cex_dir and report.counterexamples:
         os.makedirs(args.cex_dir, exist_ok=True)
-        for i, record in enumerate(cexes):
+        for i, record in enumerate(report.counterexamples):
             path = os.path.join(args.cex_dir, f"cex-{i:05d}.json")
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(_json_line(record.as_dict()) + "\n")
-    clean = all(counts.get(k, 0) == 0 for k in DISAGREEMENT_KINDS)
-    print(
-        _json_line(
-            {"total": total, "counts": dict(sorted(counts.items())), "clean": clean}
-        )
-    )
+    print(_json_line(report.summary()))
     return EXIT_OK
 
 
@@ -190,15 +162,14 @@ def _cmd_fuzz(args) -> int:
         m = args.m
     else:
         m = max(1, round(args.ratio * args.n))
+    GenSpec(n=args.n, m=m, seed=seed).validate()
     cfg = SolveConfig(clause_order=args.order, order_seed=seed, default_free=args.default_free)
-    items = []
-    for i in range(args.count):
-        spec = GenSpec(n=args.n, m=m, seed=seed + i)
-        items.append(
-            ({"i": i, "n": spec.n, "m": spec.m, "seed": spec.seed}, gen_random(spec))
-        )
-    rows, counts, cexes = _adjudicate(items, cfg, args.oracle)
-    return _finish_corpus(args, rows, counts, cexes)
+    specs = (GenSpec(n=args.n, m=m, seed=seed + i) for i in range(args.count))
+    items = (
+        ({"i": i, "n": spec.n, "m": spec.m, "seed": spec.seed}, gen_random(spec))
+        for i, spec in enumerate(specs)
+    )
+    return _run_corpus(args, items, cfg)
 
 
 def _cmd_enumerate(args) -> int:
@@ -207,8 +178,7 @@ def _cmd_enumerate(args) -> int:
         ({"i": i, "n": inst.variable_count, "m": len(inst.clauses)}, inst)
         for i, inst in enumerate(enumerate_small(args.max_n, args.max_m))
     )
-    rows, counts, cexes = _adjudicate(items, cfg, args.oracle)
-    return _finish_corpus(args, rows, counts, cexes)
+    return _run_corpus(args, items, cfg)
 
 
 def _cmd_minimize(args) -> int:
@@ -344,9 +314,6 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
-    except DimacsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

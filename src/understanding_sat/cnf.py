@@ -112,7 +112,9 @@ def parse_dimacs(text: str) -> Instance:
     """Parse DIMACS CNF text into an Instance.
 
     Comment lines start with ``c``.  The header ``p cnf <n> <m>`` must
-    appear before any clause line.  Each clause line is whitespace
+    appear before any clause line.  The declared clause count ``m`` must
+    be a non-negative integer but is otherwise not enforced: the clause
+    lines that follow decide how many clauses the instance has.  Each clause line is whitespace
     separated nonzero integers terminated by ``0``; duplicate literals in
     a clause collapse, and after collapsing exactly three distinct
     literals must remain.  Duplicate clauses are dropped (counted in

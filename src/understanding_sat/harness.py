@@ -17,13 +17,21 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .cnf import Instance, build_instance, emit_dimacs, parse_dimacs
 from .oracle import OracleVerdict, brute_force, dpll
 from .solver import SolveConfig, SolverOutcome, solve
 
 DISAGREEMENT_KINDS = ("FalseSat", "FalseUnsat", "Anomaly")
+# The keys a stored counterexample record must have, with their JSON types.
+RECORD_KEYS = {
+    "dimacs": str,
+    "config": dict,
+    "solver_outcome": dict,
+    "oracle_verdict": dict,
+    "kind": str,
+}
 
 
 @dataclass
@@ -70,25 +78,30 @@ def gen_random(spec: GenSpec) -> Instance:
 
 
 def enumerate_small(max_n: int, max_m: int):
-    """Yield every instance with at most ``max_m`` clauses whose variable
-    support is exactly {1..n}, for each n up to ``max_n``.
+    """Iterate over every instance with at most ``max_m`` clauses whose
+    variable support is exactly {1..n}, for each n up to ``max_n``.
 
     The clause universe for n variables is every 3-subset of the 2n
     literals (complementary pairs inside a clause are legal), taken in a
-    fixed canonical order, so the stream is deterministic.
+    fixed canonical order, so the stream is deterministic.  The cap on
+    ``max_n`` is checked at the call, before any instance is drawn.
     """
     if max_n > 4:
         raise ValueError("exhaustive enumeration capped at 4 variables")
-    for n in range(0, max_n + 1):
-        literals: list[int] = []
-        for v in range(1, n + 1):
-            literals.extend((v, -v))
-        universe = list(itertools.combinations(literals, 3))
-        for m in range(0, max_m + 1):
-            for combo in itertools.combinations(universe, m):
-                support = {abs(l) for c in combo for l in c}
-                if len(support) == n:
-                    yield build_instance(n, list(combo))
+
+    def instances():
+        for n in range(0, max_n + 1):
+            literals: list[int] = []
+            for v in range(1, n + 1):
+                literals.extend((v, -v))
+            universe = list(itertools.combinations(literals, 3))
+            for m in range(0, max_m + 1):
+                for combo in itertools.combinations(universe, m):
+                    support = {abs(l) for c in combo for l in c}
+                    if len(support) == n:
+                        yield build_instance(n, list(combo))
+
+    return instances()
 
 
 def fuzz_specs(
@@ -108,16 +121,6 @@ def fuzz_specs(
                 specs.append(GenSpec(n=n, m=max(1, round(ratio * n)), seed=master_seed + i))
                 i += 1
     return specs
-
-
-def _config_dict(cfg: SolveConfig) -> dict:
-    return {
-        "clause_order": cfg.clause_order,
-        "order_seed": cfg.order_seed,
-        "default_free": cfg.default_free,
-        "trace": cfg.trace,
-        "depth_guard_factor": cfg.depth_guard_factor,
-    }
 
 
 def run_oracle(inst: Instance, oracle: str) -> OracleVerdict:
@@ -161,6 +164,24 @@ class CounterexampleRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CounterexampleRecord":
+        """Rebuild a record from its ``as_dict`` form; raises ValueError
+        naming the problem when ``data`` is not one."""
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"counterexample record must be a JSON object, not {type(data).__name__}"
+            )
+        for key, expected in RECORD_KEYS.items():
+            if key not in data:
+                raise ValueError(f"counterexample record has no {key!r} key")
+            if not isinstance(data[key], expected):
+                raise ValueError(
+                    f"counterexample record's {key!r} is a {type(data[key]).__name__},"
+                    f" not a {expected.__name__}"
+                )
+        known = {f.name for f in fields(SolveConfig)}
+        for key in data["config"]:
+            if key not in known:
+                raise ValueError(f"config key {key!r} is not a SolveConfig field")
         return cls(
             dimacs=data["dimacs"],
             config=dict(data["config"]),
@@ -180,70 +201,98 @@ class ComplexitySample:
 
 
 @dataclass
+class Adjudication:
+    """One adjudicated instance: the procedure's outcome, the oracle's
+    verdict and the bin ``classify`` files the pair into."""
+
+    meta: object
+    instance: Instance
+    config: SolveConfig
+    outcome: SolverOutcome
+    verdict: OracleVerdict
+    bin: str
+
+    def record(self) -> CounterexampleRecord:
+        """The replayable record of this run."""
+        return CounterexampleRecord(
+            dimacs=emit_dimacs(self.instance),
+            config=asdict(self.config),
+            solver_outcome=self.outcome.as_dict(),
+            oracle_verdict=self.verdict.as_dict(),
+            kind=self.bin,
+        )
+
+
+def adjudicate(items, cfg: SolveConfig | None = None, oracle: str = "auto"):
+    """Yield one Adjudication per ``(meta, instance)`` item, in order.
+
+    ``oracle`` names the reference procedure (``auto`` picks brute force
+    up to 12 variables, the backtracker beyond); ``meta`` is carried
+    through untouched.
+    """
+    cfg = cfg if cfg is not None else SolveConfig()
+    for meta, inst in items:
+        outcome = solve(inst, cfg)
+        verdict = run_oracle(inst, oracle)
+        yield Adjudication(meta, inst, cfg, outcome, verdict, classify(outcome, verdict))
+
+
+@dataclass
 class DiffReport:
+    """Running totals over adjudicated rows: bin counts, a record for each
+    disagreement and an operation-count sample for each decided run."""
+
     total: int = 0
     counts: dict = field(default_factory=dict)
     counterexamples: list = field(default_factory=list)
     samples: list = field(default_factory=list)
 
+    def add(self, row: Adjudication) -> None:
+        self.total += 1
+        self.counts[row.bin] = self.counts.get(row.bin, 0) + 1
+        if row.bin in DISAGREEMENT_KINDS:
+            self.counterexamples.append(row.record())
+        if row.outcome.kind in ("sat", "unsat"):
+            self.samples.append(
+                ComplexitySample(
+                    n=row.instance.variable_count,
+                    m=len(row.instance.clauses),
+                    ops=row.outcome.ops,
+                    kind=row.outcome.kind,
+                )
+            )
+
     @property
     def clean(self) -> bool:
         return all(self.counts.get(kind, 0) == 0 for kind in DISAGREEMENT_KINDS)
 
-    def as_dict(self) -> dict:
+    def summary(self) -> dict:
         return {
             "total": self.total,
             "counts": dict(sorted(self.counts.items())),
             "clean": self.clean,
+        }
+
+    def as_dict(self) -> dict:
+        return {
+            **self.summary(),
             "counterexamples": [r.as_dict() for r in self.counterexamples],
         }
 
 
-def diff_run(
-    instances,
-    cfg: SolveConfig | None = None,
-    oracle: str = "auto",
-    keep_samples: bool = True,
-) -> DiffReport:
-    """Adjudicate each instance against the chosen oracle (``auto`` picks
-    brute force up to 12 variables, the backtracker beyond)."""
-    cfg = cfg if cfg is not None else SolveConfig()
+def diff_run(instances, cfg: SolveConfig | None = None, oracle: str = "auto") -> DiffReport:
+    """Adjudicate each instance against the chosen oracle and total the rows."""
     report = DiffReport()
-    for inst in instances:
-        outcome = solve(inst, cfg)
-        verdict = run_oracle(inst, oracle)
-        kind = classify(outcome, verdict)
-        report.total += 1
-        report.counts[kind] = report.counts.get(kind, 0) + 1
-        if kind in DISAGREEMENT_KINDS:
-            report.counterexamples.append(
-                CounterexampleRecord(
-                    dimacs=emit_dimacs(inst),
-                    config=_config_dict(cfg),
-                    solver_outcome=outcome.as_dict(),
-                    oracle_verdict=verdict.as_dict(),
-                    kind=kind,
-                )
-            )
-        if keep_samples and outcome.kind in ("sat", "unsat"):
-            report.samples.append(
-                ComplexitySample(
-                    n=inst.variable_count,
-                    m=len(inst.clauses),
-                    ops=outcome.ops,
-                    kind=outcome.kind,
-                )
-            )
+    for row in adjudicate(((None, inst) for inst in instances), cfg, oracle):
+        report.add(row)
     return report
 
 
 def replay(record: CounterexampleRecord) -> str:
     """Rerun both sides from the stored record; returns the fresh bin."""
-    inst = parse_dimacs(record.dimacs)
-    cfg = SolveConfig(**record.config)
-    outcome = solve(inst, cfg)
-    verdict = run_oracle(inst, record.oracle_verdict.get("method", "auto"))
-    return classify(outcome, verdict)
+    items = [(None, parse_dimacs(record.dimacs))]
+    method = record.oracle_verdict.get("method", "auto")
+    return next(adjudicate(items, SolveConfig(**record.config), method)).bin
 
 
 def minimize(record: CounterexampleRecord) -> CounterexampleRecord:
@@ -259,7 +308,7 @@ def minimize(record: CounterexampleRecord) -> CounterexampleRecord:
 
     def bin_of(clause_lits) -> str:
         cand = build_instance(inst.variable_count, clause_lits)
-        return classify(solve(cand, cfg), run_oracle(cand, method))
+        return next(adjudicate([(None, cand)], cfg, method)).bin
 
     changed = True
     while changed:
@@ -270,17 +319,11 @@ def minimize(record: CounterexampleRecord) -> CounterexampleRecord:
                 lits = candidate
                 changed = True
                 break
-    final = build_instance(inst.variable_count, lits)
-    outcome = solve(final, cfg)
-    verdict = run_oracle(final, method)
-    return CounterexampleRecord(
-        dimacs=emit_dimacs(final),
-        config=dict(record.config),
-        solver_outcome=outcome.as_dict(),
-        oracle_verdict=verdict.as_dict(),
-        kind=record.kind,
-        minimized=True,
-    )
+    core = build_instance(inst.variable_count, lits)
+    # Every accepted removal kept the record's bin, so the core keeps it
+    # without being classified again.
+    row = Adjudication(None, core, cfg, solve(core, cfg), run_oracle(core, method), record.kind)
+    return replace(row.record(), minimized=True)
 
 
 @dataclass

@@ -54,11 +54,6 @@ class SolveConfig:
     trace: bool = False
     depth_guard_factor: int = 2
 
-    def order_label(self) -> str:
-        if self.clause_order == "input":
-            return "input"
-        return f"perm:{self.order_seed}"
-
 
 @dataclass
 class SolverOutcome:
@@ -106,7 +101,7 @@ def extract_assignment(
     return Assignment(values=values, default_free=default_free)
 
 
-def _admit_clause(state: EngineState, clause: Clause, cfg: SolveConfig, on_step=None):
+def _admit_clause(state: EngineState, clause: Clause, cfg: SolveConfig):
     """Admit one clause; returns (status, state) where status is ``ok``,
     ``unsat`` or ``anomaly`` and state may be a rewritten fork."""
     log = state.log
@@ -135,8 +130,6 @@ def _admit_clause(state: EngineState, clause: Clause, cfg: SolveConfig, on_step=
         res = state.add_concept(clause, pick)
         if isinstance(res, Contradiction):
             return "anomaly", state
-        if on_step is not None:
-            on_step(state)
     return "ok", state
 
 
@@ -152,52 +145,43 @@ def _clause_order(inst: Instance, cfg: SolveConfig) -> list[int]:
     return order
 
 
+def _outcome(
+    state: EngineState, cfg: SolveConfig, kind: str, clause: Clause | None = None, **fields
+) -> SolverOutcome:
+    """Log the verdict and build the outcome; ``clause`` is the failing
+    clause of a run that stopped early."""
+    log = state.log
+    failing = clause.id if clause is not None else None
+    log.emit("VERDICT", new=kind, clause=failing)
+    return SolverOutcome(
+        kind=kind,
+        failing_clause=failing,
+        ops=log.ops,
+        guard_trips=log.guard_trips,
+        state=state,
+        trace=log.events if cfg.trace else None,
+        **fields,
+    )
+
+
 def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolverOutcome:
     """Decide the instance; always terminates with sat, unsat, or anomaly."""
     cfg = cfg if cfg is not None else SolveConfig()
-    log = RunLog(enabled=cfg.trace)
-    state = EngineState(inst, log)
+    state = EngineState(inst, RunLog(enabled=cfg.trace))
     for cid in _clause_order(inst, cfg):
         clause = inst.clauses[cid]
         try:
             status, state = _admit_clause(state, clause, cfg)
         except GuardExceeded:
-            log.emit("VERDICT", new="anomaly", clause=clause.id)
-            return SolverOutcome(
-                kind="anomaly",
-                anomaly=ANOMALY_GUARD,
-                failing_clause=clause.id,
-                ops=log.ops,
-                guard_trips=log.guard_trips,
-                state=state,
-                trace=log.events if cfg.trace else None,
-            )
+            return _outcome(state, cfg, "anomaly", clause, anomaly=ANOMALY_GUARD)
         if status == "unsat":
-            log.emit("VERDICT", new="unsat", clause=clause.id)
-            return SolverOutcome(
-                kind="unsat",
-                failing_clause=clause.id,
-                ops=log.ops,
-                guard_trips=log.guard_trips,
-                state=state,
-                trace=log.events if cfg.trace else None,
-            )
+            return _outcome(state, cfg, "unsat", clause)
         if status == "anomaly":
-            log.emit("VERDICT", new="anomaly", clause=clause.id)
-            return SolverOutcome(
-                kind="anomaly",
-                anomaly=ANOMALY_UNDEFINED,
-                failing_clause=clause.id,
-                ops=log.ops,
-                guard_trips=log.guard_trips,
-                state=state,
-                trace=log.events if cfg.trace else None,
-            )
+            return _outcome(state, cfg, "anomaly", clause, anomaly=ANOMALY_UNDEFINED)
     return _finalize(state, inst, cfg)
 
 
 def _finalize(state: EngineState, inst: Instance, cfg: SolveConfig) -> SolverOutcome:
-    log = state.log
     understanding = {}
     for var in range(1, inst.variable_count + 1):
         understanding[var] = state.value(var)
@@ -211,23 +195,7 @@ def _finalize(state: EngineState, inst: Instance, cfg: SolveConfig) -> SolverOut
         any(state.value(l) == TRUE for l in c.literals) for c in inst.clauses
     )
     if not verified or not each_clause_witnessed:
-        log.emit("VERDICT", new="anomaly")
-        return SolverOutcome(
-            kind="anomaly",
-            anomaly=ANOMALY_UNVERIFIED,
-            understanding=understanding,
-            ops=log.ops,
-            guard_trips=log.guard_trips,
-            state=state,
-            trace=log.events if cfg.trace else None,
+        return _outcome(
+            state, cfg, "anomaly", anomaly=ANOMALY_UNVERIFIED, understanding=understanding
         )
-    log.emit("VERDICT", new="sat")
-    return SolverOutcome(
-        kind="sat",
-        assignment=assignment,
-        understanding=understanding,
-        ops=log.ops,
-        guard_trips=log.guard_trips,
-        state=state,
-        trace=log.events if cfg.trace else None,
-    )
+    return _outcome(state, cfg, "sat", assignment=assignment, understanding=understanding)

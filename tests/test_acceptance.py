@@ -37,11 +37,9 @@ from understanding_sat.engine import (
     GuardExceeded,
 )
 from understanding_sat.harness import (
-    DISAGREEMENT_KINDS,
-    CounterexampleRecord,
-    _config_dict,
+    DiffReport,
+    adjudicate,
     bench_samples,
-    classify,
     enumerate_small,
     fit_complexity,
     fuzz_specs,
@@ -49,8 +47,8 @@ from understanding_sat.harness import (
     minimize,
     replay,
 )
-from understanding_sat.oracle import brute_force, dpll
-from understanding_sat.solver import ANOMALY_UNVERIFIED, SolveConfig, solve
+from understanding_sat.oracle import dpll
+from understanding_sat.solver import ANOMALY_UNVERIFIED, SolveConfig
 
 from helpers import admitted_state, random_instance, sweep_assumption_check
 
@@ -97,7 +95,6 @@ class CorpusAudit:
 
 @pytest.fixture(scope="module")
 def audit() -> CorpusAudit:
-    cfg = SolveConfig()
     a = CorpusAudit()
     start = time.perf_counter()
     corpora = (
@@ -105,28 +102,17 @@ def audit() -> CorpusAudit:
         ("fuzz", [gen_random(spec) for spec in fuzz_specs(MASTER_SEED)]),
     )
     for label, instances in corpora:
-        table: Counter = Counter()
-        a.tables[label] = table
-        for inst in instances:
+        report = DiffReport()
+        a.tables[label] = report.counts
+        items = ((None, inst) for inst in instances)
+        for row in adjudicate(items, SolveConfig(), "brute"):
+            report.add(row)
             a.total += 1
             tag = f"{label}#{a.total}"
-            outcome = solve(inst, cfg)
+            inst, outcome, brute = row.instance, row.outcome, row.verdict
             a.ops_totals[label] += outcome.ops
-            brute = brute_force(inst)
-            kind = classify(outcome, brute)
-            table[kind] += 1
-            if kind in DISAGREEMENT_KINDS:
-                a.records.append(
-                    CounterexampleRecord(
-                        dimacs=emit_dimacs(inst),
-                        config=_config_dict(cfg),
-                        solver_outcome=outcome.as_dict(),
-                        oracle_verdict=brute.as_dict(),
-                        kind=kind,
-                    )
-                )
-                if outcome.anomaly == ANOMALY_UNVERIFIED:
-                    a.unverified_sat_records.append(a.records[-1])
+            if outcome.anomaly == ANOMALY_UNVERIFIED:
+                a.unverified_sat_records.append(report.counterexamples[-1])
             if outcome.kind == "sat":
                 if evaluate(inst, outcome.assignment):
                     a.sat_reverify_failures.append(tag)
@@ -150,6 +136,7 @@ def audit() -> CorpusAudit:
                 c.literals for c in back.clauses
             ] != [c.literals for c in inst.clauses]:
                 a.roundtrip_failures.append(tag)
+        a.records.extend(report.counterexamples)
     a.elapsed = time.perf_counter() - start
     return a
 

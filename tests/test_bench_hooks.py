@@ -1,0 +1,60 @@
+"""The names the benchmark reaches into the package through.
+
+``bench/spans.py`` skips any hook it cannot find, so a rename would drop
+per-layer metrics without an error; these tests make it an error.
+"""
+
+import dataclasses
+import importlib
+import importlib.util
+from pathlib import Path
+
+from understanding_sat.harness import CounterexampleRecord
+from understanding_sat.solver import SolveConfig
+
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _package_module(name):
+    return importlib.import_module(f"understanding_sat.{name}")
+
+
+def test_every_traced_function_resolves():
+    spans = _load_spans()
+    missing = [
+        f"{module}.{attr}"
+        for module, attr, *_ in spans.FUNCTIONS
+        if not callable(getattr(_package_module(module), attr, None))
+    ]
+    assert not missing
+
+
+def test_every_traced_method_resolves():
+    spans = _load_spans()
+    missing = []
+    for module, class_name, attr, *_ in spans.METHODS:
+        cls = getattr(_package_module(module), class_name, None)
+        if cls is None or not callable(cls.__dict__.get(attr)):
+            missing.append(f"{module}.{class_name}.{attr}")
+    assert not missing
+
+
+def test_benchmark_style_record_round_trips_its_config():
+    # bench/workloads.py stores ``dataclasses.asdict(SolveConfig())``.
+    record = CounterexampleRecord(
+        dimacs="p cnf 3 1\n1 2 3 0\n",
+        config=dataclasses.asdict(SolveConfig()),
+        solver_outcome={},
+        oracle_verdict={"method": "brute"},
+        kind="FalseUnsat",
+    )
+    again = CounterexampleRecord.from_dict(record.as_dict())
+    assert again == record
+    assert SolveConfig(**again.config) == SolveConfig()

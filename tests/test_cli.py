@@ -174,6 +174,31 @@ class TestCorpusCommands:
         assert all(row["kind"] == "AgreeSat" for row in rows)
 
 
+    def test_enumerate_corpus_matches_the_frozen_table(self, tmp_path, capsys):
+        # The exhaustive corpus through the CLI: the summary, the JSONL
+        # ``ops`` column and every written record are pinned.
+        out = tmp_path / "enum.jsonl"
+        cex_dir = tmp_path / "cex"
+        code = cli.main(["enumerate", "--max-n", "3", "--max-m", "4",
+                         "--out", str(out), "--cex-dir", str(cex_dir)])
+        stdout, _ = capsys.readouterr()
+        assert code == 0
+        assert json.loads(stdout) == {
+            "clean": False,
+            "counts": {"AgreeSat": 6160, "FalseUnsat": 6},
+            "total": 6166,
+        }
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(rows) == 6166
+        assert sum(row["ops"] for row in rows) == 184_468
+        records = [
+            CounterexampleRecord.from_dict(json.loads(path.read_text()))
+            for path in sorted(cex_dir.iterdir())
+        ]
+        assert len(records) == 6
+        assert [replay(record) for record in records] == ["FalseUnsat"] * 6
+
+
 class TestMinimizeCommand:
     def test_minimize_record_file(self, tmp_path, capsys):
         cex_dir = tmp_path / "cex"
@@ -240,6 +265,27 @@ class TestErrors:
         assert cli.main(["solve", str(tmp_path / "nope.cnf")]) == 1
         _, err = capsys.readouterr()
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "record,fragment",
+        [
+            ({"dimacs": "p cnf 3 1\n1 2 3 0\n", "solver_outcome": {},
+              "oracle_verdict": {}, "kind": "FalseUnsat"}, "'config'"),
+            ({"dimacs": "p cnf 3 1\n1 2 3 0\n", "config": {"bogus": 1},
+              "solver_outcome": {}, "oracle_verdict": {}, "kind": "FalseUnsat"},
+             "'bogus' is not a SolveConfig field"),
+            (["not", "a", "record"], "JSON object"),
+        ],
+    )
+    def test_malformed_record(self, tmp_path, capsys, record, fragment):
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps(record), encoding="utf-8")
+        assert cli.main(["minimize", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:")
+        assert fragment in err
+        assert "Traceback" not in err
 
     def test_bad_dimacs(self, tmp_path, capsys):
         bad = tmp_path / "bad.cnf"

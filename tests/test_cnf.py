@@ -78,6 +78,13 @@ class TestParseDimacs:
         assert inst.clauses[0].literals == (1, -2, 3)
 
     @pytest.mark.parametrize(
+        "text,count",
+        [("p cnf 3 5\n1 2 3 0\n", 1), ("p cnf 3 0\n1 2 3 0\n-1 2 3 0\n", 2)],
+    )
+    def test_declared_clause_count_is_not_enforced(self, text, count):
+        assert len(parse_dimacs(text).clauses) == count
+
+    @pytest.mark.parametrize(
         "text,fragment",
         [
             ("p cnf 3 1\np cnf 3 1\n1 2 3 0\n", "line 2"),
