@@ -6,8 +6,9 @@ reports with a CSV summary next to them; ``minimize`` shrinks a stored
 counterexample record; ``bench`` collects operation counts and fits a
 growth exponent.
 
-Exit codes: 10 satisfiable, 20 unsatisfiable, 30 anomaly, 0 for a
-harness command that ran to completion, 1 for usage or input errors.
+Exit codes: 10 satisfiable, 20 unsatisfiable, 30 anomaly (also a run
+that exceeds Python's recursion limit), 0 for a harness command that ran
+to completion, 1 for usage or input errors.
 Stdout carries only machine-readable output (s/v lines or one JSON
 summary line); diagnostics go to stderr.  Reruns with equal arguments
 and environment produce byte-identical files.
@@ -317,6 +318,11 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError as exc:
+        # The recursive DPLL oracle can outgrow Python's stack on long
+        # decision chains; that is the run failing, not the input.
+        print(f"error: run exceeded Python's recursion limit ({exc})", file=sys.stderr)
+        return EXIT_ANOMALY
 
 
 if __name__ == "__main__":

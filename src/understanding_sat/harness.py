@@ -17,7 +17,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import asdict, dataclass, field, fields, replace
+import typing
+from dataclasses import asdict, dataclass, field, replace
 
 from .cnf import Instance, build_instance, emit_dimacs, parse_dimacs
 from .oracle import OracleVerdict, brute_force, dpll
@@ -178,10 +179,19 @@ class CounterexampleRecord:
                     f"counterexample record's {key!r} is a {type(data[key]).__name__},"
                     f" not a {expected.__name__}"
                 )
-        known = {f.name for f in fields(SolveConfig)}
-        for key in data["config"]:
-            if key not in known:
+        types = typing.get_type_hints(SolveConfig)
+        for key, value in data["config"].items():
+            if key not in types:
                 raise ValueError(f"config key {key!r} is not a SolveConfig field")
+            # ``int | None`` admits int and None; a bool is not an int here.
+            allowed = typing.get_args(types[key]) or (types[key],)
+            if not isinstance(value, allowed) or (
+                isinstance(value, bool) and bool not in allowed
+            ):
+                names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+                raise ValueError(
+                    f"config key {key!r} must be {names}, not {type(value).__name__} {value!r}"
+                )
         return cls(
             dimacs=data["dimacs"],
             config=dict(data["config"]),
@@ -296,33 +306,52 @@ def replay(record: CounterexampleRecord) -> str:
 
 
 def minimize(record: CounterexampleRecord) -> CounterexampleRecord:
-    """Greedy clause removal with restart until 1-minimal.
+    """Shrink the record's instance to a 1-minimal core that keeps its bin.
 
-    Keeps removing any single clause whose removal preserves the record's
-    bin; at the fixpoint no single-clause removal reproduces it.
+    The instance is adjudicated afresh.  Under input clause order a run
+    that stops at failing clause k never reads the clauses after it, so
+    when that run can only keep its bin under clause removal (an anomaly,
+    or an unsat answer on a satisfiable instance) the instance is cut to
+    its first k+1 clauses; each accepted candidate is cut the same way.
+    Then single clauses are removed in passes that never restart: after
+    a removal the scan stays at the same index.  Passes repeat until one
+    removes nothing, which proves the core 1-minimal.  Every candidate is
+    adjudicated; the returned record is the row of the exact core, reused
+    from the scan when the last accepted candidate was not cut.
     """
     inst = parse_dimacs(record.dimacs)
     cfg = SolveConfig(**record.config)
     method = record.oracle_verdict.get("method", "auto")
-    lits = [c.literals for c in inst.clauses]
 
-    def bin_of(clause_lits) -> str:
+    def adjudicated(clause_lits) -> Adjudication:
         cand = build_instance(inst.variable_count, clause_lits)
-        return next(adjudicate([(None, cand)], cfg, method)).bin
+        return next(adjudicate([(None, cand)], cfg, method))
 
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(lits)):
-            candidate = lits[:i] + lits[i + 1 :]
-            if bin_of(candidate) == record.kind:
-                lits = candidate
-                changed = True
-                break
-    core = build_instance(inst.variable_count, lits)
-    # Every accepted removal kept the record's bin, so the core keeps it
-    # without being classified again.
-    row = Adjudication(None, core, cfg, solve(core, cfg), run_oracle(core, method), record.kind)
+    def kept(row: Adjudication) -> list:
+        """The row's clauses, cut after its failing clause when that is safe."""
+        lits = [c.literals for c in row.instance.clauses]
+        k = row.outcome.failing_clause
+        # Dropping clauses keeps a satisfiable instance satisfiable, and
+        # the cut run repeats the same outcome, so the bin cannot change.
+        keeps_bin = row.outcome.kind == "anomaly" or row.verdict.sat
+        if row.bin == record.kind and cfg.clause_order == "input" and k is not None and keeps_bin:
+            return lits[: k + 1]
+        return lits
+
+    row = adjudicated([c.literals for c in inst.clauses])
+    lits = kept(row)
+    removed = True
+    while removed:
+        removed = False
+        i = 0
+        while i < len(lits):
+            cand = adjudicated(lits[:i] + lits[i + 1 :])
+            if cand.bin == record.kind:
+                row, lits, removed = cand, kept(cand), True
+            else:
+                i += 1
+    if len(row.instance.clauses) != len(lits):
+        row = adjudicated(lits)
     return replace(row.record(), minimized=True)
 
 

@@ -5,8 +5,9 @@ import random
 from functools import lru_cache
 
 from understanding_sat.algorithms import algorithm_g, lemma_g_conditions
-from understanding_sat.cnf import Instance, build_instance
+from understanding_sat.cnf import Instance, build_instance, parse_dimacs
 from understanding_sat.engine import FREE, EngineState, GuardExceeded, RunLog
+from understanding_sat.harness import CounterexampleRecord, adjudicate
 from understanding_sat.solver import SolveConfig, _admit_clause
 
 # Satisfiable by the all-false assignment, yet the main procedure answers
@@ -28,6 +29,20 @@ def order_trap_instance() -> Instance:
 
 def full_sign_instance() -> Instance:
     return build_instance(3, FULL_SIGN_CORE)
+
+
+def removable_clauses(record: CounterexampleRecord) -> list[int]:
+    """Indices of the clauses whose single removal keeps the record's bin;
+    empty when the record's instance is 1-minimal for it."""
+    inst = parse_dimacs(record.dimacs)
+    lits = [c.literals for c in inst.clauses]
+    drops = (
+        (i, build_instance(inst.variable_count, lits[:i] + lits[i + 1 :]))
+        for i in range(len(lits))
+    )
+    cfg = SolveConfig(**record.config)
+    method = record.oracle_verdict.get("method", "auto")
+    return [row.meta for row in adjudicate(drops, cfg, method) if row.bin == record.kind]
 
 
 def fresh_state(inst: Instance, trace: bool = False) -> EngineState:

@@ -111,6 +111,23 @@ class TestOracleCommand:
         assert "s UNSATISFIABLE" in out
         assert "method dpll" in err
 
+    def test_dpll_recursion_limit_is_an_anomaly_exit(self, tmp_path, capsys):
+        # DPLL recurses once per decision; on the satisfiable chain
+        # (v, v+1, v+2) it decides every variable, so a chain longer than
+        # the recursion limit (1,500 variables at the default 1,000)
+        # outgrows the stack.
+        n = sys.getrecursionlimit() + 500
+        lines = [f"p cnf {n} {n - 2}"] + [f"{v} {v + 1} {v + 2} 0" for v in range(1, n - 1)]
+        path = tmp_path / "chain.cnf"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = cli.main(["oracle", str(path), "--method", "dpll"])
+        out, err = capsys.readouterr()
+        assert code == 30
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "recursion" in err
+        assert "Traceback" not in err
+
 
 class TestCorpusCommands:
     FUZZ = ["fuzz", "--n", "5", "--m", "30", "--count", "10", "--seed", "0"]
@@ -275,6 +292,18 @@ class TestErrors:
               "solver_outcome": {}, "oracle_verdict": {}, "kind": "FalseUnsat"},
              "'bogus' is not a SolveConfig field"),
             (["not", "a", "record"], "JSON object"),
+            ({"dimacs": "p cnf 3 1\n1 2 3 0\n", "config": {"depth_guard_factor": "2"},
+              "solver_outcome": {}, "oracle_verdict": {}, "kind": "FalseUnsat"},
+             "'depth_guard_factor' must be int, not str"),
+            ({"dimacs": "p cnf 3 1\n1 2 3 0\n", "config": {"clause_order": 3},
+              "solver_outcome": {}, "oracle_verdict": {}, "kind": "FalseUnsat"},
+             "'clause_order' must be str, not int"),
+            ({"dimacs": "p cnf 3 1\n1 2 3 0\n", "config": {"order_seed": "x"},
+              "solver_outcome": {}, "oracle_verdict": {}, "kind": "FalseUnsat"},
+             "'order_seed' must be int or null, not str"),
+            ({"dimacs": "p cnf 3 1\n1 2 3 0\n", "config": {"order_seed": True},
+              "solver_outcome": {}, "oracle_verdict": {}, "kind": "FalseUnsat"},
+             "'order_seed' must be int or null, not bool"),
         ],
     )
     def test_malformed_record(self, tmp_path, capsys, record, fragment):

@@ -1,5 +1,6 @@
 """Differential harness: generators, classification, records, fits."""
 
+import itertools
 import math
 
 import pytest
@@ -11,6 +12,7 @@ from understanding_sat.harness import (
     CounterexampleRecord,
     DiffReport,
     GenSpec,
+    adjudicate,
     bench_samples,
     classify,
     diff_run,
@@ -23,9 +25,9 @@ from understanding_sat.harness import (
     run_oracle,
 )
 from understanding_sat.oracle import OracleVerdict
-from understanding_sat.solver import SolveConfig, SolverOutcome, solve
+from understanding_sat.solver import SolveConfig, SolverOutcome
 
-from helpers import order_trap_instance
+from helpers import order_trap_instance, removable_clauses
 
 
 class TestGenSpec:
@@ -147,19 +149,52 @@ class TestDiffRun:
 
 
 class TestMinimize:
+    @staticmethod
+    def wrong_unsat_records(cfg, n, m, count):
+        """The first ``count`` wrong-unsat records among seeded draws."""
+        draws = ((seed, gen_random(GenSpec(n=n, m=m, seed=seed))) for seed in range(1000))
+        rows = (row for row in adjudicate(draws, cfg, "brute") if row.bin == "FalseUnsat")
+        return [row.record() for row in itertools.islice(rows, count)]
+
     def test_order_trap_core_is_one_minimal(self):
         report = diff_run([order_trap_instance()])
         rec = minimize(report.counterexamples[0])
         assert rec.minimized is True
         assert rec.kind == "FalseUnsat"
         assert replay(rec) == "FalseUnsat"
-        core = parse_dimacs(rec.dimacs)
-        lits = [c.literals for c in core.clauses]
-        cfg = SolveConfig(**rec.config)
-        for i in range(len(lits)):
-            smaller = build_instance(core.variable_count, lits[:i] + lits[i + 1 :])
-            bin_ = classify(solve(smaller, cfg), run_oracle(smaller, "brute"))
-            assert bin_ != "FalseUnsat", f"core not minimal: clause {i} removable"
+        assert removable_clauses(rec) == []
+
+    @pytest.mark.parametrize("seed", [0, 84])
+    def test_record_is_the_fresh_adjudication_of_its_core(self, seed):
+        # No outcome or verdict is carried over from an instance other
+        # than the core: each field equals a fresh run on the core.  Draw
+        # 84 is a record whose last accepted candidate is cut after its
+        # failing clause, so its core is not that candidate's instance.
+        draw = gen_random(GenSpec(n=8, m=34, seed=seed))
+        rec = next(adjudicate([(None, draw)], SolveConfig(), "brute")).record()
+        assert rec.kind == "FalseUnsat"
+        small = minimize(rec)
+        core = parse_dimacs(small.dimacs)
+        row = next(adjudicate([(None, core)], SolveConfig(**small.config), "brute"))
+        assert small.solver_outcome == row.outcome.as_dict()
+        assert small.oracle_verdict == row.verdict.as_dict()
+        assert small.kind == row.bin == rec.kind
+        assert removable_clauses(small) == []
+
+    def test_permuted_order_core_is_one_minimal_and_replays(self):
+        # Under a permuted order the failing clause's id says nothing
+        # about which clauses the run read, so no cut may be made.
+        cfg = SolveConfig(clause_order="perm", order_seed=1)
+        for rec in self.wrong_unsat_records(cfg, 6, 26, 4):
+            small = minimize(rec)
+            assert small.config == rec.config
+            assert small.kind == "FalseUnsat"
+            assert replay(small) == "FalseUnsat"
+            assert removable_clauses(small) == []
+
+    def test_minimize_is_deterministic(self):
+        rec = self.wrong_unsat_records(SolveConfig(), 8, 34, 1)[0]
+        assert minimize(rec).as_dict() == minimize(rec).as_dict()
 
 
 class TestFitComplexity:
