@@ -123,16 +123,18 @@ def algorithm_d(
     # ``work`` is read, never changed, until it is replaced by a trial,
     # which is always a private fork; until then it may be ``state``.
     work = state
+    # Repair pins and propagates but never inserts, so the keys are fixed;
+    # their types are not.  A concept passed over as C* can turn C+ once a
+    # trial is adopted, so every turn scans again from the first key.
+    keys = state.concepts_focused(-literal)
     considered: set = set()
     while True:
-        pending = [
-            key
-            for key in work.concepts_focused(-literal)
-            if key not in considered and work.concept_type(key) == CPLUS
-        ]
-        if not pending:
+        key = next(
+            (k for k in keys if k not in considered and work.concept_type(k) == CPLUS),
+            None,
+        )
+        if key is None:
             break
-        key = pending[0]
         considered.add(key)
         log.emit("D_CONCEPT", literal=literal, clause=key[0])
         covered = False

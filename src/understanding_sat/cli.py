@@ -130,21 +130,29 @@ def _cmd_oracle(args) -> int:
 def _run_corpus(args, items, cfg: SolveConfig) -> int:
     """Adjudicate ``(meta, instance)`` items, streaming one JSONL row each
     to ``--out``; then write the CSV summary, the counterexample records
-    and the one-line JSON summary."""
+    and the one-line JSON summary.  A run that stops on an error removes
+    its partial ``--out`` file and writes nothing else, so no report
+    file is ever a truncated one."""
     report = DiffReport()
     sink = open(args.out, "w", encoding="utf-8", newline="\n") if args.out else None
-    with sink or contextlib.nullcontext() as fh:
-        for row in adjudicate(items, cfg, args.oracle):
-            report.add(row)
-            if fh is not None:
-                line = dict(
-                    row.meta,
-                    kind=row.bin,
-                    solver=row.outcome.kind,
-                    oracle_sat=row.verdict.sat,
-                    ops=row.outcome.ops,
-                )
-                fh.write(_json_line(line) + "\n")
+    try:
+        with sink or contextlib.nullcontext() as fh:
+            for row in adjudicate(items, cfg, args.oracle):
+                report.add(row)
+                if fh is not None:
+                    line = dict(
+                        row.meta,
+                        kind=row.bin,
+                        solver=row.outcome.kind,
+                        oracle_sat=row.verdict.sat,
+                        ops=row.outcome.ops,
+                    )
+                    fh.write(_json_line(line) + "\n")
+    except BaseException:
+        # Interrupts too: a half-written report must not outlive the run.
+        if args.out:
+            os.remove(args.out)
+        raise
     if args.out:
         _write_summary_csv(args.out + ".summary.csv", report.counts, report.total)
     if args.cex_dir and report.counterexamples:

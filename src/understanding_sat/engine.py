@@ -139,6 +139,21 @@ class EngineState:
     owns its index by then.)  Values and the overlay are copied on every
     fork; ``restrict_to`` builds a view with an index of its own.  Code
     outside this class reads the index and never changes it.
+
+    ``unmet[lit]`` is the number of concepts focused on ``lit`` whose two
+    companions are both not true, reading each companion's effective
+    value (a pin overrides the stored value): the concept is C+ exactly
+    when it counts.  It is a list indexed by literal (negative literals
+    wrap to the upper half), so one reevaluation reads ``P`` and ``Q``
+    in O(1) instead of rescanning the concepts.  Four places keep it
+    equal to that scan, each stepping it only when a literal's effective
+    truth actually changes or a concept enters or leaves the index:
+    ``_index`` and ``_remove_concept`` (a concept's own contribution),
+    ``_set_pair`` (every stored-value write, so ``compute_fixpoint`` and
+    ``_rollback``; a pinned polarity is skipped, its effective value does
+    not move) and ``pin_literal``.  ``fork`` copies it with the values;
+    ``restrict_to`` sets the values and overlay before indexing, so its
+    view's count comes out right by construction.
     """
 
     __slots__ = (
@@ -149,6 +164,7 @@ class EngineState:
         "by_member",
         "admitted",
         "overlay",
+        "unmet",
         "log",
         "_shared",
     )
@@ -161,6 +177,7 @@ class EngineState:
         self.by_member: dict[int, list[ConceptKey]] = {}
         self.admitted: set[int] = set()
         self.overlay = ConstraintOverlay()
+        self.unmet: list[int] = [0] * (2 * inst.variable_count + 1)
         self.log = log if log is not None else RunLog()
         self._shared = False  # the index may be another state's too
 
@@ -184,24 +201,12 @@ class EngineState:
         """Concept keys focused on ``literal``, ascending by origin clause."""
         return sorted(self.by_focus.get(literal, ()))
 
-    def _needs(self, literal: int) -> bool:
-        # True when some concept focused on the literal is C+.
-        values = self.values
-        pinned = self.overlay.pinned
-        for key in self.by_focus.get(literal, ()):
-            m1, m2 = self.concepts[key]
-            v1 = pinned.get(m1) or values.get(m1, FREE)
-            v2 = pinned.get(m2) or values.get(m2, FREE)
-            if v1 != TRUE and v2 != TRUE:
-                return True
-        return False
-
     def reevaluate_literal(self, literal: int) -> TruthValue | Contradiction:
         """One basic operation: the literal's value under the current
         concepts and overlay, or a Contradiction marker."""
         self.log.ops += 1
-        p = self._needs(literal)
-        q = self._needs(-literal)
+        p = self.unmet[literal] > 0
+        q = self.unmet[-literal] > 0
         if p and q:
             return Contradiction(literal, "needed-and-opposed")
         computed = TRUE if p else FALSE if q else FREE
@@ -228,8 +233,11 @@ class EngineState:
                 return False
             if v == TRUE and lit in o.not_true:
                 return False
-        o.pinned[literal] = value
-        o.pinned[-literal] = flip(value)
+        for lit, v in ((literal, value), (-literal, flip(value))):
+            was_true = self.effective_value(lit) == TRUE
+            o.pinned[lit] = v
+            if was_true != (v == TRUE):
+                self._retally(lit, 1 if was_true else -1)
         return True
 
     def add_not_true(self, literal: int) -> bool:
@@ -242,11 +250,42 @@ class EngineState:
     # -- mutations -----------------------------------------------------
 
     def _set_pair(self, literal: int, value: TruthValue) -> None:
+        # One polarity at a time, so a concept holding both as companions
+        # sees each change against the other's value of that moment.
+        values = self.values
+        pinned = self.overlay.pinned
         for lit, v in ((literal, value), (-literal, flip(value))):
+            was_true = values.get(lit) == TRUE
             if v == FREE:
-                self.values.pop(lit, None)
+                values.pop(lit, None)
             else:
-                self.values[lit] = v
+                values[lit] = v
+            if was_true != (v == TRUE) and lit not in pinned:
+                self._retally(lit, 1 if was_true else -1)
+
+    def _covered(self, members: tuple[int, int]) -> bool:
+        # Some companion is effectively true: the concept is C*.
+        values = self.values
+        pinned = self.overlay.pinned
+        m1, m2 = members
+        return (pinned.get(m1) or values.get(m1)) == TRUE or (
+            pinned.get(m2) or values.get(m2)
+        ) == TRUE
+
+    def _retally(self, literal: int, step: int) -> None:
+        # The literal's effective truth just changed: it stopped being
+        # true (step +1) or became true (step -1).  Each concept holding
+        # it as a companion changes type unless its other companion is
+        # true.
+        values = self.values
+        pinned = self.overlay.pinned
+        concepts = self.concepts
+        unmet = self.unmet
+        for key in self.by_member.get(literal, ()):
+            m1, m2 = concepts[key]
+            other = m2 if m1 == literal else m1
+            if (pinned.get(other) or values.get(other)) != TRUE:
+                unmet[key[1]] += step
 
     def _dependents(self, literal: int) -> list[int]:
         # Variables whose focused concepts contain either polarity of the
@@ -335,6 +374,8 @@ class EngineState:
         for m in members:
             self.by_member.setdefault(m, []).append(key)
         self.admitted.add(key[0])
+        if not self._covered(members):
+            self.unmet[key[1]] += 1
 
     def _own_index(self) -> None:
         """Copy a shared concept index before changing it."""
@@ -350,6 +391,8 @@ class EngineState:
         # index is already this state's own copy.
         members = self.concepts.pop(key)
         focus = key[1]
+        if not self._covered(members):
+            self.unmet[focus] -= 1
         self.by_focus[focus].remove(key)
         if not self.by_focus[focus]:
             del self.by_focus[focus]
@@ -379,9 +422,10 @@ class EngineState:
     def fork(self) -> "EngineState":
         """Observationally independent copy sharing the run log.
 
-        Only the values and the overlay are copied.  The concept index is
-        shared with this state until either of the two inserts a concept,
-        which copies it first (see the class docstring).
+        Only the values, the overlay and ``unmet`` are copied.  The
+        concept index is shared with this state until either of the two
+        inserts a concept, which copies it first (see the class
+        docstring).
         """
         self._shared = True
         n = object.__new__(EngineState)
@@ -392,6 +436,7 @@ class EngineState:
         n.by_member = self.by_member
         n.admitted = self.admitted
         n.overlay = self.overlay.copy()
+        n.unmet = self.unmet[:]
         n.log = self.log
         n._shared = True
         return n

@@ -64,6 +64,7 @@ class SolverOutcome:
     anomaly: str | None = None
     ops: int = 0
     guard_trips: int = 0
+    gaps: int = 0  # repairs that covered every C+ concept, yet left the literal unfreed
     state: EngineState | None = None
     trace: list[dict] | None = None
 
@@ -158,6 +159,7 @@ def _outcome(
         failing_clause=failing,
         ops=log.ops,
         guard_trips=log.guard_trips,
+        gaps=log.paper_gaps,
         state=state,
         trace=log.events if cfg.trace else None,
         **fields,

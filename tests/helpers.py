@@ -6,7 +6,15 @@ from functools import lru_cache
 
 from understanding_sat.algorithms import algorithm_g, lemma_g_conditions
 from understanding_sat.cnf import Instance, build_instance, parse_dimacs
-from understanding_sat.engine import FREE, EngineState, GuardExceeded, RunLog
+from understanding_sat.engine import (
+    CPLUS,
+    FALSE,
+    FREE,
+    TRUE,
+    EngineState,
+    GuardExceeded,
+    RunLog,
+)
 from understanding_sat.harness import CounterexampleRecord, adjudicate
 from understanding_sat.solver import SolveConfig, _admit_clause
 
@@ -232,3 +240,95 @@ def random_instance(rng: random.Random, n: int, m: int) -> Instance:
             seen.add(key)
             clauses.append(lits)
     return build_instance(n, clauses)
+
+
+def scanning_unmet(state: EngineState, literal: int) -> int:
+    """Reference for ``EngineState.unmet``: rescan every concept focused
+    on the literal and count those with no effectively true companion
+    (the scan that every reevaluation made before the count was kept)."""
+    values = state.values
+    pinned = state.overlay.pinned
+    count = 0
+    for key in state.by_focus.get(literal, ()):
+        m1, m2 = state.concepts[key]
+        v1 = pinned.get(m1) or values.get(m1, FREE)
+        v2 = pinned.get(m2) or values.get(m2, FREE)
+        if v1 != TRUE and v2 != TRUE:
+            count += 1
+    return count
+
+
+def rebuilding_algorithm_d(
+    state: EngineState,
+    literal: int,
+    history: frozenset[int] = frozenset(),
+    depth_guard: int | None = None,
+) -> EngineState | None:
+    """Reference for ``algorithm_d``: the same repair, but every turn of
+    its loop re-sorts the concepts focused on the negation and re-types
+    each one not yet considered, then takes the first C+ key."""
+    if state.value(literal) != FALSE:
+        raise ValueError("algorithm_d requires a false literal")
+    guard = (
+        depth_guard
+        if depth_guard is not None
+        else 2 * (2 * state.inst.variable_count) + 1
+    )
+    if len(history) >= guard:
+        state.log.guard_trips += 1
+        raise GuardExceeded(
+            f"recursion depth guard ({guard}) exceeded freeing {literal}"
+        )
+    log = state.log
+    log.emit("D_ENTER", literal=literal)
+    work = state
+    considered: set = set()
+    while True:
+        pending = [
+            key
+            for key in work.concepts_focused(-literal)
+            if key not in considered and work.concept_type(key) == CPLUS
+        ]
+        if not pending:
+            break
+        key = pending[0]
+        considered.add(key)
+        log.emit("D_CONCEPT", literal=literal, clause=key[0])
+        covered = False
+        for companion in work.concepts[key]:
+            if companion in history:
+                continue
+            log.emit("D_MEMBER", literal=companion, old=work.value(companion), clause=key[0])
+            candidate = None
+            if work.value(companion) == FALSE:
+                log.emit("D_RECURSE", literal=companion)
+                candidate = rebuilding_algorithm_d(
+                    work, companion, history | {literal}, guard
+                )
+                if candidate is None:
+                    continue
+            basis = candidate if candidate is not None else work
+            if basis.value(companion) != FREE:
+                continue
+            if not algorithm_g(basis.restrict_to(companion), companion):
+                continue
+            trial = basis if basis is not work else basis.fork()
+            if not trial.pin_literal(companion, TRUE):
+                continue
+            if trial.compute_fixpoint([companion]) is not None:
+                continue
+            work = trial
+            covered = True
+            break
+        if not covered:
+            log.emit("D_RESULT", literal=literal, new="none")
+            return None
+    if work is state:
+        work = state.fork()
+    res = work.compute_fixpoint([literal])
+    if res is not None or work.value(literal) != FREE:
+        work.log.paper_gaps += 1
+        log.emit("D_RESULT", literal=literal, new="gap")
+        return None
+    log.emit("D_RESULT", literal=literal, new="ok")
+    return work

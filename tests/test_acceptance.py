@@ -66,6 +66,11 @@ CORPUS_TOTAL = 6166 + 5040
 # Frozen basic-operation total of the main procedure on the fuzz corpus
 # (the exhaustive corpus's total is pinned in test_solver.py).
 FUZZ_OPS_TOTAL = 3_016_176
+# Frozen repair-gap counts: how often ``algorithm_d`` covered every C+
+# concept yet left its literal unfreed, and how many runs of each bin
+# met at least one such gap.
+FUZZ_GAPS = 26_894
+FUZZ_GAP_RUNS = {"AgreeSat": 316, "AgreeUnsat": 1076, "FalseUnsat": 498}
 
 # Frozen operation-growth fit on the standard grid (ratio 4.0).
 BENCH_PAIRS = ((5, 20), (10, 40), (20, 80), (40, 160))
@@ -88,6 +93,8 @@ class CorpusAudit:
     total: int = 0
     tables: dict = field(default_factory=dict)
     ops_totals: Counter = field(default_factory=Counter)
+    gap_totals: Counter = field(default_factory=Counter)
+    gap_runs: dict = field(default_factory=dict)
     records: list = field(default_factory=list)
     sat_reverify_failures: list = field(default_factory=list)
     unverified_sat_records: list = field(default_factory=list)
@@ -109,6 +116,7 @@ def audit() -> CorpusAudit:
     for label, instances in corpora:
         report = DiffReport()
         a.tables[label] = report.counts
+        a.gap_runs[label] = Counter()
         items = ((None, inst) for inst in instances)
         for row in adjudicate(items, SolveConfig(), "brute"):
             report.add(row)
@@ -116,6 +124,9 @@ def audit() -> CorpusAudit:
             tag = f"{label}#{a.total}"
             inst, outcome, brute = row.instance, row.outcome, row.verdict
             a.ops_totals[label] += outcome.ops
+            a.gap_totals[label] += outcome.gaps
+            if outcome.gaps:
+                a.gap_runs[label][row.bin] += 1
             if outcome.anomaly == ANOMALY_UNVERIFIED:
                 a.unverified_sat_records.append(report.counterexamples[-1])
             if outcome.kind == "sat":
@@ -218,6 +229,27 @@ def test_ops_total_on_fuzz_corpus_is_frozen(audit):
         ok,
         f"fuzz corpus took {audit.ops_totals['fuzz']:,} basic operations "
         f"(frozen: {FUZZ_OPS_TOTAL:,})",
+    )
+    assert ok, line
+
+
+def test_repair_gap_counts_are_frozen(audit):
+    # ``SolverOutcome.gaps`` surfaces the repair gap.  It never fires on
+    # the exhaustive corpus; on the fuzz corpus its counts are pinned, so
+    # a change to the repair loop that keeps ``ops`` but moves a gap
+    # shows here.
+    ok = (
+        audit.gap_totals["exhaustive"] == 0
+        and not audit.gap_runs["exhaustive"]
+        and audit.gap_totals["fuzz"] == FUZZ_GAPS
+        and dict(audit.gap_runs["fuzz"]) == FUZZ_GAP_RUNS
+    )
+    line = _verdict(
+        "gaps",
+        ok,
+        f"exhaustive corpus {audit.gap_totals['exhaustive']} gaps; fuzz corpus "
+        f"{audit.gap_totals['fuzz']:,} gaps (frozen: {FUZZ_GAPS:,}), runs with "
+        f"a gap by bin {dict(sorted(audit.gap_runs['fuzz'].items()))}",
     )
     assert ok, line
 

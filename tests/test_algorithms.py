@@ -16,7 +16,13 @@ from understanding_sat.engine import (
     RunLog,
 )
 
-from helpers import admitted_state, fresh_state, order_trap_instance, random_instance
+from helpers import (
+    admitted_state,
+    fresh_state,
+    order_trap_instance,
+    random_instance,
+    rebuilding_algorithm_d,
+)
 
 
 def staged(n, inserts):
@@ -183,6 +189,43 @@ def test_repair_postcondition_on_random_states(seed):
             assert result.value(lam) == FREE
             assert result.coupling_violations() == []
             assert result.soundness_violations() == []
+
+
+@given(st.integers(min_value=0, max_value=100_000))
+def test_repair_matches_rebuilding_reference(seed):
+    # The state is the one the solver reaches when a clause arrives (or
+    # would arrive) all false, sometimes with an extra pin propagated.
+    # Each false literal is repaired by both loops on a fresh traced log:
+    # result, ops, guard trips, gaps and the whole event stream must match.
+    rng = random.Random(seed)
+    inst = random_instance(rng, rng.randint(3, 6), rng.randint(4, 14))
+    _, st_ = admitted_state(inst)
+    if rng.random() < 0.3:
+        lit = rng.choice([l for v in range(1, inst.variable_count + 1) for l in (v, -v)])
+        pinned = st_.fork()
+        if pinned.pin_literal(lit, TRUE) and pinned.compute_fixpoint([lit]) is None:
+            st_ = pinned
+    false_literals = [
+        lit
+        for var in range(1, inst.variable_count + 1)
+        for lit in (var, -var)
+        if st_.value(lit) == FALSE
+    ]
+
+    def run(repair, lam, guard):
+        st_.log = RunLog(enabled=True)
+        try:
+            res = repair(st_, lam, frozenset(), guard)
+        except GuardExceeded:
+            res = "guard"
+        else:
+            res = None if res is None else res.snapshot()
+        log = st_.log
+        return res, log.ops, log.guard_trips, log.paper_gaps, log.events
+
+    for lam in false_literals:
+        guard = rng.choice((None, None, 1, 2, 3))
+        assert run(algorithm_d, lam, guard) == run(rebuilding_algorithm_d, lam, guard)
 
 
 def test_conditions_miss_support_retraction_cascades():

@@ -215,6 +215,36 @@ class TestCorpusCommands:
         assert len(records) == 6
         assert [replay(record) for record in records] == ["FalseUnsat"] * 6
 
+    def test_failed_run_leaves_no_report_files(self, tmp_path, capsys):
+        # The DPLL oracle outgrows the recursion limit on the first draw
+        # (one decision per variable, far more variables than the limit).
+        n = sys.getrecursionlimit() + 200
+        out = tmp_path / "r.jsonl"
+        code = cli.main(["fuzz", "--n", str(n), "--m", "20", "--count", "3", "--seed", "1",
+                         "--oracle", "dpll", "--out", str(out),
+                         "--cex-dir", str(tmp_path / "cex")])
+        stdout, err = capsys.readouterr()
+        assert code == 30
+        assert stdout == "" and err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_run_failing_after_written_rows_removes_them(self, tmp_path, capsys, monkeypatch):
+        real = cli.adjudicate
+
+        def two_rows_then_fail(items, cfg, oracle):
+            rows = real(items, cfg, oracle)
+            yield next(rows)
+            yield next(rows)
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "adjudicate", two_rows_then_fail)
+        out = tmp_path / "r.jsonl"
+        code = cli.main(self.FUZZ + ["--out", str(out), "--cex-dir", str(tmp_path / "cex")])
+        stdout, err = capsys.readouterr()
+        assert code == 30
+        assert stdout == "" and err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestMinimizeCommand:
     def test_minimize_record_file(self, tmp_path, capsys):

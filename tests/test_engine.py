@@ -1,6 +1,7 @@
 """Propagation engine: value rule, fixpoint, pins, rollback, views."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,6 +27,7 @@ from helpers import (
     index_of,
     random_instance,
     scanning_restrict_to,
+    scanning_unmet,
 )
 
 
@@ -350,3 +352,61 @@ def test_restrict_to_matches_scanning_reference(states):
             assert index_of(state.restrict_to(lit)) == index_of(
                 scanning_restrict_to(state, lit)
             )
+
+
+def _unmet_mismatches(state):
+    n = state.inst.variable_count
+    return [
+        (lit, state.unmet[lit], scanning_unmet(state, lit))
+        for v in range(1, n + 1)
+        for lit in (v, -v)
+        if state.unmet[lit] != scanning_unmet(state, lit)
+    ]
+
+
+@given(admission_scripts())
+def test_unmet_matches_scanning_reference(script):
+    # A random walk of every mutation the engine offers, on a parent, its
+    # forks (which then diverge) and restricted views; after each step
+    # every state's count must equal a fresh scan of ``by_focus``.
+    n, m, seed = script
+    rng = random.Random(seed)
+    inst = random_instance(rng, n, m)
+    _, root = admitted_state(inst, upto=rng.randint(0, len(inst.clauses)))
+    states = [root, root.fork()]
+    literals = [l for v in range(1, n + 1) for l in (v, -v)]
+    for _ in range(16):
+        st_ = rng.choice(states)
+        lit = rng.choice(literals)
+        clause = rng.choice(inst.clauses)
+        focus = rng.choice(clause.literals)
+        fresh = (clause.id, focus) not in st_.concepts
+        action = rng.randrange(8)
+        if action == 0 and fresh:
+            st_.insert_concept(clause, focus)
+        elif action == 1 and fresh:
+            st_.add_concept(clause, focus)  # may contradict and roll back
+        elif action == 2:
+            st_.pin_literal(lit, rng.choice((TRUE, FALSE)))
+        elif action == 3:
+            st_.add_not_true(lit)
+        elif action == 4:
+            st_.compute_fixpoint(rng.sample(literals, rng.randint(1, 3)))
+        elif action == 5:
+            # Trip the step guard part-way through, so the rollback
+            # undoes some value changes.
+            cap = rng.randint(0, 4)
+            with mock.patch.object(EngineState, "_step_cap", lambda self: cap):
+                try:
+                    if fresh:
+                        st_.add_concept(clause, focus)
+                    else:
+                        st_.compute_fixpoint([lit])
+                except GuardExceeded:
+                    pass
+        elif action == 6:
+            states.append(st_.restrict_to(lit))
+        elif action == 7:
+            states.append(st_.fork())
+        for state in states:
+            assert _unmet_mismatches(state) == []
