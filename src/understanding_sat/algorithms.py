@@ -6,6 +6,14 @@ rewritten so a currently false literal becomes free, recursively freeing
 companion literals where needed.  Both work on forks and never mutate
 their input; ``algorithm_d`` returns the rewritten fork on success.
 
+``algorithm_d`` asks the same freeing check many times in one run: about
+70% of its checks on random instances repeat a (companion, restricted
+view) pair already answered.  ``_freeing_check`` runs each distinct check
+once per run and stores its answer, ``ops`` and events in the run log;
+a repeat replays them.  A replayed check is indistinguishable from a
+fresh one: same answer, same ``ops``, same events at the same steps and
+counters.  A check that trips a guard is not stored.
+
 ``lemma_g_conditions`` is an independently coded structural predicate
 kept solely as a test oracle for ``algorithm_g``; the two are
 deliberately never merged.  The suite guarantees one direction: whenever
@@ -49,6 +57,39 @@ def algorithm_g(state: EngineState, literal: int) -> bool:
             return True
     log.emit("G_RESULT", literal=literal, new="false")
     return False
+
+
+def _freeing_check(state: EngineState, literal: int) -> bool:
+    """``algorithm_g(state.restrict_to(literal), literal)``, run at most
+    once per run for each distinct view.
+
+    The key is ``state.view_key(literal)``, read off the index without
+    building the view.  On a miss the view is built, the check runs and
+    its answer, ``ops`` and events go into ``state.log.checks``; on a hit
+    each stored event is emitted again at the counter it had relative to
+    the check's start, and the stored ``ops`` are added.
+    ``GuardExceeded`` propagates and stores nothing, so a repeat trips the
+    guard again.
+    """
+    log = state.log
+    key = state.view_key(literal)
+    start = log.ops
+    stored = log.checks.get(key)
+    if stored is None:
+        step = len(log.events)
+        answer = algorithm_g(state.restrict_to(literal), literal)
+        events = tuple(
+            (e["kind"], e["literal"], e["old"], e["new"], e["clause"], e["counter"] - start)
+            for e in log.events[step:]
+        )
+        log.checks[key] = (answer, log.ops - start, events)
+        return answer
+    answer, ops, events = stored
+    for kind, lit, old, new, clause, counter in events:
+        log.ops = start + counter
+        log.emit(kind, lit, old, new, clause)
+    log.ops = start + ops
+    return answer
 
 
 def lemma_g_conditions(state: EngineState, literal: int) -> bool:
@@ -100,7 +141,9 @@ def algorithm_d(
     ``algorithm_g`` on the state restricted to the clauses that contain
     it, then pinned true with the fixpoint recomputed.  Companions in
     ``history`` are skipped.  A concept none of whose companions works
-    fails the whole call.
+    fails the whole call.  The check goes through ``_freeing_check``,
+    which answers a repeat of an earlier check of the run from the run
+    log: ``ops`` and the trace come out as if every check ran.
 
     Returns the rewritten fork (with the literal free) or None.  The
     caller's state is never touched.  ``depth_guard`` caps recursion depth
@@ -155,7 +198,7 @@ def algorithm_d(
                 # Companions of a C+ concept are free or false; a false
                 # one was just freed above, so this cannot trigger.
                 continue
-            if not algorithm_g(basis.restrict_to(companion), companion):
+            if not _freeing_check(basis, companion):
                 continue
             trial = basis if basis is not work else basis.fork()
             if not trial.pin_literal(companion, TRUE):

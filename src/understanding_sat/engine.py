@@ -30,8 +30,10 @@ state is rolled back to what it was on entry.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 from .cnf import Clause, Instance
 
@@ -96,13 +98,25 @@ class ConstraintOverlay:
 
 class RunLog:
     """Shared per-run accounting: the basic-operation counter, guard trip
-    counts, and (when enabled) the append-only trace of events.
+    counts, (when enabled) the append-only trace of events, and the
+    answers of the freeing checks already run.
 
-    Forked states share the log of their parent, so work done on discarded
-    branches still counts toward the run and stays visible in the trace.
+    Forked states and restricted views share the log of their parent, so
+    work done on discarded branches still counts toward the run and stays
+    visible in the trace.
+
+    ``checks`` maps ``EngineState.view_key(literal)`` to what
+    ``algorithm_g(state.restrict_to(literal), literal)`` did the first
+    time the run asked it: its answer, the ``ops`` it added and the events
+    it emitted, each event's ``counter`` taken relative to the check's
+    start.  ``algorithms._freeing_check`` replays that record on a
+    repeat, so a check answered from here leaves ``ops`` and the trace
+    exactly as running it again would.  ``enabled`` is fixed for the life
+    of the log, so a stored event list is complete whenever it is
+    replayed.  ``solve`` empties ``checks`` when its run ends.
     """
 
-    __slots__ = ("ops", "events", "enabled", "guard_trips", "paper_gaps")
+    __slots__ = ("ops", "events", "enabled", "guard_trips", "paper_gaps", "checks")
 
     def __init__(self, enabled: bool = False):
         self.ops = 0
@@ -110,6 +124,7 @@ class RunLog:
         self.enabled = enabled
         self.guard_trips = 0
         self.paper_gaps = 0
+        self.checks: dict = {}
 
     def emit(self, kind: str, literal=None, old=None, new=None, clause=None):
         if self.enabled:
@@ -441,28 +456,61 @@ class EngineState:
         n._shared = True
         return n
 
-    def restrict_to(self, literal: int) -> "EngineState":
-        """Copy restricted to admitted clauses containing the literal or
-        its negation; values and overlay carry over unchanged.
+    def view_keys(self, literal: int) -> list[ConceptKey]:
+        """Sorted keys of the concepts of the admitted clauses that
+        contain the literal or its negation.
 
         Every concept of a clause holds all three of the clause's
-        literals, as focus or companion, so the concepts indexed under
-        ``literal`` and ``-literal`` in ``by_focus`` and ``by_member`` are
-        exactly the concepts of the kept clauses.  The view is built from
-        those keys alone, without scanning the rest of the store, and owns
-        its index.
+        literals, as focus or companion, so these are exactly the
+        concepts indexed under ``literal`` and ``-literal`` in
+        ``by_focus`` and ``by_member``; the rest of the store is never
+        scanned.
         """
         keys = set()
         for lit in (literal, -literal):
             keys.update(self.by_focus.get(lit, ()))
             keys.update(self.by_member.get(lit, ()))
+        return sorted(keys)
+
+    def restrict_to(self, literal: int) -> "EngineState":
+        """Copy restricted to admitted clauses containing the literal or
+        its negation (``view_keys``); values and overlay carry over
+        unchanged.  The view owns its index."""
         n = EngineState(self.inst, self.log)
         n.values = dict(self.values)
         n.overlay = self.overlay.copy()
         concepts = self.concepts
-        for key in sorted(keys):
+        for key in self.view_keys(literal):
             n._index(key, concepts[key])
         return n
+
+    def view_key(self, literal: int) -> tuple:
+        """Compact key of ``(literal, restrict_to(literal))``, read off
+        this state's index without building the view.
+
+        Two states give equal keys exactly when their views of the
+        literal hold the same values, pins, not-true constraints and
+        concepts (each with its companions, so clause ids that hold other
+        literals in another instance never match) over the same number
+        of variables; the rest of the view (``admitted``, the lookup
+        lists, ``unmet``) follows from those.  Values and pins are one
+        character per literal of the run, so their length also tells the
+        number of variables.  The concepts are one flat run of 64-bit
+        ints packed into bytes: the (clause, focus) pairs of the sorted
+        keys, then their companion pairs in the same order.  (As a tuple of
+        the same ints, the stored keys doubled the peak memory they add.)
+        """
+        n = self.inst.variable_count
+        keys = self.view_keys(literal)
+        members = map(self.concepts.__getitem__, keys)
+        lits = range(-n, n + 1)
+        return (
+            literal,
+            "".join(map(self.values.get, lits, repeat(FREE))),
+            "".join(map(self.overlay.pinned.get, lits, repeat("-"))),
+            tuple(sorted(self.overlay.not_true)),
+            array("q", chain(chain.from_iterable(keys), chain.from_iterable(members))).tobytes(),
+        )
 
     # -- inspection helpers (used by tests and the harness) -------------
 

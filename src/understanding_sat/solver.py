@@ -152,6 +152,7 @@ def _outcome(
     """Log the verdict and build the outcome; ``clause`` is the failing
     clause of a run that stopped early."""
     log = state.log
+    log.checks.clear()  # the run asks no more checks; the outcome need not hold them
     failing = clause.id if clause is not None else None
     log.emit("VERDICT", new=kind, clause=failing)
     return SolverOutcome(

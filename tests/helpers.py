@@ -5,7 +5,7 @@ import random
 from functools import lru_cache
 
 from understanding_sat.algorithms import algorithm_g, lemma_g_conditions
-from understanding_sat.cnf import Instance, build_instance, parse_dimacs
+from understanding_sat.cnf import Clause, Instance, build_instance, parse_dimacs
 from understanding_sat.engine import (
     CPLUS,
     FALSE,
@@ -92,6 +92,7 @@ def sweep_assumption_check(
     - ``dead``: admissions that failed (no deeper states behind them)
     - ``comparisons``: (state, literal) pairs checked
     - ``memo_hits``: comparisons answered from the restricted-view cache
+      (keyed by ``view_snapshot``, so a hit builds no view)
     - ``divergences``: comparisons where the two answers differ
     - ``unsound``: divergences where the check approves but the
       conditions reject (the direction that would break soundness)
@@ -140,12 +141,12 @@ def sweep_assumption_check(
                 for lit in (var, -var):
                     if state.value(lit) != FREE:
                         continue
-                    view = state.restrict_to(lit)
-                    key = (lit, view.snapshot())
+                    key = (lit, view_snapshot(state, lit))
                     if key in memo:
                         stats["memo_hits"] += 1
                         check, conditions = memo[key]
                     else:
+                        view = state.restrict_to(lit)
                         check = algorithm_g(view, lit)
                         conditions = lemma_g_conditions(view, lit)
                         memo[key] = (check, conditions)
@@ -170,8 +171,8 @@ def sweep_assumption_check(
                 ):
                     continue
                 child = state.fork()
-                child.inst = build_instance(n, list(clauses) + [lits])
-                clause = child.inst.clauses[depth]
+                clause = Clause(id=depth, literals=lits)
+                child.inst = Instance(n, state.inst.clauses + [clause])
                 try:
                     status, child = _admit_clause(child, clause, cfg)
                 except GuardExceeded:
@@ -188,6 +189,20 @@ def sweep_assumption_check(
         dfs(root, 0, 0, frozenset(), ())
         feasible.cache_clear()
     return stats
+
+
+def view_snapshot(state: EngineState, literal: int):
+    """``state.restrict_to(literal).snapshot()``, read off the state's
+    own index without building the view."""
+    keys = state.view_keys(literal)
+    concepts = state.concepts
+    return (
+        tuple(sorted(state.values.items())),
+        tuple((key, concepts[key]) for key in keys),
+        tuple(sorted({key[0] for key in keys})),
+        tuple(sorted(state.overlay.pinned.items())),
+        tuple(sorted(state.overlay.not_true)),
+    )
 
 
 def scanning_restrict_to(state: EngineState, literal: int) -> EngineState:

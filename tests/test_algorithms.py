@@ -1,10 +1,12 @@
 """Search procedures: assumption check (g) and false-literal repair (d)."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+from understanding_sat import algorithms
 from understanding_sat.algorithms import algorithm_d, algorithm_g, lemma_g_conditions
 from understanding_sat.cnf import build_instance
 from understanding_sat.engine import (
@@ -15,6 +17,8 @@ from understanding_sat.engine import (
     GuardExceeded,
     RunLog,
 )
+from understanding_sat.harness import GenSpec, gen_random
+from understanding_sat.solver import SolveConfig, solve
 
 from helpers import (
     admitted_state,
@@ -226,6 +230,137 @@ def test_repair_matches_rebuilding_reference(seed):
     for lam in false_literals:
         guard = rng.choice((None, None, 1, 2, 3))
         assert run(algorithm_d, lam, guard) == run(rebuilding_algorithm_d, lam, guard)
+
+
+def _direct_check(state, literal):
+    return algorithms.algorithm_g(state.restrict_to(literal), literal)
+
+
+def _run(inst, cfg):
+    out = solve(inst, cfg)
+    return out.kind, out.ops, out.failing_clause, out.anomaly, out.guard_trips, out.gaps, out.trace
+
+
+@given(
+    st.integers(min_value=8, max_value=16),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from(("input", "perm")),
+)
+def test_stored_checks_leave_every_run_as_it_was(n, seed, order):
+    # A check answered from the run log must leave the run exactly as
+    # running it again does: verdict, ops, failing clause, guard trips,
+    # gaps and every event, steps and counters included.
+    rng = random.Random(seed)
+    inst = gen_random(GenSpec(n=n, m=rng.randint(3 * n, 5 * n), seed=seed))
+    cfg = SolveConfig(clause_order=order, order_seed=seed, trace=True)
+    stored = _run(inst, cfg)
+    with mock.patch.object(algorithms, "_freeing_check", _direct_check):
+        assert _run(inst, cfg) == stored
+
+
+def test_repeated_checks_are_replayed_not_run():
+    # On these draws most checks repeat one the run already asked, and
+    # only the first of each runs ``algorithm_g``; a finished run keeps
+    # no stored checks.
+    calls = 0
+    real_g = algorithms.algorithm_g
+
+    def counting_g(*args):
+        nonlocal calls
+        calls += 1
+        return real_g(*args)
+
+    insts = [gen_random(GenSpec(n=14, m=56, seed=seed)) for seed in range(6)]
+    with mock.patch.object(algorithms, "algorithm_g", counting_g):
+        with mock.patch.object(algorithms, "_freeing_check", _direct_check):
+            for inst in insts:
+                solve(inst)
+        asked, calls = calls, 0
+        for inst in insts:
+            assert solve(inst).state.log.checks == {}
+    assert 0 < 2 * calls < asked
+
+
+def _check_on_log(state, literal):
+    """Run the stored check on ``state``'s traced log; return its answer,
+    the ops it added and its events, each step and counter taken
+    relative to the start."""
+    log = state.log
+    ops, step = log.ops, len(log.events)
+    answer = algorithms._freeing_check(state, literal)
+    events = [
+        dict(e, step=e["step"] - step, counter=e["counter"] - ops) for e in log.events[step:]
+    ]
+    return answer, log.ops - ops, events
+
+
+def _fresh_check(state, literal):
+    view = state.restrict_to(literal)
+    view.log = RunLog(enabled=True)
+    answer = algorithm_g(view, literal)
+    return answer, view.log.ops, view.log.events
+
+
+def test_stored_checks_tell_clause_ids_apart_by_their_literals():
+    # Clause 0 holds other literals in the two instances; the concept
+    # keys of the views of -2 are the same, and the answers are not.
+    log = RunLog(enabled=True)
+    answers = []
+    for first in ((1, -1, -2), (-1, -2, 3)):
+        inst = build_instance(3, [first, (1, -1, 2)])
+        state = EngineState(inst, log)
+        state.insert_concept(inst.clauses[0], -2)
+        state.insert_concept(inst.clauses[1], 1)
+        assert _check_on_log(state, -2) == _fresh_check(state, -2)
+        answers.append(_check_on_log(state, -2)[0])
+    assert answers == [False, True]
+    assert len(log.checks) == 2
+
+
+@given(st.integers(min_value=0, max_value=100_000))
+def test_instances_sharing_a_log_never_share_a_wrong_check(seed):
+    # As in the a4 sweep, one log spans instances whose clause ids hold
+    # other literals: every check, stored or replayed, must equal a
+    # fresh run of it.
+    rng = random.Random(seed)
+    n, m = rng.randint(3, 5), rng.randint(2, 8)
+    log = RunLog(enabled=True)
+    states = []
+    for _ in range(3):
+        inst = random_instance(rng, n, m)
+        _, state = admitted_state(inst, upto=rng.randint(0, len(inst.clauses)))
+        state.log = log
+        states.append(state)
+    for _ in range(2):
+        for state in states:
+            for lit in (l for v in range(1, n + 1) for l in (v, -v)):
+                if state.value(lit) == FREE:
+                    assert _check_on_log(state, lit) == _fresh_check(state, lit)
+
+
+def test_guard_tripping_check_is_not_stored():
+    # The step cap lets the first attempt's fixpoint make one step, then
+    # trips; the trip is counted and nothing is stored, so the repeat
+    # runs the check again and trips in the same place.
+    inst = build_instance(3, [(1, 2, 3), (-1, 2, -3)])
+    state = EngineState(inst, RunLog(enabled=True))
+    state.insert_concept(inst.clauses[0], 1)
+    state.insert_concept(inst.clauses[1], 2)
+    log = state.log
+    tripped = []
+    with mock.patch.object(EngineState, "_step_cap", lambda self: 1):
+        for _ in range(2):
+            trips, ops, step = log.guard_trips, log.ops, len(log.events)
+            with pytest.raises(GuardExceeded):
+                algorithms._freeing_check(state, 1)
+            events = [(e["kind"], e["literal"], e["counter"] - ops) for e in log.events[step:]]
+            tripped.append((log.guard_trips - trips, log.ops - ops, events))
+            assert log.checks == {}
+    assert tripped[0] == tripped[1]
+    assert tripped[0][0] == 1 and tripped[0][1] > 0
+    # Without the patched cap the same check completes and is stored.
+    assert _check_on_log(state, 1) == _fresh_check(state, 1)
+    assert len(log.checks) == 1
 
 
 def test_conditions_miss_support_retraction_cascades():

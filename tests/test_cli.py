@@ -334,6 +334,22 @@ class TestErrors:
             ({"dimacs": "p cnf 3 1\n1 2 3 0\n", "config": {"order_seed": True},
               "solver_outcome": {}, "oracle_verdict": {}, "kind": "FalseUnsat"},
              "'order_seed' must be int or null, not bool"),
+            ({"dimacs": "p cnf 3 1\n1 2 3 0\n", "config": {"default_free": 2},
+              "solver_outcome": {}, "oracle_verdict": {}, "kind": "FalseUnsat"},
+             "'default_free' must be 0 or 1, not 2"),
+            ({"dimacs": "p cnf 3 1\n1 2 3 0\n", "config": {"default_free": -1},
+              "solver_outcome": {}, "oracle_verdict": {}, "kind": "FalseUnsat"},
+             "'default_free' must be 0 or 1, not -1"),
+            ({"dimacs": "p cnf 3 1\n1 2 3 0\n", "config": {"clause_order": "random"},
+              "solver_outcome": {}, "oracle_verdict": {}, "kind": "FalseUnsat"},
+             "'clause_order' must be 'input' or 'perm', not 'random'"),
+            ({"dimacs": "p cnf 3 1\n1 2 3 0\n",
+              "config": {"clause_order": "perm", "order_seed": None},
+              "solver_outcome": {}, "oracle_verdict": {}, "kind": "FalseUnsat"},
+             "'order_seed' must be an int when 'clause_order' is 'perm', not null"),
+            ({"dimacs": "p cnf 3 1\n1 2 3 0\n", "config": {"clause_order": "perm"},
+              "solver_outcome": {}, "oracle_verdict": {}, "kind": "FalseUnsat"},
+             "'order_seed' must be an int when 'clause_order' is 'perm', not null"),
         ],
     )
     def test_malformed_record(self, tmp_path, capsys, record, fragment):

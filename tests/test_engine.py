@@ -1,5 +1,6 @@
 """Propagation engine: value rule, fixpoint, pins, rollback, views."""
 
+import itertools
 import random
 from unittest import mock
 
@@ -28,6 +29,7 @@ from helpers import (
     random_instance,
     scanning_restrict_to,
     scanning_unmet,
+    view_snapshot,
 )
 
 
@@ -352,6 +354,39 @@ def test_restrict_to_matches_scanning_reference(states):
             assert index_of(state.restrict_to(lit)) == index_of(
                 scanning_restrict_to(state, lit)
             )
+
+
+@given(staged_states(), st.integers(min_value=0, max_value=10_000))
+def test_views_are_read_off_the_index(states, seed):
+    # ``view_snapshot`` (the a4 sweep's memo key) equals the built view's
+    # snapshot, and two states' ``view_key``s (the run log's key for a
+    # freeing check) are equal exactly when their built views are.
+    rng = random.Random(seed)
+    parent, child = states
+    n = parent.inst.variable_count
+    literals = [l for v in range(1, n + 1) for l in (v, -v)]
+    extra = child.fork()
+    for _ in range(rng.randint(0, 2)):
+        extra.add_not_true(rng.choice(literals))
+    states = (parent, child, extra, extra.fork())
+    for lit in literals:
+        snapshots = [state.restrict_to(lit).snapshot() for state in states]
+        for state, snapshot in zip(states, snapshots):
+            assert view_snapshot(state, lit) == snapshot
+        for (a, snap_a), (b, snap_b) in itertools.combinations(zip(states, snapshots), 2):
+            assert (a.view_key(lit) == b.view_key(lit)) == (snap_a == snap_b)
+        assert parent.view_key(lit) != parent.view_key(-lit)
+
+
+def test_view_key_tells_variable_counts_apart():
+    # The step guard and ``unmet`` depend on the number of variables, so
+    # equal views over different counts must not share a stored check.
+    keys = []
+    for n in (3, 4):
+        st_ = fresh_state(build_instance(n, [(1, 2, 3)]))
+        st_.insert_concept(st_.inst.clauses[0], 1)
+        keys.append(st_.view_key(1))
+    assert keys[0] != keys[1]
 
 
 def _unmet_mismatches(state):
