@@ -25,7 +25,7 @@ state, and it fails: the conditions over-approve.
 
 from __future__ import annotations
 
-from .engine import CPLUS, EngineState, FALSE, FREE, GuardExceeded, TRUE
+from .engine import EngineState, FALSE, FREE, GuardExceeded, TRUE
 
 
 def algorithm_g(state: EngineState, literal: int) -> bool:
@@ -170,10 +170,11 @@ def algorithm_d(
     # their types are not.  A concept passed over as C* can turn C+ once a
     # trial is adopted, so every turn scans again from the first key.
     keys = state.concepts_focused(-literal)
+    concepts = state.concepts
     considered: set = set()
     while True:
         key = next(
-            (k for k in keys if k not in considered and work.concept_type(k) == CPLUS),
+            (k for k in keys if k not in considered and not work._covered(concepts[k])),
             None,
         )
         if key is None:

@@ -23,8 +23,9 @@ defined).  Assumption pins in the constraint overlay take precedence over
 the computed value; a computed value that directly opposes a pin, or a
 computed true on a literal constrained not-true, is also a contradiction.
 
-``compute_fixpoint`` re-runs this rule over a worklist until stable.  All
-mutating entry points are atomic: when a contradiction surfaces, the
+``compute_fixpoint`` re-runs this rule over a worklist of variables
+until stable, applying it to both polarities of a variable in one step.
+All mutating entry points are atomic: when a contradiction surfaces, the
 state is rolled back to what it was on entry.
 """
 
@@ -145,6 +146,11 @@ class EngineState:
     """Mutable engine state: admitted clauses, concept store, value map,
     constraint overlay, and the shared run log.
 
+    ``values`` and ``unmet`` are lists indexed by literal (negative
+    literals wrap to the upper half; slot 0 is unused), so a read is one
+    index and a copy one slice.  ``values`` stores ``FREE`` too;
+    ``snapshot`` lists only the literals that are not free.
+
     The concept index (``concepts``, ``by_focus``, ``by_member`` and
     ``admitted``) is copy-on-write.  ``fork`` hands the child the
     parent's index and marks both states as sharing it; whichever of them
@@ -158,9 +164,8 @@ class EngineState:
     ``unmet[lit]`` is the number of concepts focused on ``lit`` whose two
     companions are both not true, reading each companion's effective
     value (a pin overrides the stored value): the concept is C+ exactly
-    when it counts.  It is a list indexed by literal (negative literals
-    wrap to the upper half), so one reevaluation reads ``P`` and ``Q``
-    in O(1) instead of rescanning the concepts.  Four places keep it
+    when it counts, so one reevaluation reads ``P`` and ``Q`` in O(1)
+    instead of rescanning the concepts.  Four places keep it
     equal to that scan, each stepping it only when a literal's effective
     truth actually changes or a concept enters or leaves the index:
     ``_index`` and ``_remove_concept`` (a concept's own contribution),
@@ -186,7 +191,7 @@ class EngineState:
 
     def __init__(self, inst: Instance, log: RunLog | None = None):
         self.inst = inst
-        self.values: dict[int, TruthValue] = {}
+        self.values: list[TruthValue] = [FREE] * (2 * inst.variable_count + 1)
         self.concepts: dict[ConceptKey, tuple[int, int]] = {}
         self.by_focus: dict[int, list[ConceptKey]] = {}
         self.by_member: dict[int, list[ConceptKey]] = {}
@@ -199,14 +204,11 @@ class EngineState:
     # -- reads ---------------------------------------------------------
 
     def value(self, literal: int) -> TruthValue:
-        return self.values.get(literal, FREE)
+        return self.values[literal]
 
     def effective_value(self, literal: int) -> TruthValue:
         """Stored value with the overlay pin, if any, taking precedence."""
-        pin = self.overlay.pinned.get(literal)
-        if pin is not None:
-            return pin
-        return self.values.get(literal, FREE)
+        return self.overlay.pinned.get(literal) or self.values[literal]
 
     def concept_type(self, key: ConceptKey) -> str:
         m1, m2 = self.concepts[key]
@@ -216,22 +218,37 @@ class EngineState:
         """Concept keys focused on ``literal``, ascending by origin clause."""
         return sorted(self.by_focus.get(literal, ()))
 
-    def reevaluate_literal(self, literal: int) -> TruthValue | Contradiction:
-        """One basic operation: the literal's value under the current
-        concepts and overlay, or a Contradiction marker."""
-        self.log.ops += 1
-        p = self.unmet[literal] > 0
-        q = self.unmet[-literal] > 0
+    def _reevaluate_pair(self, var: int) -> TruthValue | Contradiction:
+        """Two basic operations, one per polarity: the value of ``var``
+        under the current concepts and overlay (``-var`` takes its flip),
+        or a Contradiction marker.  The contradictions are tried in this
+        order: ``var`` needed and opposed, ``var``'s pin opposed, ``var``
+        forced true while not-true, ``-var`` forced true while not-true.
+        One found on ``var`` costs one operation: ``-var`` is not reached.
+        """
+        log = self.log
+        log.ops += 2
+        p = self.unmet[var] > 0
+        q = self.unmet[-var] > 0
         if p and q:
-            return Contradiction(literal, "needed-and-opposed")
+            log.ops -= 1
+            return Contradiction(var, "needed-and-opposed")
         computed = TRUE if p else FALSE if q else FREE
-        pin = self.overlay.pinned.get(literal)
+        overlay = self.overlay
+        pin = overlay.pinned.get(var)
         if pin is not None:
-            if computed == flip(pin) and computed != FREE:
-                return Contradiction(literal, "pin-conflict")
+            if computed != FREE and computed != pin:
+                log.ops -= 1
+                return Contradiction(var, "pin-conflict")
+            if overlay.pinned.get(-var) != _FLIP[pin]:
+                raise AssertionError(f"coupling broke during recomputation of variable {var}")
             return pin
-        if computed == TRUE and literal in self.overlay.not_true:
-            return Contradiction(literal, "not-true-forced")
+        if computed == TRUE:
+            if var in overlay.not_true:
+                log.ops -= 1
+                return Contradiction(var, "not-true-forced")
+        elif computed == FALSE and -var in overlay.not_true:
+            return Contradiction(-var, "not-true-forced")
         return computed
 
     # -- overlay -------------------------------------------------------
@@ -269,12 +286,9 @@ class EngineState:
         # sees each change against the other's value of that moment.
         values = self.values
         pinned = self.overlay.pinned
-        for lit, v in ((literal, value), (-literal, flip(value))):
-            was_true = values.get(lit) == TRUE
-            if v == FREE:
-                values.pop(lit, None)
-            else:
-                values[lit] = v
+        for lit, v in ((literal, value), (-literal, _FLIP[value])):
+            was_true = values[lit] == TRUE
+            values[lit] = v
             if was_true != (v == TRUE) and lit not in pinned:
                 self._retally(lit, 1 if was_true else -1)
 
@@ -283,8 +297,8 @@ class EngineState:
         values = self.values
         pinned = self.overlay.pinned
         m1, m2 = members
-        return (pinned.get(m1) or values.get(m1)) == TRUE or (
-            pinned.get(m2) or values.get(m2)
+        return (pinned.get(m1) or values[m1]) == TRUE or (
+            pinned.get(m2) or values[m2]
         ) == TRUE
 
     def _retally(self, literal: int, step: int) -> None:
@@ -299,7 +313,7 @@ class EngineState:
         for key in self.by_member.get(literal, ()):
             m1, m2 = concepts[key]
             other = m2 if m1 == literal else m1
-            if (pinned.get(other) or values.get(other)) != TRUE:
+            if (pinned.get(other) or values[other]) != TRUE:
                 unmet[key[1]] += step
 
     def _dependents(self, literal: int) -> list[int]:
@@ -317,10 +331,12 @@ class EngineState:
     def compute_fixpoint(self, seeds) -> Contradiction | None:
         """Recompute values starting from ``seeds`` until stable.
 
-        FIFO worklist over variable pairs, seeded in index order.  A value
-        change re-enqueues every variable whose focused concepts mention
-        the changed pair.  On contradiction every value change made by
-        this call is rolled back before returning the witness.
+        FIFO worklist over variables, seeded in index order; each step
+        reevaluates both polarities of one (``_reevaluate_pair``).  A value
+        change re-enqueues, in index order, every variable whose focused
+        concepts mention the changed pair.  On contradiction every value
+        change made by this call is rolled back before returning the
+        witness.
         """
         queue: deque[int] = deque()
         queued: set[int] = set()
@@ -328,6 +344,7 @@ class EngineState:
             queue.append(var)
             queued.add(var)
         undo: list[tuple[int, TruthValue]] = []
+        values = self.values
         steps = 0
         cap = self._step_cap()
         while queue:
@@ -338,29 +355,16 @@ class EngineState:
                 raise GuardExceeded("fixpoint step guard exceeded")
             var = queue.popleft()
             queued.discard(var)
-            r_pos = self.reevaluate_literal(var)
-            if isinstance(r_pos, Contradiction):
+            r = self._reevaluate_pair(var)
+            if isinstance(r, Contradiction):
                 self._rollback(undo)
-                self.log.emit(
-                    "CONTRADICTION", literal=r_pos.witness, new=r_pos.reason
-                )
-                return r_pos
-            r_neg = self.reevaluate_literal(-var)
-            if isinstance(r_neg, Contradiction):
-                self._rollback(undo)
-                self.log.emit(
-                    "CONTRADICTION", literal=r_neg.witness, new=r_neg.reason
-                )
-                return r_neg
-            if r_neg != flip(r_pos):
-                raise AssertionError(
-                    f"coupling broke during recomputation of variable {var}"
-                )
-            old = self.value(var)
-            if r_pos != old:
+                self.log.emit("CONTRADICTION", literal=r.witness, new=r.reason)
+                return r
+            old = values[var]
+            if r != old:
                 undo.append((var, old))
-                self._set_pair(var, r_pos)
-                self.log.emit("SET", literal=var, old=old, new=r_pos)
+                self._set_pair(var, r)
+                self.log.emit("SET", literal=var, old=old, new=r)
                 for dep in self._dependents(var):
                     if dep not in queued:
                         queue.append(dep)
@@ -445,7 +449,7 @@ class EngineState:
         self._shared = True
         n = object.__new__(EngineState)
         n.inst = self.inst
-        n.values = dict(self.values)
+        n.values = self.values[:]
         n.concepts = self.concepts
         n.by_focus = self.by_focus
         n.by_member = self.by_member
@@ -477,7 +481,7 @@ class EngineState:
         its negation (``view_keys``); values and overlay carry over
         unchanged.  The view owns its index."""
         n = EngineState(self.inst, self.log)
-        n.values = dict(self.values)
+        n.values = self.values[:]
         n.overlay = self.overlay.copy()
         concepts = self.concepts
         for key in self.view_keys(literal):
@@ -494,7 +498,7 @@ class EngineState:
         literals in another instance never match) over the same number
         of variables; the rest of the view (``admitted``, the lookup
         lists, ``unmet``) follows from those.  Values and pins are one
-        character per literal of the run, so their length also tells the
+        character per slot of ``values``, so their length also tells the
         number of variables.  The concepts are one flat run of 64-bit
         ints packed into bytes: the (clause, focus) pairs of the sorted
         keys, then their companion pairs in the same order.  (As a tuple of
@@ -503,11 +507,10 @@ class EngineState:
         n = self.inst.variable_count
         keys = self.view_keys(literal)
         members = map(self.concepts.__getitem__, keys)
-        lits = range(-n, n + 1)
         return (
             literal,
-            "".join(map(self.values.get, lits, repeat(FREE))),
-            "".join(map(self.overlay.pinned.get, lits, repeat("-"))),
+            "".join(self.values),
+            "".join(map(self.overlay.pinned.get, range(-n, n + 1), repeat("-"))),
             tuple(sorted(self.overlay.not_true)),
             array("q", chain(chain.from_iterable(keys), chain.from_iterable(members))).tobytes(),
         )
@@ -517,8 +520,10 @@ class EngineState:
     def snapshot(self):
         """Canonical immutable view of the semantic state (run log and
         accounting excluded)."""
+        values = self.values
+        n = self.inst.variable_count
         return (
-            tuple(sorted(self.values.items())),
+            tuple((lit, values[lit]) for lit in range(-n, n + 1) if values[lit] != FREE),
             tuple(sorted(self.concepts.items())),
             tuple(sorted(self.admitted)),
             tuple(sorted(self.overlay.pinned.items())),
@@ -526,21 +531,16 @@ class EngineState:
         )
 
     def coupling_violations(self) -> list[int]:
-        out = []
-        for var in range(1, self.inst.variable_count + 1):
-            if self.value(var) != flip(self.value(-var)):
-                out.append(var)
-        return out
+        values = self.values
+        n = self.inst.variable_count
+        return [var for var in range(1, n + 1) if values[var] != _FLIP[values[-var]]]
 
     def soundness_violations(self) -> list[int]:
-        """Unpinned literals whose stored value disagrees with
+        """Unpinned variables whose stored values disagree with
         recomputation; empty after any successful fixpoint."""
-        out = []
-        for var in range(1, self.inst.variable_count + 1):
-            for lit in (var, -var):
-                if lit in self.overlay.pinned:
-                    continue
-                r = self.reevaluate_literal(lit)
-                if isinstance(r, Contradiction) or r != self.value(lit):
-                    out.append(lit)
-        return out
+        return [
+            var
+            for var in range(1, self.inst.variable_count + 1)
+            if var not in self.overlay.pinned
+            and self._reevaluate_pair(var) != self.values[var]
+        ]

@@ -192,15 +192,7 @@ class CounterexampleRecord:
                 raise ValueError(
                     f"config key {key!r} must be {names}, not {type(value).__name__} {value!r}"
                 )
-        cfg = SolveConfig(**data["config"])
-        if cfg.default_free not in (0, 1):
-            raise ValueError(f"config key 'default_free' must be 0 or 1, not {cfg.default_free!r}")
-        if cfg.clause_order not in ("input", "perm"):
-            raise ValueError(
-                f"config key 'clause_order' must be 'input' or 'perm', not {cfg.clause_order!r}"
-            )
-        if cfg.clause_order == "perm" and cfg.order_seed is None:
-            raise ValueError("config key 'order_seed' must be an int when 'clause_order' is 'perm', not null")
+        SolveConfig(**data["config"])  # checks the values
         return cls(
             dimacs=data["dimacs"],
             config=dict(data["config"]),

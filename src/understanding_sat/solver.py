@@ -45,7 +45,9 @@ class SolveConfig:
     ``order_seed`` so that the run can be replayed;
     ``default_free`` fills variables the final map leaves free;
     ``depth_guard_factor`` scales the recursion guard, which is
-    factor * (number of literals) + 1.
+    factor * (number of literals) + 1.  Building a config with another
+    ``clause_order`` or ``default_free``, or ``perm`` without a seed,
+    raises ValueError.
     """
 
     clause_order: str = "input"
@@ -53,6 +55,17 @@ class SolveConfig:
     default_free: int = 0
     trace: bool = False
     depth_guard_factor: int = 2
+
+    def __post_init__(self):
+        if self.default_free not in (0, 1):
+            raise ValueError(f"config key 'default_free' must be 0 or 1, not {self.default_free!r}")
+        if self.clause_order not in ("input", "perm"):
+            raise ValueError(
+                f"config key 'clause_order' must be 'input' or 'perm', not {self.clause_order!r}"
+            )
+        if self.clause_order == "perm" and self.order_seed is None:
+            # random.Random(None) would seed from OS entropy: no replay.
+            raise ValueError("config key 'order_seed' must be an int when 'clause_order' is 'perm', not null")
 
 
 @dataclass
@@ -137,12 +150,7 @@ def _admit_clause(state: EngineState, clause: Clause, cfg: SolveConfig):
 def _clause_order(inst: Instance, cfg: SolveConfig) -> list[int]:
     order = list(range(len(inst.clauses)))
     if cfg.clause_order == "perm":
-        if cfg.order_seed is None:
-            # random.Random(None) would seed from OS entropy: no replay.
-            raise ValueError("clause order 'perm' requires an order_seed")
         random.Random(cfg.order_seed).shuffle(order)
-    elif cfg.clause_order != "input":
-        raise ValueError(f"unknown clause order {cfg.clause_order!r}")
     return order
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import deque
 from functools import lru_cache
 
 from understanding_sat.algorithms import algorithm_g, lemma_g_conditions
@@ -11,9 +12,11 @@ from understanding_sat.engine import (
     FALSE,
     FREE,
     TRUE,
+    Contradiction,
     EngineState,
     GuardExceeded,
     RunLog,
+    flip,
 )
 from understanding_sat.harness import CounterexampleRecord, adjudicate
 from understanding_sat.solver import SolveConfig, _admit_clause
@@ -196,8 +199,10 @@ def view_snapshot(state: EngineState, literal: int):
     own index without building the view."""
     keys = state.view_keys(literal)
     concepts = state.concepts
+    values = state.values
+    n = state.inst.variable_count
     return (
-        tuple(sorted(state.values.items())),
+        tuple((lit, values[lit]) for lit in range(-n, n + 1) if values[lit] != FREE),
         tuple((key, concepts[key]) for key in keys),
         tuple(sorted({key[0] for key in keys})),
         tuple(sorted(state.overlay.pinned.items())),
@@ -216,7 +221,7 @@ def scanning_restrict_to(state: EngineState, literal: int) -> EngineState:
         or -literal in state.inst.clauses[cid].literals
     }
     view = EngineState(state.inst, state.log)
-    view.values = dict(state.values)
+    view.values = state.values[:]
     view.admitted = keep
     view.concepts = {k: v for k, v in state.concepts.items() if k[0] in keep}
     for index, out in (
@@ -266,8 +271,8 @@ def scanning_unmet(state: EngineState, literal: int) -> int:
     count = 0
     for key in state.by_focus.get(literal, ()):
         m1, m2 = state.concepts[key]
-        v1 = pinned.get(m1) or values.get(m1, FREE)
-        v2 = pinned.get(m2) or values.get(m2, FREE)
+        v1 = pinned.get(m1) or values[m1]
+        v2 = pinned.get(m2) or values[m2]
         if v1 != TRUE and v2 != TRUE:
             count += 1
     return count
@@ -347,3 +352,68 @@ def rebuilding_algorithm_d(
         return None
     log.emit("D_RESULT", literal=literal, new="ok")
     return work
+
+
+def reevaluate_literal(state: EngineState, literal: int):
+    """Reference for one polarity of ``EngineState._reevaluate_pair``:
+    one basic operation, the literal's value under the current concepts
+    and overlay, or a Contradiction marker."""
+    state.log.ops += 1
+    p = state.unmet[literal] > 0
+    q = state.unmet[-literal] > 0
+    if p and q:
+        return Contradiction(literal, "needed-and-opposed")
+    computed = TRUE if p else FALSE if q else FREE
+    pin = state.overlay.pinned.get(literal)
+    if pin is not None:
+        if computed == flip(pin) and computed != FREE:
+            return Contradiction(literal, "pin-conflict")
+        return pin
+    if computed == TRUE and literal in state.overlay.not_true:
+        return Contradiction(literal, "not-true-forced")
+    return computed
+
+
+def pairwise_compute_fixpoint(state: EngineState, seeds):
+    """Reference for ``EngineState.compute_fixpoint``: the same worklist,
+    but each step reevaluates the two polarities of its variable with two
+    separate ``reevaluate_literal`` calls and checks that they come out
+    coupled."""
+    queue: deque[int] = deque()
+    queued: set[int] = set()
+    for var in sorted({abs(s) for s in seeds}):
+        queue.append(var)
+        queued.add(var)
+    undo = []
+    steps = 0
+    cap = state._step_cap()
+    while queue:
+        steps += 1
+        if steps > cap:
+            state._rollback(undo)
+            state.log.guard_trips += 1
+            raise GuardExceeded("fixpoint step guard exceeded")
+        var = queue.popleft()
+        queued.discard(var)
+        r_pos = reevaluate_literal(state, var)
+        if isinstance(r_pos, Contradiction):
+            state._rollback(undo)
+            state.log.emit("CONTRADICTION", literal=r_pos.witness, new=r_pos.reason)
+            return r_pos
+        r_neg = reevaluate_literal(state, -var)
+        if isinstance(r_neg, Contradiction):
+            state._rollback(undo)
+            state.log.emit("CONTRADICTION", literal=r_neg.witness, new=r_neg.reason)
+            return r_neg
+        if r_neg != flip(r_pos):
+            raise AssertionError(f"coupling broke during recomputation of variable {var}")
+        old = state.value(var)
+        if r_pos != old:
+            undo.append((var, old))
+            state._set_pair(var, r_pos)
+            state.log.emit("SET", literal=var, old=old, new=r_pos)
+            for dep in state._dependents(var):
+                if dep not in queued:
+                    queue.append(dep)
+                    queued.add(dep)
+    return None

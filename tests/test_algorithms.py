@@ -26,6 +26,7 @@ from helpers import (
     order_trap_instance,
     random_instance,
     rebuilding_algorithm_d,
+    reevaluate_literal,
 )
 
 
@@ -126,7 +127,7 @@ class TestRepair:
         result = algorithm_d(st_, -1)
         assert result is not None
         assert result.value(-1) == FREE
-        assert result.reevaluate_literal(-1) == FREE
+        assert reevaluate_literal(result, -1) == FREE
         assert result.overlay.pinned[2] == TRUE
         assert result.coupling_violations() == []
         assert result.soundness_violations() == []

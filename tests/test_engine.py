@@ -1,5 +1,6 @@
 """Propagation engine: value rule, fixpoint, pins, rollback, views."""
 
+import contextlib
 import itertools
 import random
 from unittest import mock
@@ -26,6 +27,7 @@ from helpers import (
     admitted_state,
     fresh_state,
     index_of,
+    pairwise_compute_fixpoint,
     random_instance,
     scanning_restrict_to,
     scanning_unmet,
@@ -318,11 +320,15 @@ def test_invariants_after_admission(script):
 
 @given(admission_scripts())
 def test_values_stay_canonical(script):
-    # FREE entries are popped from the dict rather than stored
+    # Every literal has a slot in ``values``, FREE included; the snapshot
+    # lists only the literals that are not free, and each pair is coupled.
     n, m, seed = script
     inst = random_instance(random.Random(seed), n, m)
     status, st_ = admitted_state(inst)
-    assert FREE not in st_.values.values()
+    assert FREE not in {value for _, value in st_.snapshot()[0]}
+    assert len(st_.values) == 2 * n + 1
+    assert set(st_.values) <= {TRUE, FALSE, FREE}
+    assert st_.coupling_violations() == []
 
 
 @st.composite
@@ -445,3 +451,92 @@ def test_unmet_matches_scanning_reference(script):
             states.append(st_.fork())
         for state in states:
             assert _unmet_mismatches(state) == []
+
+
+def _fixpoint_branches(seed):
+    """Run ``compute_fixpoint`` and ``pairwise_compute_fixpoint`` side by
+    side on copies of a random staged state, fork or not, with pins and
+    not-true constraints, and require the same outcome from both: the
+    values, ``unmet``, ``ops``, events and guard trips after the call, and
+    the same contradiction (witness and reason) or guard trip, after which
+    the values and counts are back where they were.  Returns the branch
+    each call ended in: ``None``, ``"guard"`` or (reason, whether the
+    witness is ``-var``)."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 5)
+    inst = random_instance(rng, n, rng.randint(1, 6))
+    _, state = admitted_state(inst, upto=rng.randint(0, len(inst.clauses)))
+    if rng.random() < 0.5:
+        state = state.fork()
+    literals = [l for v in range(1, n + 1) for l in (v, -v)]
+    branches = []
+    for _ in range(4):
+        for clause in inst.clauses:
+            for focus in clause.literals:
+                if rng.random() < 0.3 and (clause.id, focus) not in state.concepts:
+                    state.insert_concept(clause, focus)
+        for _ in range(rng.randint(0, 2)):
+            state.pin_literal(rng.choice(literals), rng.choice((TRUE, FALSE)))
+        for _ in range(rng.randint(0, 2)):
+            state.add_not_true(rng.choice(literals))
+        seeds = rng.sample(literals, rng.randint(1, 3))
+        cap = rng.choice((None, None, rng.randint(0, 4)))
+        runs = []
+        for fixpoint in (EngineState.compute_fixpoint, pairwise_compute_fixpoint):
+            copy = state.fork()
+            copy.log = RunLog(enabled=True)
+            guard = (
+                contextlib.nullcontext()
+                if cap is None
+                else mock.patch.object(EngineState, "_step_cap", lambda self: cap)
+            )
+            with guard:
+                try:
+                    res = fixpoint(copy, seeds)
+                except GuardExceeded:
+                    res = "guard"
+            runs.append((copy, res))
+        (a, res), (b, ref) = runs
+        assert res == ref
+        assert a.values == b.values and a.unmet == b.unmet
+        assert a.log.ops == b.log.ops and a.log.events == b.log.events
+        assert a.log.guard_trips == b.log.guard_trips
+        if res is None:
+            state = a
+            branches.append(None)
+        else:
+            # rolled back: the values and counts are as they were
+            assert a.values == state.values and a.unmet == state.unmet
+            branches.append(res if res == "guard" else (res.reason, res.witness < 0))
+    return branches
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+def test_pair_step_matches_pairwise_reference(seed):
+    _fixpoint_branches(seed)
+
+
+def test_pairwise_reference_comparison_reaches_every_branch():
+    seen = set()
+    for seed in range(200):
+        seen.update(_fixpoint_branches(seed))
+    assert seen >= {
+        None,
+        "guard",
+        ("needed-and-opposed", False),
+        ("pin-conflict", False),
+        ("not-true-forced", False),
+        ("not-true-forced", True),
+    }
+
+
+@pytest.mark.parametrize("negation_pin", [None, TRUE])
+def test_uncoupled_pin_trips_the_coupling_guard(negation_pin):
+    # pin_literal always pins both polarities; a pin on one alone (or the
+    # same value on both) breaks the coupling the pair step relies on.
+    st_ = fresh_state(build_instance(3, [(1, 2, 3)]))
+    st_.overlay.pinned[2] = TRUE
+    if negation_pin is not None:
+        st_.overlay.pinned[-2] = negation_pin
+    with pytest.raises(AssertionError, match="coupling broke"):
+        st_.compute_fixpoint([2])

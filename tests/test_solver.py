@@ -86,6 +86,12 @@ class TestVerdicts:
         with pytest.raises(ValueError, match="order_seed"):
             solve(order_trap_instance(), SolveConfig(clause_order="perm"))
 
+    def test_bad_default_free_raises_when_the_config_is_built(self):
+        # Not later, from the final assignment, and only when the map
+        # leaves some variable free.
+        with pytest.raises(ValueError, match="'default_free' must be 0 or 1, not 2"):
+            SolveConfig(default_free=2)
+
     def test_ops_total_on_exhaustive_corpus_is_frozen(self):
         # ``ops`` is the paper's count of basic operations; an engine
         # change that keeps the procedure must keep every count.
