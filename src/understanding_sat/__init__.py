@@ -15,7 +15,6 @@ from .cnf import (
     build_instance,
     emit_dimacs,
     evaluate,
-    negate,
     parse_dimacs,
 )
 from .engine import (
@@ -84,7 +83,6 @@ __all__ = [
     "gen_random",
     "lemma_g_conditions",
     "minimize",
-    "negate",
     "parse_dimacs",
     "replay",
     "solve",

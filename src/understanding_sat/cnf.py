@@ -16,20 +16,6 @@ class DimacsError(ValueError):
     """Raised for malformed DIMACS input."""
 
 
-def negate(literal: int) -> int:
-    """Opposite polarity of ``literal``; an involution, never identity."""
-    return -literal
-
-
-def variable_of(literal: int) -> int:
-    return abs(literal)
-
-
-def literal_key(literal: int) -> tuple[int, bool]:
-    """Canonical sort key: x1 < -x1 < x2 < -x2 < ..."""
-    return (abs(literal), literal < 0)
-
-
 @dataclass(frozen=True)
 class Clause:
     """Three distinct literals, identified by position in the instance."""

@@ -19,9 +19,9 @@ The value of a literal is recomputed from two predicates:
 
 ``P`` alone forces true, ``Q`` alone forces false, neither leaves the
 literal free, and both at once is a contradiction (the map cannot be
-defined).  Assumption pins in the constraint overlay take precedence over
-the computed value; a computed value that directly opposes a pin, or a
-computed true on a literal constrained not-true, is also a contradiction.
+defined).  Assumption pins take precedence over the computed value; a
+computed value that directly opposes a pin, or a computed true on a
+literal constrained not-true, is also a contradiction.
 
 ``compute_fixpoint`` re-runs this rule over a worklist of variables
 until stable, applying it to both polarities of a variable in one step.
@@ -33,8 +33,8 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
-from itertools import chain, repeat
+from dataclasses import dataclass
+from itertools import chain
 
 from .cnf import Clause, Instance
 
@@ -78,23 +78,6 @@ class Contradiction:
 
     witness: int
     reason: str
-
-
-@dataclass
-class ConstraintOverlay:
-    """Assumptions layered over the computed map.
-
-    ``pinned`` literals keep their assumed value unless the computed value
-    directly opposes it; ``not_true`` literals may be free or false but a
-    computed true is a contradiction.  A literal is never both pinned true
-    and constrained not-true.
-    """
-
-    pinned: dict[int, TruthValue] = field(default_factory=dict)
-    not_true: set[int] = field(default_factory=set)
-
-    def copy(self) -> "ConstraintOverlay":
-        return ConstraintOverlay(dict(self.pinned), set(self.not_true))
 
 
 class RunLog:
@@ -144,12 +127,17 @@ class RunLog:
 
 class EngineState:
     """Mutable engine state: admitted clauses, concept store, value map,
-    constraint overlay, and the shared run log.
+    assumptions, and the shared run log.
 
-    ``values`` and ``unmet`` are lists indexed by literal (negative
-    literals wrap to the upper half; slot 0 is unused), so a read is one
-    index and a copy one slice.  ``values`` stores ``FREE`` too;
-    ``snapshot`` lists only the literals that are not free.
+    ``values``, ``pins`` and ``unmet`` are lists indexed by literal
+    (negative literals wrap to the upper half; slot 0 is unused), so a
+    read is one index and a copy one slice.  ``values`` stores ``FREE``
+    too; ``snapshot`` lists only the literals that are not free.
+    ``pins[lit]`` is the value a literal is assumed to hold, ``""`` when
+    unpinned; it stands unless the computed value directly opposes it, so
+    the effective value is ``pins[lit] or values[lit]``.  ``not_true``
+    holds the literals that may be free or false but not computed true
+    (only ``algorithm_g``'s attempt forks have any); none is pinned true.
 
     The concept index (``concepts``, ``by_focus``, ``by_member`` and
     ``admitted``) is copy-on-write.  ``fork`` hands the child the
@@ -157,7 +145,7 @@ class EngineState:
     next inserts a concept copies the index first and owns its copy from
     then on, so neither ever sees the other's later inserts.  (A concept
     is removed only to undo its insert on the same state, which already
-    owns its index by then.)  Values and the overlay are copied on every
+    owns its index by then.)  Values and assumptions are copied on every
     fork; ``restrict_to`` builds a view with an index of its own.  Code
     outside this class reads the index and never changes it.
 
@@ -172,7 +160,7 @@ class EngineState:
     ``_set_pair`` (every stored-value write, so ``compute_fixpoint`` and
     ``_rollback``; a pinned polarity is skipped, its effective value does
     not move) and ``pin_literal``.  ``fork`` copies it with the values;
-    ``restrict_to`` sets the values and overlay before indexing, so its
+    ``restrict_to`` sets the values and assumptions before indexing, so its
     view's count comes out right by construction.
     """
 
@@ -183,7 +171,8 @@ class EngineState:
         "by_focus",
         "by_member",
         "admitted",
-        "overlay",
+        "pins",
+        "not_true",
         "unmet",
         "log",
         "_shared",
@@ -196,7 +185,8 @@ class EngineState:
         self.by_focus: dict[int, list[ConceptKey]] = {}
         self.by_member: dict[int, list[ConceptKey]] = {}
         self.admitted: set[int] = set()
-        self.overlay = ConstraintOverlay()
+        self.pins: list[TruthValue] = [""] * (2 * inst.variable_count + 1)
+        self.not_true: set[int] = set()
         self.unmet: list[int] = [0] * (2 * inst.variable_count + 1)
         self.log = log if log is not None else RunLog()
         self._shared = False  # the index may be another state's too
@@ -207,8 +197,8 @@ class EngineState:
         return self.values[literal]
 
     def effective_value(self, literal: int) -> TruthValue:
-        """Stored value with the overlay pin, if any, taking precedence."""
-        return self.overlay.pinned.get(literal) or self.values[literal]
+        """Stored value with the pin, if any, taking precedence."""
+        return self.pins[literal] or self.values[literal]
 
     def concept_type(self, key: ConceptKey) -> str:
         m1, m2 = self.concepts[key]
@@ -220,7 +210,7 @@ class EngineState:
 
     def _reevaluate_pair(self, var: int) -> TruthValue | Contradiction:
         """Two basic operations, one per polarity: the value of ``var``
-        under the current concepts and overlay (``-var`` takes its flip),
+        under the current concepts and assumptions (``-var`` takes its flip),
         or a Contradiction marker.  The contradictions are tried in this
         order: ``var`` needed and opposed, ``var``'s pin opposed, ``var``
         forced true while not-true, ``-var`` forced true while not-true.
@@ -234,49 +224,49 @@ class EngineState:
             log.ops -= 1
             return Contradiction(var, "needed-and-opposed")
         computed = TRUE if p else FALSE if q else FREE
-        overlay = self.overlay
-        pin = overlay.pinned.get(var)
-        if pin is not None:
+        pins = self.pins
+        pin = pins[var]
+        if pin:
             if computed != FREE and computed != pin:
                 log.ops -= 1
                 return Contradiction(var, "pin-conflict")
-            if overlay.pinned.get(-var) != _FLIP[pin]:
+            if pins[-var] != _FLIP[pin]:
                 raise AssertionError(f"coupling broke during recomputation of variable {var}")
             return pin
         if computed == TRUE:
-            if var in overlay.not_true:
+            if var in self.not_true:
                 log.ops -= 1
                 return Contradiction(var, "not-true-forced")
-        elif computed == FALSE and -var in overlay.not_true:
+        elif computed == FALSE and -var in self.not_true:
             return Contradiction(-var, "not-true-forced")
         return computed
 
-    # -- overlay -------------------------------------------------------
+    # -- assumptions ---------------------------------------------------
 
     def pin_literal(self, literal: int, value: TruthValue) -> bool:
         """Record an assumption pin on the literal pair; False on clash
         with an existing pin or not-true constraint."""
         if value not in (TRUE, FALSE):
             raise ValueError("pins must be true or false")
-        o = self.overlay
+        pins = self.pins
         for lit, v in ((literal, value), (-literal, flip(value))):
-            existing = o.pinned.get(lit)
-            if existing is not None and existing != v:
+            existing = pins[lit]
+            if existing and existing != v:
                 return False
-            if v == TRUE and lit in o.not_true:
+            if v == TRUE and lit in self.not_true:
                 return False
         for lit, v in ((literal, value), (-literal, flip(value))):
             was_true = self.effective_value(lit) == TRUE
-            o.pinned[lit] = v
+            pins[lit] = v
             if was_true != (v == TRUE):
                 self._retally(lit, 1 if was_true else -1)
         return True
 
     def add_not_true(self, literal: int) -> bool:
         """Constrain the literal to free-or-false; False if pinned true."""
-        if self.overlay.pinned.get(literal) == TRUE:
+        if self.pins[literal] == TRUE:
             return False
-        self.overlay.not_true.add(literal)
+        self.not_true.add(literal)
         return True
 
     # -- mutations -----------------------------------------------------
@@ -285,21 +275,19 @@ class EngineState:
         # One polarity at a time, so a concept holding both as companions
         # sees each change against the other's value of that moment.
         values = self.values
-        pinned = self.overlay.pinned
+        pins = self.pins
         for lit, v in ((literal, value), (-literal, _FLIP[value])):
             was_true = values[lit] == TRUE
             values[lit] = v
-            if was_true != (v == TRUE) and lit not in pinned:
+            if was_true != (v == TRUE) and not pins[lit]:
                 self._retally(lit, 1 if was_true else -1)
 
     def _covered(self, members: tuple[int, int]) -> bool:
         # Some companion is effectively true: the concept is C*.
         values = self.values
-        pinned = self.overlay.pinned
+        pins = self.pins
         m1, m2 = members
-        return (pinned.get(m1) or values[m1]) == TRUE or (
-            pinned.get(m2) or values[m2]
-        ) == TRUE
+        return (pins[m1] or values[m1]) == TRUE or (pins[m2] or values[m2]) == TRUE
 
     def _retally(self, literal: int, step: int) -> None:
         # The literal's effective truth just changed: it stopped being
@@ -307,13 +295,13 @@ class EngineState:
         # it as a companion changes type unless its other companion is
         # true.
         values = self.values
-        pinned = self.overlay.pinned
+        pins = self.pins
         concepts = self.concepts
         unmet = self.unmet
         for key in self.by_member.get(literal, ()):
             m1, m2 = concepts[key]
             other = m2 if m1 == literal else m1
-            if (pinned.get(other) or values[other]) != TRUE:
+            if (pins[other] or values[other]) != TRUE:
                 unmet[key[1]] += step
 
     def _dependents(self, literal: int) -> list[int]:
@@ -441,7 +429,7 @@ class EngineState:
     def fork(self) -> "EngineState":
         """Observationally independent copy sharing the run log.
 
-        Only the values, the overlay and ``unmet`` are copied.  The
+        Only the values, the assumptions and ``unmet`` are copied.  The
         concept index is shared with this state until either of the two
         inserts a concept, which copies it first (see the class
         docstring).
@@ -454,7 +442,8 @@ class EngineState:
         n.by_focus = self.by_focus
         n.by_member = self.by_member
         n.admitted = self.admitted
-        n.overlay = self.overlay.copy()
+        n.pins = self.pins[:]
+        n.not_true = set(self.not_true)
         n.unmet = self.unmet[:]
         n.log = self.log
         n._shared = True
@@ -478,11 +467,12 @@ class EngineState:
 
     def restrict_to(self, literal: int) -> "EngineState":
         """Copy restricted to admitted clauses containing the literal or
-        its negation (``view_keys``); values and overlay carry over
+        its negation (``view_keys``); values and assumptions carry over
         unchanged.  The view owns its index."""
         n = EngineState(self.inst, self.log)
         n.values = self.values[:]
-        n.overlay = self.overlay.copy()
+        n.pins = self.pins[:]
+        n.not_true = set(self.not_true)
         concepts = self.concepts
         for key in self.view_keys(literal):
             n._index(key, concepts[key])
@@ -497,21 +487,21 @@ class EngineState:
         concepts (each with its companions, so clause ids that hold other
         literals in another instance never match) over the same number
         of variables; the rest of the view (``admitted``, the lookup
-        lists, ``unmet``) follows from those.  Values and pins are one
-        character per slot of ``values``, so their length also tells the
-        number of variables.  The concepts are one flat run of 64-bit
+        lists, ``unmet``) follows from those.  Values are one character per
+        slot of ``values``, so their length also tells the number of
+        variables; pins are the slots of ``pins`` joined by ``|``, since an
+        unpinned slot is empty.  The concepts are one flat run of 64-bit
         ints packed into bytes: the (clause, focus) pairs of the sorted
         keys, then their companion pairs in the same order.  (As a tuple of
         the same ints, the stored keys doubled the peak memory they add.)
         """
-        n = self.inst.variable_count
         keys = self.view_keys(literal)
         members = map(self.concepts.__getitem__, keys)
         return (
             literal,
             "".join(self.values),
-            "".join(map(self.overlay.pinned.get, range(-n, n + 1), repeat("-"))),
-            tuple(sorted(self.overlay.not_true)),
+            "|".join(self.pins),
+            tuple(sorted(self.not_true)),
             array("q", chain(chain.from_iterable(keys), chain.from_iterable(members))).tobytes(),
         )
 
@@ -521,13 +511,14 @@ class EngineState:
         """Canonical immutable view of the semantic state (run log and
         accounting excluded)."""
         values = self.values
-        n = self.inst.variable_count
+        pins = self.pins
+        lits = range(-self.inst.variable_count, self.inst.variable_count + 1)
         return (
-            tuple((lit, values[lit]) for lit in range(-n, n + 1) if values[lit] != FREE),
+            tuple((lit, values[lit]) for lit in lits if values[lit] != FREE),
             tuple(sorted(self.concepts.items())),
             tuple(sorted(self.admitted)),
-            tuple(sorted(self.overlay.pinned.items())),
-            tuple(sorted(self.overlay.not_true)),
+            tuple((lit, pins[lit]) for lit in lits if pins[lit]),
+            tuple(sorted(self.not_true)),
         )
 
     def coupling_violations(self) -> list[int]:
@@ -537,10 +528,13 @@ class EngineState:
 
     def soundness_violations(self) -> list[int]:
         """Unpinned variables whose stored values disagree with
-        recomputation; empty after any successful fixpoint."""
-        return [
+        recomputation; empty after any successful fixpoint.  A read: the
+        run's ``ops`` is left as it was."""
+        ops = self.log.ops
+        out = [
             var
             for var in range(1, self.inst.variable_count + 1)
-            if var not in self.overlay.pinned
-            and self._reevaluate_pair(var) != self.values[var]
+            if not self.pins[var] and self._reevaluate_pair(var) != self.values[var]
         ]
+        self.log.ops = ops
+        return out

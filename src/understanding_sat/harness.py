@@ -250,28 +250,18 @@ def adjudicate(items, cfg: SolveConfig | None = None, oracle: str = "auto"):
 
 @dataclass
 class DiffReport:
-    """Running totals over adjudicated rows: bin counts, a record for each
-    disagreement and an operation-count sample for each decided run."""
+    """Running totals over adjudicated rows: bin counts and a record for
+    each disagreement."""
 
     total: int = 0
     counts: dict = field(default_factory=dict)
     counterexamples: list = field(default_factory=list)
-    samples: list = field(default_factory=list)
 
     def add(self, row: Adjudication) -> None:
         self.total += 1
         self.counts[row.bin] = self.counts.get(row.bin, 0) + 1
         if row.bin in DISAGREEMENT_KINDS:
             self.counterexamples.append(row.record())
-        if row.outcome.kind in ("sat", "unsat"):
-            self.samples.append(
-                ComplexitySample(
-                    n=row.instance.variable_count,
-                    m=len(row.instance.clauses),
-                    ops=row.outcome.ops,
-                    kind=row.outcome.kind,
-                )
-            )
 
     @property
     def clean(self) -> bool:

@@ -200,13 +200,14 @@ def view_snapshot(state: EngineState, literal: int):
     keys = state.view_keys(literal)
     concepts = state.concepts
     values = state.values
+    pins = state.pins
     n = state.inst.variable_count
     return (
         tuple((lit, values[lit]) for lit in range(-n, n + 1) if values[lit] != FREE),
         tuple((key, concepts[key]) for key in keys),
         tuple(sorted({key[0] for key in keys})),
-        tuple(sorted(state.overlay.pinned.items())),
-        tuple(sorted(state.overlay.not_true)),
+        tuple((lit, pins[lit]) for lit in range(-n, n + 1) if pins[lit]),
+        tuple(sorted(state.not_true)),
     )
 
 
@@ -232,7 +233,8 @@ def scanning_restrict_to(state: EngineState, literal: int) -> EngineState:
             kept = [k for k in keys if k[0] in keep]
             if kept:
                 out[lit] = kept
-    view.overlay = state.overlay.copy()
+    view.pins = state.pins[:]
+    view.not_true = set(state.not_true)
     return view
 
 
@@ -267,12 +269,12 @@ def scanning_unmet(state: EngineState, literal: int) -> int:
     on the literal and count those with no effectively true companion
     (the scan that every reevaluation made before the count was kept)."""
     values = state.values
-    pinned = state.overlay.pinned
+    pins = state.pins
     count = 0
     for key in state.by_focus.get(literal, ()):
         m1, m2 = state.concepts[key]
-        v1 = pinned.get(m1) or values[m1]
-        v2 = pinned.get(m2) or values[m2]
+        v1 = pins[m1] or values[m1]
+        v2 = pins[m2] or values[m2]
         if v1 != TRUE and v2 != TRUE:
             count += 1
     return count
@@ -357,19 +359,19 @@ def rebuilding_algorithm_d(
 def reevaluate_literal(state: EngineState, literal: int):
     """Reference for one polarity of ``EngineState._reevaluate_pair``:
     one basic operation, the literal's value under the current concepts
-    and overlay, or a Contradiction marker."""
+    and assumptions, or a Contradiction marker."""
     state.log.ops += 1
     p = state.unmet[literal] > 0
     q = state.unmet[-literal] > 0
     if p and q:
         return Contradiction(literal, "needed-and-opposed")
     computed = TRUE if p else FALSE if q else FREE
-    pin = state.overlay.pinned.get(literal)
-    if pin is not None:
+    pin = state.pins[literal]
+    if pin:
         if computed == flip(pin) and computed != FREE:
             return Contradiction(literal, "pin-conflict")
         return pin
-    if computed == TRUE and literal in state.overlay.not_true:
+    if computed == TRUE and literal in state.not_true:
         return Contradiction(literal, "not-true-forced")
     return computed
 

@@ -128,7 +128,7 @@ class TestRepair:
         assert result is not None
         assert result.value(-1) == FREE
         assert reevaluate_literal(result, -1) == FREE
-        assert result.overlay.pinned[2] == TRUE
+        assert result.pins[2] == TRUE
         assert result.coupling_violations() == []
         assert result.soundness_violations() == []
         assert st_.snapshot() == before  # caller untouched

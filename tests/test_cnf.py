@@ -9,19 +9,8 @@ from understanding_sat.cnf import (
     build_instance,
     emit_dimacs,
     evaluate,
-    literal_key,
-    negate,
     parse_dimacs,
-    variable_of,
 )
-
-
-def test_literal_helpers():
-    assert negate(3) == -3
-    assert negate(-7) == 7
-    assert variable_of(-5) == 5
-    # positive literal of a variable sorts before the negative one
-    assert literal_key(2) < literal_key(-2) < literal_key(3)
 
 
 class TestBuildInstance:

@@ -22,6 +22,7 @@ from understanding_sat.engine import (
     concept_type_of,
     flip,
 )
+from understanding_sat.solver import solve
 
 from helpers import (
     admitted_state,
@@ -243,7 +244,7 @@ class TestViews:
         st_.add_concept(inst.clauses[0], 3)
         view = st_.restrict_to(3)
         assert view.concepts[(0, 3)] == (1, 2)
-        assert view.overlay.pinned[2] == TRUE
+        assert view.pins[2] == TRUE
 
 
 class TestCopyIsolation:
@@ -316,6 +317,20 @@ def test_invariants_after_admission(script):
         return
     assert st_.coupling_violations() == []
     assert st_.soundness_violations() == []
+
+
+def test_soundness_audit_leaves_ops_alone():
+    # The audit reevaluates every unpinned variable, but it only reads the
+    # state: the run's operation count stays the run's.
+    outcome = solve(build_instance(3, [(1, 2, 3), (-1, 2, -3)]))
+    state = outcome.state
+    assert outcome.ops == state.log.ops == 18
+    assert state.soundness_violations() == []
+    assert state.log.ops == 18
+    stale = fresh_state(build_instance(3, [(1, 2, 3)]))
+    stale.insert_concept(stale.inst.clauses[0], 1)  # no recomputation
+    assert stale.soundness_violations() == [1]
+    assert stale.log.ops == 0
 
 
 @given(admission_scripts())
@@ -393,6 +408,22 @@ def test_view_key_tells_variable_counts_apart():
         st_.insert_concept(st_.inst.clauses[0], 1)
         keys.append(st_.view_key(1))
     assert keys[0] != keys[1]
+
+
+def test_view_key_tells_pins_apart():
+    # Equal stored values with no pin, a pin on 1 or a pin on 2.  An
+    # unpinned slot of ``pins`` is empty, so without separators the last
+    # two would both read "tf".
+    inst = build_instance(3, [(1, 2, 3)])
+    states = []
+    for pin in (None, 1, 2):
+        st_ = fresh_state(inst)
+        st_.insert_concept(inst.clauses[0], 3)
+        if pin is not None:
+            assert st_.pin_literal(pin, TRUE)
+        states.append(st_)
+    assert all(st_.values == states[0].values for st_ in states)
+    assert len({st_.view_key(3) for st_ in states}) == 3
 
 
 def _unmet_mismatches(state):
@@ -535,8 +566,8 @@ def test_uncoupled_pin_trips_the_coupling_guard(negation_pin):
     # pin_literal always pins both polarities; a pin on one alone (or the
     # same value on both) breaks the coupling the pair step relies on.
     st_ = fresh_state(build_instance(3, [(1, 2, 3)]))
-    st_.overlay.pinned[2] = TRUE
+    st_.pins[2] = TRUE
     if negation_pin is not None:
-        st_.overlay.pinned[-2] = negation_pin
+        st_.pins[-2] = negation_pin
     with pytest.raises(AssertionError, match="coupling broke"):
         st_.compute_fixpoint([2])

@@ -127,8 +127,6 @@ class TestDiffRun:
         assert report.counts == {"AgreeSat": 11}
         assert report.clean is True
         assert report.counterexamples == []
-        assert len(report.samples) == 11
-        assert all(s.ops >= 1 for s in report.samples if s.m > 0)
 
     def test_disagreement_produces_a_replayable_record(self):
         report = diff_run([order_trap_instance()])
