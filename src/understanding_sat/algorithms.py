@@ -10,9 +10,12 @@ their input; ``algorithm_d`` returns the rewritten fork on success.
 70% of its checks on random instances repeat a (companion, restricted
 view) pair already answered.  ``_freeing_check`` runs each distinct check
 once per run and stores its answer, ``ops`` and events in the run log;
-a repeat replays them.  A replayed check is indistinguishable from a
-fresh one: same answer, same ``ops``, same events at the same steps and
-counters.  A check that trips a guard is not stored.
+a repeat replays them.  The key names the state's concept index by its
+``version``, so building it reads no concepts; a repeat on an index
+whose concepts match but whose version differs runs again, which costs
+time and never a wrong answer.  A replayed check is indistinguishable
+from a fresh one: same answer, same ``ops``, same events at the same
+steps and counters.  A check that trips a guard is not stored.
 
 ``lemma_g_conditions`` is an independently coded structural predicate
 kept solely as a test oracle for ``algorithm_g``; the two are
@@ -61,10 +64,11 @@ def algorithm_g(state: EngineState, literal: int) -> bool:
 
 def _freeing_check(state: EngineState, literal: int) -> bool:
     """``algorithm_g(state.restrict_to(literal), literal)``, run at most
-    once per run for each distinct view.
+    once per run for each distinct key.
 
-    The key is ``state.view_key(literal)``, read off the index without
-    building the view.  On a miss the view is built, the check runs and
+    The key is ``state.view_key(literal)``: the literal, the index's
+    ``version`` and the values, pins and not-true constraints, so equal
+    keys mean equal views.  On a miss the view is built, the check runs and
     its answer, ``ops`` and events go into ``state.log.checks``; on a hit
     each stored event is emitted again at the counter it had relative to
     the check's start, and the stored ``ops`` are added.

@@ -165,7 +165,17 @@ def _run_corpus(args, items, cfg: SolveConfig) -> int:
     return EXIT_OK
 
 
+def _reject_negative(args, *names: str) -> None:
+    """Raise ValueError naming the first option given a negative value;
+    a negative size would otherwise run an empty or clamped corpus."""
+    for name in names:
+        value = getattr(args, name)
+        if value < 0:
+            raise ValueError(f"--{name.replace('_', '-')} must be non-negative, not {value}")
+
+
 def _cmd_fuzz(args) -> int:
+    _reject_negative(args, "count", "ratio")
     seed = _effective_seed(args.seed)
     if args.m is not None:
         m = args.m
@@ -182,6 +192,7 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    _reject_negative(args, "max_n", "max_m")
     cfg = SolveConfig(default_free=args.default_free)
     items = (
         ({"i": i, "n": inst.variable_count, "m": len(inst.clauses)}, inst)

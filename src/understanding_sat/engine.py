@@ -31,10 +31,9 @@ state is rolled back to what it was on entry.
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
+from itertools import count
 
 from .cnf import Clause, Instance
 
@@ -50,6 +49,8 @@ CSTAR = "C*"
 _FLIP = {TRUE: FALSE, FALSE: TRUE, FREE: FREE}
 
 ConceptKey = tuple[int, int]  # (origin clause id, focus literal)
+
+_versions = count()  # process-wide, so states on different logs never share one
 
 
 def flip(value: TruthValue) -> TruthValue:
@@ -89,7 +90,8 @@ class RunLog:
     work done on discarded branches still counts toward the run and stays
     visible in the trace.
 
-    ``checks`` maps ``EngineState.view_key(literal)`` to what
+    ``checks`` maps ``EngineState.view_key(literal)``, which names the
+    state's index by its ``version`` rather than by its content, to what
     ``algorithm_g(state.restrict_to(literal), literal)`` did the first
     time the run asked it: its answer, the ``ops`` it added and the events
     it emitted, each event's ``counter`` taken relative to the check's
@@ -149,6 +151,11 @@ class EngineState:
     fork; ``restrict_to`` builds a view with an index of its own.  Code
     outside this class reads the index and never changes it.
 
+    ``version`` names the index: equal versions mean equal indexes.
+    ``__init__``, ``_index`` and ``_remove_concept`` each draw a fresh one
+    from a process-wide counter (so an insert undone by a contradiction
+    leaves a new one); ``fork`` copies it and ``_own_index`` keeps it.
+
     ``unmet[lit]`` is the number of concepts focused on ``lit`` whose two
     companions are both not true, reading each companion's effective
     value (a pin overrides the stored value): the concept is C+ exactly
@@ -176,6 +183,7 @@ class EngineState:
         "unmet",
         "log",
         "_shared",
+        "version",
     )
 
     def __init__(self, inst: Instance, log: RunLog | None = None):
@@ -190,6 +198,7 @@ class EngineState:
         self.unmet: list[int] = [0] * (2 * inst.variable_count + 1)
         self.log = log if log is not None else RunLog()
         self._shared = False  # the index may be another state's too
+        self.version = next(_versions)
 
     # -- reads ---------------------------------------------------------
 
@@ -376,6 +385,7 @@ class EngineState:
         return key
 
     def _index(self, key: ConceptKey, members: tuple[int, int]) -> None:
+        self.version = next(_versions)
         self.concepts[key] = members
         self.by_focus.setdefault(key[1], []).append(key)
         for m in members:
@@ -396,6 +406,7 @@ class EngineState:
     def _remove_concept(self, key: ConceptKey, newly_admitted: bool) -> None:
         # Only ever undoes an insert_concept on this same state, so the
         # index is already this state's own copy.
+        self.version = next(_versions)
         members = self.concepts.pop(key)
         focus = key[1]
         if not self._covered(members):
@@ -447,6 +458,7 @@ class EngineState:
         n.unmet = self.unmet[:]
         n.log = self.log
         n._shared = True
+        n.version = self.version
         return n
 
     def view_keys(self, literal: int) -> list[ConceptKey]:
@@ -479,30 +491,20 @@ class EngineState:
         return n
 
     def view_key(self, literal: int) -> tuple:
-        """Compact key of ``(literal, restrict_to(literal))``, read off
-        this state's index without building the view.
+        """Key of ``(literal, restrict_to(literal))`` for the run log's
+        stored checks: the index is named by ``version``, not read.
 
-        Two states give equal keys exactly when their views of the
-        literal hold the same values, pins, not-true constraints and
-        concepts (each with its companions, so clause ids that hold other
-        literals in another instance never match) over the same number
-        of variables; the rest of the view (``admitted``, the lookup
-        lists, ``unmet``) follows from those.  Values are one character per
-        slot of ``values``, so their length also tells the number of
-        variables; pins are the slots of ``pins`` joined by ``|``, since an
-        unpinned slot is empty.  The concepts are one flat run of 64-bit
-        ints packed into bytes: the (clause, focus) pairs of the sorted
-        keys, then their companion pairs in the same order.  (As a tuple of
-        the same ints, the stored keys doubled the peak memory they add.)
+        Equal keys mean equal views (same index, literal, values, pins and
+        not-true constraints), but not the converse: indexes that differ
+        only outside the view, or were built apart, never share a version.
+        Pins are joined by ``|`` because an unpinned slot is empty.
         """
-        keys = self.view_keys(literal)
-        members = map(self.concepts.__getitem__, keys)
         return (
             literal,
+            self.version,
             "".join(self.values),
             "|".join(self.pins),
             tuple(sorted(self.not_true)),
-            array("q", chain(chain.from_iterable(keys), chain.from_iterable(members))).tobytes(),
         )
 
     # -- inspection helpers (used by tests and the harness) -------------

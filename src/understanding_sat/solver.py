@@ -125,11 +125,17 @@ def _admit_clause(state: EngineState, clause: Clause, cfg: SolveConfig):
         log.emit("U2_ALLFALSE", clause=clause.id)
         guard = cfg.depth_guard_factor * (2 * state.inst.variable_count) + 1
         adopted = None
-        for lam in lits:
-            res = algorithm_d(state, lam, frozenset(), guard)
-            if res is not None:
-                adopted = res
-                break
+        try:
+            for lam in lits:
+                res = algorithm_d(state, lam, frozenset(), guard)
+                if res is not None:
+                    adopted = res
+                    break
+        except RecursionError:
+            # Python's own limit tripped before the depth guard; repair
+            # works on forks, so ``state`` is as it was.
+            log.guard_trips += 1
+            raise GuardExceeded("recursion limit exceeded during repair") from None
         if adopted is None:
             return "unsat", state
         state = adopted

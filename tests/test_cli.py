@@ -362,6 +362,29 @@ class TestErrors:
         assert fragment in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv,option",
+        [
+            (["fuzz", "--n", "5", "--count", "-1"], "--count"),
+            (["fuzz", "--n", "5", "--ratio", "-1"], "--ratio"),
+            (["fuzz", "--n", "5", "--ratio", "-0.5", "--count", "0"], "--ratio"),
+            (["enumerate", "--max-n", "-1", "--max-m", "2"], "--max-n"),
+            (["enumerate", "--max-n", "2", "--max-m", "-1"], "--max-m"),
+        ],
+    )
+    def test_negative_sizes_are_usage_errors(self, tmp_path, capsys, argv, option):
+        out_path = tmp_path / "r.jsonl"
+        assert cli.main(argv + ["--out", str(out_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {option} must be non-negative")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_zero_sizes_still_run(self, capsys):
+        assert cli.main(["fuzz", "--n", "5", "--count", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["total"] == 0
+
     def test_bad_dimacs(self, tmp_path, capsys):
         bad = tmp_path / "bad.cnf"
         bad.write_text("p cnf 3 1\n1 2 3\n", encoding="utf-8")

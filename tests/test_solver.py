@@ -1,13 +1,14 @@
 """End-to-end decision procedure: verdicts, anomalies, determinism."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
 from understanding_sat.cnf import Assignment, build_instance, evaluate
 from understanding_sat.engine import Contradiction, EngineState
-from understanding_sat.harness import enumerate_small
+from understanding_sat.harness import GenSpec, enumerate_small, gen_random
 from understanding_sat.solver import (
     ANOMALY_GUARD,
     ANOMALY_UNDEFINED,
@@ -99,6 +100,23 @@ class TestVerdicts:
         assert total == 184_468
 
 
+def _lowest_recursion_limit() -> int:
+    """The lowest recursion limit Python accepts at the caller's depth.
+    Python counts some C calls against the limit too, so this is not the
+    number of frames on the stack."""
+    old = sys.getrecursionlimit()
+    lo, hi = 1, old
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            sys.setrecursionlimit(mid)
+            hi = mid
+        except RecursionError:
+            lo = mid + 1
+    sys.setrecursionlimit(old)
+    return lo
+
+
 class TestAnomalies:
     def test_depth_guard_zero_trips_on_repair_recursion(self):
         out = solve(order_trap_instance(), SolveConfig(depth_guard_factor=0))
@@ -106,6 +124,28 @@ class TestAnomalies:
         assert out.anomaly == ANOMALY_GUARD
         assert out.failing_clause == 3
         assert out.guard_trips == 1
+
+    def test_python_recursion_limit_in_repair_is_a_depth_guard_anomaly(self):
+        # Repair on this draw nests up to 19 levels deep, well inside the
+        # depth guard (81).  With Python's limit 12 levels above this
+        # test, admission still fits (it needs 5) but the repair does not
+        # (it needs 20): the run must end as a guard anomaly, not raise
+        # RecursionError.
+        inst = gen_random(GenSpec(n=20, m=80, seed=17))
+        assert solve(inst).kind == "unsat"
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(_lowest_recursion_limit() + 12)
+        try:
+            out = solve(inst, SolveConfig(trace=True))
+        finally:
+            sys.setrecursionlimit(old)
+        assert sys.getrecursionlimit() == old
+        assert out.kind == "anomaly"
+        assert out.anomaly == ANOMALY_GUARD
+        assert out.guard_trips == 1
+        assert out.failing_clause is not None
+        assert any(e["kind"] == "D_RECURSE" for e in out.trace)
+        assert out.trace[-1]["kind"] == "VERDICT"
 
     def test_concept_admission_contradiction_is_an_anomaly(self, monkeypatch):
         monkeypatch.setattr(
