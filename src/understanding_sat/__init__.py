@@ -18,8 +18,6 @@ from .cnf import (
     parse_dimacs,
 )
 from .engine import (
-    CPLUS,
-    CSTAR,
     FALSE,
     FREE,
     TRUE,
@@ -27,9 +25,8 @@ from .engine import (
     EngineState,
     GuardExceeded,
     RunLog,
-    concept_type_of,
 )
-from .algorithms import algorithm_d, algorithm_g, lemma_g_conditions
+from .algorithms import algorithm_d, algorithm_g
 from .solver import SolveConfig, SolverOutcome, extract_assignment, solve
 from .oracle import OracleVerdict, brute_force, dpll
 from .harness import (
@@ -52,8 +49,6 @@ __all__ = [
     "ComplexitySample",
     "Contradiction",
     "CounterexampleRecord",
-    "CPLUS",
-    "CSTAR",
     "DiffReport",
     "DimacsError",
     "EngineState",
@@ -72,7 +67,6 @@ __all__ = [
     "algorithm_g",
     "brute_force",
     "build_instance",
-    "concept_type_of",
     "diff_run",
     "dpll",
     "emit_dimacs",
@@ -81,7 +75,6 @@ __all__ = [
     "extract_assignment",
     "fit_complexity",
     "gen_random",
-    "lemma_g_conditions",
     "minimize",
     "parse_dimacs",
     "replay",

@@ -16,14 +16,6 @@ whose concepts match but whose version differs runs again, which costs
 time and never a wrong answer.  A replayed check is indistinguishable
 from a fresh one: same answer, same ``ops``, same events at the same
 steps and counters.  A check that trips a guard is not stored.
-
-``lemma_g_conditions`` is an independently coded structural predicate
-kept solely as a test oracle for ``algorithm_g``; the two are
-deliberately never merged.  The suite guarantees one direction: whenever
-``algorithm_g`` approves a literal, the conditions hold too.  The
-converse, that the conditions approve only what the check approves, is
-the claim the a4 acceptance verdict tests on every small reachable
-state, and it fails: the conditions over-approve.
 """
 
 from __future__ import annotations
@@ -96,44 +88,12 @@ def _freeing_check(state: EngineState, literal: int) -> bool:
     return answer
 
 
-def lemma_g_conditions(state: EngineState, literal: int) -> bool:
-    """Structural test oracle for ``algorithm_g``.
-
-    Answers yes iff some concept focused on the literal, with companions
-    l1 and l2, satisfies both:
-
-    (a) no concept focused on the negation has exactly {l1, l2} as its
-        companions, and
-    (b) no two concepts focused on the negation pair l1 with some x and
-        l2 with the negation of x.
-    """
-    if state.value(literal) != FREE:
-        raise ValueError("lemma_g_conditions requires a free literal")
-    opposing = [
-        frozenset(state.concepts[k]) for k in state.by_focus.get(-literal, ())
-    ]
-    opposing_sets = set(opposing)
-    for key in state.concepts_focused(literal):
-        m1, m2 = state.concepts[key]
-        if frozenset((m1, m2)) in opposing_sets:
-            continue
-        blocked = False
-        for pair in opposing:
-            if m1 in pair:
-                (x,) = pair - {m1}
-                if frozenset((m2, -x)) in opposing_sets:
-                    blocked = True
-                    break
-        if not blocked:
-            return True
-    return False
-
-
 def algorithm_d(
     state: EngineState,
     literal: int,
     history: frozenset[int] = frozenset(),
-    depth_guard: int | None = None,
+    *,
+    depth_guard: int,
 ) -> EngineState | None:
     """Rewrite the map so ``literal`` (currently false) becomes free.
 
@@ -151,19 +111,16 @@ def algorithm_d(
 
     Returns the rewritten fork (with the literal free) or None.  The
     caller's state is never touched.  ``depth_guard`` caps recursion depth
-    measured by ``len(history)``; tripping it raises GuardExceeded.
+    measured by ``len(history)``; tripping it raises GuardExceeded.  It has
+    no default: ``solve`` derives it from its config, and every recursive
+    call passes it on unchanged.
     """
     if state.value(literal) != FALSE:
         raise ValueError("algorithm_d requires a false literal")
-    guard = (
-        depth_guard
-        if depth_guard is not None
-        else 2 * (2 * state.inst.variable_count) + 1
-    )
-    if len(history) >= guard:
+    if len(history) >= depth_guard:
         state.log.guard_trips += 1
         raise GuardExceeded(
-            f"recursion depth guard ({guard}) exceeded freeing {literal}"
+            f"recursion depth guard ({depth_guard}) exceeded freeing {literal}"
         )
     log = state.log
     log.emit("D_ENTER", literal=literal)
@@ -194,7 +151,7 @@ def algorithm_d(
             if work.value(companion) == FALSE:
                 log.emit("D_RECURSE", literal=companion)
                 candidate = algorithm_d(
-                    work, companion, history | {literal}, guard
+                    work, companion, history | {literal}, depth_guard=depth_guard
                 )
                 if candidate is None:
                     continue

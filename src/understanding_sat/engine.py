@@ -43,9 +43,6 @@ TRUE: TruthValue = "t"
 FALSE: TruthValue = "f"
 FREE: TruthValue = "e"
 
-CPLUS = "C+"
-CSTAR = "C*"
-
 _FLIP = {TRUE: FALSE, FALSE: TRUE, FREE: FREE}
 
 ConceptKey = tuple[int, int]  # (origin clause id, focus literal)
@@ -56,16 +53,6 @@ _versions = count()  # process-wide, so states on different logs never share one
 def flip(value: TruthValue) -> TruthValue:
     """Value of the opposite polarity under the coupling rule."""
     return _FLIP[value]
-
-
-def concept_type_of(a: TruthValue, b: TruthValue) -> str:
-    """Classify a concept from its two companion values.
-
-    ``C*`` exactly when at least one companion is true; the six value
-    combinations (order-insensitive) split as:
-    ee/ff/ef -> C+ and tt/et/tf -> C*.
-    """
-    return CSTAR if a == TRUE or b == TRUE else CPLUS
 
 
 class GuardExceeded(RuntimeError):
@@ -208,10 +195,6 @@ class EngineState:
     def effective_value(self, literal: int) -> TruthValue:
         """Stored value with the pin, if any, taking precedence."""
         return self.pins[literal] or self.values[literal]
-
-    def concept_type(self, key: ConceptKey) -> str:
-        m1, m2 = self.concepts[key]
-        return concept_type_of(self.effective_value(m1), self.effective_value(m2))
 
     def concepts_focused(self, literal: int) -> list[ConceptKey]:
         """Concept keys focused on ``literal``, ascending by origin clause."""
@@ -461,32 +444,27 @@ class EngineState:
         n.version = self.version
         return n
 
-    def view_keys(self, literal: int) -> list[ConceptKey]:
-        """Sorted keys of the concepts of the admitted clauses that
-        contain the literal or its negation.
+    def restrict_to(self, literal: int) -> "EngineState":
+        """Copy restricted to the admitted clauses that contain the
+        literal or its negation; values and assumptions carry over
+        unchanged.  The view owns its index.
 
         Every concept of a clause holds all three of the clause's
-        literals, as focus or companion, so these are exactly the
-        concepts indexed under ``literal`` and ``-literal`` in
-        ``by_focus`` and ``by_member``; the rest of the store is never
-        scanned.
+        literals, as focus or companion, so the kept concepts are exactly
+        those indexed under ``literal`` and ``-literal`` in ``by_focus``
+        and ``by_member``; the rest of the store is never scanned.  They
+        are indexed in sorted key order.
         """
         keys = set()
         for lit in (literal, -literal):
             keys.update(self.by_focus.get(lit, ()))
             keys.update(self.by_member.get(lit, ()))
-        return sorted(keys)
-
-    def restrict_to(self, literal: int) -> "EngineState":
-        """Copy restricted to admitted clauses containing the literal or
-        its negation (``view_keys``); values and assumptions carry over
-        unchanged.  The view owns its index."""
         n = EngineState(self.inst, self.log)
         n.values = self.values[:]
         n.pins = self.pins[:]
         n.not_true = set(self.not_true)
         concepts = self.concepts
-        for key in self.view_keys(literal):
+        for key in sorted(keys):
             n._index(key, concepts[key])
         return n
 
@@ -507,7 +485,7 @@ class EngineState:
             tuple(sorted(self.not_true)),
         )
 
-    # -- inspection helpers (used by tests and the harness) -------------
+    # -- inspection helper (used by tests) -------------------------------
 
     def snapshot(self):
         """Canonical immutable view of the semantic state (run log and
@@ -522,21 +500,3 @@ class EngineState:
             tuple((lit, pins[lit]) for lit in lits if pins[lit]),
             tuple(sorted(self.not_true)),
         )
-
-    def coupling_violations(self) -> list[int]:
-        values = self.values
-        n = self.inst.variable_count
-        return [var for var in range(1, n + 1) if values[var] != _FLIP[values[-var]]]
-
-    def soundness_violations(self) -> list[int]:
-        """Unpinned variables whose stored values disagree with
-        recomputation; empty after any successful fixpoint.  A read: the
-        run's ``ops`` is left as it was."""
-        ops = self.log.ops
-        out = [
-            var
-            for var in range(1, self.inst.variable_count + 1)
-            if not self.pins[var] and self._reevaluate_pair(var) != self.values[var]
-        ]
-        self.log.ops = ops
-        return out

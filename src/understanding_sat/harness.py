@@ -105,25 +105,6 @@ def enumerate_small(max_n: int, max_m: int):
     return instances()
 
 
-def fuzz_specs(
-    master_seed: int,
-    n_values=(5, 6, 7, 8, 9, 10, 11, 12),
-    ratios=(2.0, 4.27, 6.0),
-    reps: int = 210,
-) -> list[GenSpec]:
-    """The mixed random corpus: every n crossed with sparse, critical and
-    dense clause ratios, ``reps`` draws each, seeds derived from one
-    master seed."""
-    specs = []
-    i = 0
-    for n in n_values:
-        for ratio in ratios:
-            for _ in range(reps):
-                specs.append(GenSpec(n=n, m=max(1, round(ratio * n)), seed=master_seed + i))
-                i += 1
-    return specs
-
-
 def run_oracle(inst: Instance, oracle: str) -> OracleVerdict:
     if oracle == "auto":
         oracle = "brute" if inst.variable_count <= 12 else "dpll"
@@ -272,12 +253,6 @@ class DiffReport:
             "total": self.total,
             "counts": dict(sorted(self.counts.items())),
             "clean": self.clean,
-        }
-
-    def as_dict(self) -> dict:
-        return {
-            **self.summary(),
-            "counterexamples": [r.as_dict() for r in self.counterexamples],
         }
 
 

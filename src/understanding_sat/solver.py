@@ -10,14 +10,14 @@ the instance; a satisfiable verdict is only ever reported with a
 verified model.
 
 Anomalies are first-class outcomes, not exceptions: a contradiction while
-admitting a concept, a guard trip, or a final map that fails verification
-each produce an ``anomaly`` outcome carrying the trace.
+admitting a concept, a guard or recursion-limit trip, or a final map that
+fails verification each produce an ``anomaly`` outcome carrying the trace.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .algorithms import algorithm_d
 from .cnf import Assignment, Clause, Instance, evaluate
@@ -125,17 +125,11 @@ def _admit_clause(state: EngineState, clause: Clause, cfg: SolveConfig):
         log.emit("U2_ALLFALSE", clause=clause.id)
         guard = cfg.depth_guard_factor * (2 * state.inst.variable_count) + 1
         adopted = None
-        try:
-            for lam in lits:
-                res = algorithm_d(state, lam, frozenset(), guard)
-                if res is not None:
-                    adopted = res
-                    break
-        except RecursionError:
-            # Python's own limit tripped before the depth guard; repair
-            # works on forks, so ``state`` is as it was.
-            log.guard_trips += 1
-            raise GuardExceeded("recursion limit exceeded during repair") from None
+        for lam in lits:
+            res = algorithm_d(state, lam, depth_guard=guard)
+            if res is not None:
+                adopted = res
+                break
         if adopted is None:
             return "unsat", state
         state = adopted
@@ -191,6 +185,12 @@ def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolverOutcome:
             status, state = _admit_clause(state, clause, cfg)
         except GuardExceeded:
             return _outcome(state, cfg, "anomaly", clause, anomaly=ANOMALY_GUARD)
+        except RecursionError:
+            # Python's own limit tripped before a guard did, in repair or
+            # midway through indexing or retallying a concept, so the
+            # state may be half-updated: the outcome does not carry it.
+            state.log.guard_trips += 1
+            return replace(_outcome(state, cfg, "anomaly", clause, anomaly=ANOMALY_GUARD), state=None)
         if status == "unsat":
             return _outcome(state, cfg, "unsat", clause)
         if status == "anomaly":

@@ -1,14 +1,14 @@
-"""Shared fixtures-in-code: canonical instances and state builders."""
+"""Shared fixtures-in-code: canonical instances, state builders, the
+structural freeing conditions, state audits and reference procedures."""
 
 import itertools
 import random
 from collections import deque
 from functools import lru_cache
 
-from understanding_sat.algorithms import algorithm_g, lemma_g_conditions
+from understanding_sat.algorithms import algorithm_g
 from understanding_sat.cnf import Clause, Instance, build_instance, parse_dimacs
 from understanding_sat.engine import (
-    CPLUS,
     FALSE,
     FREE,
     TRUE,
@@ -18,7 +18,7 @@ from understanding_sat.engine import (
     RunLog,
     flip,
 )
-from understanding_sat.harness import CounterexampleRecord, adjudicate
+from understanding_sat.harness import CounterexampleRecord, GenSpec, adjudicate
 from understanding_sat.solver import SolveConfig, _admit_clause
 
 # Satisfiable by the all-false assignment, yet the main procedure answers
@@ -32,6 +32,10 @@ FULL_SIGN_CORE = [
     tuple(s * v for s, v in zip(signs, (1, 2, 3)))
     for signs in itertools.product((1, -1), repeat=3)
 ]
+
+
+CPLUS = "C+"
+CSTAR = "C*"
 
 
 def order_trap_instance() -> Instance:
@@ -54,6 +58,107 @@ def removable_clauses(record: CounterexampleRecord) -> list[int]:
     cfg = SolveConfig(**record.config)
     method = record.oracle_verdict.get("method", "auto")
     return [row.meta for row in adjudicate(drops, cfg, method) if row.bin == record.kind]
+
+
+def fuzz_specs(
+    master_seed: int,
+    n_values=(5, 6, 7, 8, 9, 10, 11, 12),
+    ratios=(2.0, 4.27, 6.0),
+    reps: int = 210,
+) -> list[GenSpec]:
+    """The mixed random corpus: every n crossed with sparse, critical and
+    dense clause ratios, ``reps`` draws each, seeds derived from one
+    master seed."""
+    specs = []
+    i = 0
+    for n in n_values:
+        for ratio in ratios:
+            for _ in range(reps):
+                specs.append(GenSpec(n=n, m=max(1, round(ratio * n)), seed=master_seed + i))
+                i += 1
+    return specs
+
+
+def concept_type_of(a, b) -> str:
+    """Classify a concept from its two companion values.
+
+    ``C*`` exactly when at least one companion is true; the six value
+    combinations (order-insensitive) split as:
+    ee/ff/ef -> C+ and tt/et/tf -> C*.
+    """
+    return CSTAR if a == TRUE or b == TRUE else CPLUS
+
+
+def concept_type(state: EngineState, key) -> str:
+    """Type of the state's concept ``key``, reading each companion's
+    effective value."""
+    m1, m2 = state.concepts[key]
+    return concept_type_of(state.effective_value(m1), state.effective_value(m2))
+
+
+def coupling_violations(state: EngineState) -> list[int]:
+    values = state.values
+    n = state.inst.variable_count
+    return [var for var in range(1, n + 1) if values[var] != flip(values[-var])]
+
+
+def soundness_violations(state: EngineState) -> list[int]:
+    """Unpinned variables whose stored values disagree with
+    recomputation; empty after any successful fixpoint.  A read: the
+    run's ``ops`` is left as it was."""
+    ops = state.log.ops
+    out = [
+        var
+        for var in range(1, state.inst.variable_count + 1)
+        if not state.pins[var] and state._reevaluate_pair(var) != state.values[var]
+    ]
+    state.log.ops = ops
+    return out
+
+
+def lemma_g_conditions(state: EngineState, literal: int) -> bool:
+    """Structural test oracle for ``algorithm_g``.
+
+    Answers yes iff some concept focused on the literal, with companions
+    l1 and l2, satisfies both:
+
+    (a) no concept focused on the negation has exactly {l1, l2} as its
+        companions, and
+    (b) no two concepts focused on the negation pair l1 with some x and
+        l2 with the negation of x.
+
+    It is coded independently of ``algorithm_g``, and the two are
+    deliberately never merged.  The suite guarantees one direction:
+    whenever ``algorithm_g`` approves a literal, the conditions hold too.
+    The converse, that the conditions approve only what the check
+    approves, is the claim the a4 acceptance verdict tests on every small
+    reachable state, and it fails: the conditions over-approve.
+    """
+    if state.value(literal) != FREE:
+        raise ValueError("lemma_g_conditions requires a free literal")
+    opposing = [
+        frozenset(state.concepts[k]) for k in state.by_focus.get(-literal, ())
+    ]
+    opposing_sets = set(opposing)
+    for key in state.concepts_focused(literal):
+        m1, m2 = state.concepts[key]
+        if frozenset((m1, m2)) in opposing_sets:
+            continue
+        blocked = False
+        for pair in opposing:
+            if m1 in pair:
+                (x,) = pair - {m1}
+                if frozenset((m2, -x)) in opposing_sets:
+                    blocked = True
+                    break
+        if not blocked:
+            return True
+    return False
+
+
+def default_depth_guard(state: EngineState) -> int:
+    """The repair depth guard ``solve`` passes under the default config."""
+    return SolveConfig().depth_guard_factor * (2 * state.inst.variable_count) + 1
 
 
 def fresh_state(inst: Instance, trace: bool = False) -> EngineState:
@@ -196,8 +301,13 @@ def sweep_assumption_check(
 
 def view_snapshot(state: EngineState, literal: int):
     """``state.restrict_to(literal).snapshot()``, read off the state's
-    own index without building the view."""
-    keys = state.view_keys(literal)
+    own index without building the view: the view keeps the concepts
+    indexed under the literal or its negation, as focus or companion."""
+    keys = set()
+    for lit in (literal, -literal):
+        keys.update(state.by_focus.get(lit, ()))
+        keys.update(state.by_member.get(lit, ()))
+    keys = sorted(keys)
     concepts = state.concepts
     values = state.values
     pins = state.pins
@@ -284,22 +394,18 @@ def rebuilding_algorithm_d(
     state: EngineState,
     literal: int,
     history: frozenset[int] = frozenset(),
-    depth_guard: int | None = None,
+    *,
+    depth_guard: int,
 ) -> EngineState | None:
     """Reference for ``algorithm_d``: the same repair, but every turn of
     its loop re-sorts the concepts focused on the negation and re-types
     each one not yet considered, then takes the first C+ key."""
     if state.value(literal) != FALSE:
         raise ValueError("algorithm_d requires a false literal")
-    guard = (
-        depth_guard
-        if depth_guard is not None
-        else 2 * (2 * state.inst.variable_count) + 1
-    )
-    if len(history) >= guard:
+    if len(history) >= depth_guard:
         state.log.guard_trips += 1
         raise GuardExceeded(
-            f"recursion depth guard ({guard}) exceeded freeing {literal}"
+            f"recursion depth guard ({depth_guard}) exceeded freeing {literal}"
         )
     log = state.log
     log.emit("D_ENTER", literal=literal)
@@ -309,7 +415,7 @@ def rebuilding_algorithm_d(
         pending = [
             key
             for key in work.concepts_focused(-literal)
-            if key not in considered and work.concept_type(key) == CPLUS
+            if key not in considered and concept_type(work, key) == CPLUS
         ]
         if not pending:
             break
@@ -325,7 +431,7 @@ def rebuilding_algorithm_d(
             if work.value(companion) == FALSE:
                 log.emit("D_RECURSE", literal=companion)
                 candidate = rebuilding_algorithm_d(
-                    work, companion, history | {literal}, guard
+                    work, companion, history | {literal}, depth_guard=depth_guard
                 )
                 if candidate is None:
                     continue

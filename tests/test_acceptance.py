@@ -42,7 +42,6 @@ from understanding_sat.harness import (
     bench_samples,
     enumerate_small,
     fit_complexity,
-    fuzz_specs,
     gen_random,
     minimize,
     replay,
@@ -52,8 +51,11 @@ from understanding_sat.solver import ANOMALY_UNVERIFIED, SolveConfig
 
 from helpers import (
     admitted_state,
+    default_depth_guard,
+    fuzz_specs,
     random_instance,
     removable_clauses,
+    soundness_violations,
     sweep_assumption_check,
 )
 
@@ -139,7 +141,7 @@ def audit() -> CorpusAudit:
                     ):
                         a.witness_gaps.append(f"{tag} clause {clause.id}")
                         break
-                if state.soundness_violations():
+                if soundness_violations(state):
                     a.stored_value_mismatches.append(tag)
             backtracked = dpll(inst)
             if backtracked.sat != brute.sat:
@@ -407,7 +409,7 @@ def test_a7_reruns_are_byte_identical_and_failure_paths_roll_back(
         if false:
             exercised["repair"] += 1
             try:
-                algorithm_d(state, rng.choice(false))
+                algorithm_d(state, rng.choice(false), depth_guard=default_depth_guard(state))
             except GuardExceeded:
                 pass
             if state.snapshot() != snap:

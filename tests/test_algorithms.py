@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from understanding_sat import algorithms
-from understanding_sat.algorithms import algorithm_d, algorithm_g, lemma_g_conditions
+from understanding_sat.algorithms import algorithm_d, algorithm_g
 from understanding_sat.cnf import build_instance
 from understanding_sat.engine import (
     FALSE,
@@ -22,11 +22,15 @@ from understanding_sat.solver import SolveConfig, solve
 
 from helpers import (
     admitted_state,
+    coupling_violations,
+    default_depth_guard,
     fresh_state,
+    lemma_g_conditions,
     order_trap_instance,
     random_instance,
     rebuilding_algorithm_d,
     reevaluate_literal,
+    soundness_violations,
 )
 
 
@@ -76,7 +80,7 @@ class TestAssumptionCheck:
         for cid, focus in [(3, 2), (0, 1), (1, -1), (2, 4), (2, 1)]:
             assert st_.add_concept(inst.clauses[cid], focus) is None
         assert st_.value(1) == FREE
-        assert st_.soundness_violations() == []
+        assert soundness_violations(st_) == []
         assert lemma_g_conditions(st_, 1) is True
         assert algorithm_g(st_, 1) is True
         wins = [e for e in st_.log.events if e["kind"] == "G_RESULT"]
@@ -117,26 +121,26 @@ class TestRepair:
     def test_precondition_requires_false_literal(self):
         st_ = fresh_state(build_instance(3, [(1, 2, 3)]))
         with pytest.raises(ValueError):
-            algorithm_d(st_, 1)
+            algorithm_d(st_, 1, depth_guard=default_depth_guard(st_))
 
     def test_frees_literal_by_pinning_companion(self):
         status, st_ = admitted_state(build_instance(3, [(1, 2, 3)]))
         assert status == "ok"
         assert st_.value(-1) == FALSE
         before = st_.snapshot()
-        result = algorithm_d(st_, -1)
+        result = algorithm_d(st_, -1, depth_guard=default_depth_guard(st_))
         assert result is not None
         assert result.value(-1) == FREE
         assert reevaluate_literal(result, -1) == FREE
         assert result.pins[2] == TRUE
-        assert result.coupling_violations() == []
-        assert result.soundness_violations() == []
+        assert coupling_violations(result) == []
+        assert soundness_violations(result) == []
         assert st_.snapshot() == before  # caller untouched
 
     def test_history_blocks_both_members(self):
         status, st_ = admitted_state(build_instance(3, [(1, 2, 3)]))
         before = st_.snapshot()
-        assert algorithm_d(st_, -1, history=frozenset({2, 3})) is None
+        assert algorithm_d(st_, -1, history=frozenset({2, 3}), depth_guard=default_depth_guard(st_)) is None
         assert st_.snapshot() == before
 
     def test_depth_guard_raises(self):
@@ -158,7 +162,7 @@ class TestRepair:
             status, st_ = _admit_clause(st_, clause, cfg)
             assert status == "ok"
         assert st_.value(-1) == FALSE
-        result = algorithm_d(st_, -1)
+        result = algorithm_d(st_, -1, depth_guard=default_depth_guard(st_))
         assert result is not None
         visits = [e for e in st_.log.events if e["kind"] == "D_CONCEPT"]
         assert len(visits) == 1
@@ -169,7 +173,7 @@ class TestRepair:
         before = st_.snapshot()
         for lam in (-1, -2, -3):
             assert st_.value(lam) == FALSE
-            assert algorithm_d(st_, lam) is None
+            assert algorithm_d(st_, lam, depth_guard=default_depth_guard(st_)) is None
         assert st_.snapshot() == before
 
 
@@ -188,12 +192,12 @@ def test_repair_postcondition_on_random_states(seed):
     ]
     before = st_.snapshot()
     for lam in false_literals[:2]:
-        result = algorithm_d(st_, lam)
+        result = algorithm_d(st_, lam, depth_guard=default_depth_guard(st_))
         assert st_.snapshot() == before
         if result is not None:
             assert result.value(lam) == FREE
-            assert result.coupling_violations() == []
-            assert result.soundness_violations() == []
+            assert coupling_violations(result) == []
+            assert soundness_violations(result) == []
 
 
 @given(st.integers(min_value=0, max_value=100_000))
@@ -220,7 +224,7 @@ def test_repair_matches_rebuilding_reference(seed):
     def run(repair, lam, guard):
         st_.log = RunLog(enabled=True)
         try:
-            res = repair(st_, lam, frozenset(), guard)
+            res = repair(st_, lam, depth_guard=guard)
         except GuardExceeded:
             res = "guard"
         else:
@@ -229,7 +233,7 @@ def test_repair_matches_rebuilding_reference(seed):
         return res, log.ops, log.guard_trips, log.paper_gaps, log.events
 
     for lam in false_literals:
-        guard = rng.choice((None, None, 1, 2, 3))
+        guard = rng.choice((default_depth_guard(st_), default_depth_guard(st_), 1, 2, 3))
         assert run(algorithm_d, lam, guard) == run(rebuilding_algorithm_d, lam, guard)
 
 
@@ -378,8 +382,8 @@ def test_conditions_miss_support_retraction_cascades():
     for cid, focus in [(2, 4), (2, 1), (0, 2), (0, 1), (1, -1)]:
         assert st_.add_concept(inst.clauses[cid], focus) is None
     assert st_.value(1) == FREE
-    assert st_.soundness_violations() == []
-    assert st_.coupling_violations() == []
+    assert soundness_violations(st_) == []
+    assert coupling_violations(st_) == []
     assert lemma_g_conditions(st_, 1) is True
     assert algorithm_g(st_, 1) is False
     view = st_.restrict_to(1)

@@ -1,18 +1,22 @@
 """The names the benchmark reaches into the package through.
 
 ``bench/spans.py`` skips any hook it cannot find, so a rename would drop
-per-layer metrics without an error; these tests make it an error.
+per-layer metrics without an error, and a workload that calls a name the
+package no longer has fails every operation; these tests make both an
+error.
 """
 
 import dataclasses
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 from understanding_sat.harness import CounterexampleRecord
 from understanding_sat.solver import SolveConfig
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = SPANS.parent
 
 
 def _load_spans():
@@ -43,6 +47,22 @@ def test_every_traced_method_resolves():
         cls = getattr(_package_module(module), class_name, None)
         if cls is None or not callable(cls.__dict__.get(attr)):
             missing.append(f"{module}.{class_name}.{attr}")
+    assert not missing
+
+
+def test_every_package_attribute_the_workloads_reach_resolves():
+    # The workloads and their checks call into the package as
+    # ``api.<module>.<attr>``; a moved or renamed name would only show
+    # as failed operations in a benchmark run.
+    refs = set()
+    for name in ("workloads.py", "checks.py"):
+        refs.update(re.findall(r"\bapi\.(\w+)\.(\w+)", (BENCH / name).read_text()))
+    assert refs
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in sorted(refs)
+        if not hasattr(_package_module(module), attr)
+    ]
     assert not missing
 
 

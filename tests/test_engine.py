@@ -10,8 +10,6 @@ from hypothesis import given, strategies as st
 
 from understanding_sat.cnf import build_instance
 from understanding_sat.engine import (
-    CPLUS,
-    CSTAR,
     Contradiction,
     EngineState,
     FALSE,
@@ -19,19 +17,24 @@ from understanding_sat.engine import (
     GuardExceeded,
     RunLog,
     TRUE,
-    concept_type_of,
     flip,
 )
 from understanding_sat.solver import solve
 
 from helpers import (
+    CPLUS,
+    CSTAR,
     admitted_state,
+    concept_type,
+    concept_type_of,
+    coupling_violations,
     fresh_state,
     index_of,
     pairwise_compute_fixpoint,
     random_instance,
     scanning_restrict_to,
     scanning_unmet,
+    soundness_violations,
     view_snapshot,
 )
 
@@ -101,10 +104,10 @@ class TestValueRule:
         st_ = fresh_state(inst)
         st_.add_concept(inst.clauses[0], 3)
         key = (0, 3)
-        assert st_.concept_type(key) == CPLUS
+        assert concept_type(st_, key) == CPLUS
         st_.pin_literal(1, TRUE)
         st_.compute_fixpoint([1])
-        assert st_.concept_type(key) == CSTAR
+        assert concept_type(st_, key) == CSTAR
 
 
 class TestPins:
@@ -120,7 +123,7 @@ class TestPins:
         assert st_.compute_fixpoint([2]) is None
         assert st_.value(2) == TRUE
         assert st_.value(1) == FREE  # concept became C*, need lifted
-        assert st_.soundness_violations() == []
+        assert soundness_violations(st_) == []
 
     def test_pin_couples_both_polarities(self):
         inst = build_instance(3, [(1, 2, 3)])
@@ -315,8 +318,8 @@ def test_invariants_after_admission(script):
     status, st_ = admitted_state(inst)
     if status != "ok":
         return
-    assert st_.coupling_violations() == []
-    assert st_.soundness_violations() == []
+    assert coupling_violations(st_) == []
+    assert soundness_violations(st_) == []
 
 
 def test_soundness_audit_leaves_ops_alone():
@@ -325,11 +328,11 @@ def test_soundness_audit_leaves_ops_alone():
     outcome = solve(build_instance(3, [(1, 2, 3), (-1, 2, -3)]))
     state = outcome.state
     assert outcome.ops == state.log.ops == 18
-    assert state.soundness_violations() == []
+    assert soundness_violations(state) == []
     assert state.log.ops == 18
     stale = fresh_state(build_instance(3, [(1, 2, 3)]))
     stale.insert_concept(stale.inst.clauses[0], 1)  # no recomputation
-    assert stale.soundness_violations() == [1]
+    assert soundness_violations(stale) == [1]
     assert stale.log.ops == 0
 
 
@@ -343,7 +346,7 @@ def test_values_stay_canonical(script):
     assert FREE not in {value for _, value in st_.snapshot()[0]}
     assert len(st_.values) == 2 * n + 1
     assert set(st_.values) <= {TRUE, FALSE, FREE}
-    assert st_.coupling_violations() == []
+    assert coupling_violations(st_) == []
 
 
 @st.composite

@@ -18,7 +18,6 @@ from understanding_sat.harness import (
     diff_run,
     enumerate_small,
     fit_complexity,
-    fuzz_specs,
     gen_random,
     minimize,
     replay,
@@ -27,7 +26,7 @@ from understanding_sat.harness import (
 from understanding_sat.oracle import OracleVerdict
 from understanding_sat.solver import SolveConfig, SolverOutcome
 
-from helpers import order_trap_instance, removable_clauses
+from helpers import fuzz_specs, order_trap_instance, removable_clauses
 
 
 class TestGenSpec:
@@ -143,7 +142,7 @@ class TestDiffRun:
         rec = report.counterexamples[0]
         again = CounterexampleRecord.from_dict(rec.as_dict())
         assert again == rec
-        assert report.as_dict()["clean"] is False
+        assert report.summary()["clean"] is False
 
 
 class TestMinimize:

@@ -147,6 +147,33 @@ class TestAnomalies:
         assert any(e["kind"] == "D_RECURSE" for e in out.trace)
         assert out.trace[-1]["kind"] == "VERDICT"
 
+    @pytest.mark.parametrize("levels", [3, 4])
+    def test_python_recursion_limit_trip_ends_as_a_stateless_depth_guard_anomaly(self, levels):
+        # With Python's limit 3 levels above this test, the limit trips
+        # while the first clause's concepts are indexed (``_index``), with
+        # no repair begun.  At 4 levels it trips in ``_retally`` while
+        # clause 4 is admitted when the interpreter is cold, and inside
+        # repair once the code is warm, as after the run below.  Either
+        # trip can stop midway through an update, so the outcome must not
+        # carry the state.
+        inst = gen_random(GenSpec(n=20, m=80, seed=17))
+        assert solve(inst).kind == "unsat"
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(_lowest_recursion_limit() + levels)
+        try:
+            out = solve(inst, SolveConfig(trace=True))
+        finally:
+            sys.setrecursionlimit(old)
+        assert sys.getrecursionlimit() == old
+        assert out.kind == "anomaly"
+        assert out.anomaly == ANOMALY_GUARD
+        assert out.guard_trips == 1
+        assert out.state is None
+        assert out.trace[-1]["kind"] == "VERDICT"
+        if levels == 3:
+            assert out.failing_clause == 0
+            assert not any(e["kind"] == "D_ENTER" for e in out.trace)
+
     def test_concept_admission_contradiction_is_an_anomaly(self, monkeypatch):
         monkeypatch.setattr(
             EngineState,
