@@ -338,8 +338,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError as exc:
-        # The recursive DPLL oracle can outgrow Python's stack on long
-        # decision chains; that is the run failing, not the input.
+        # The package's own code never lets one escape: ``solve`` ends a
+        # repair or admission that hits the limit as a DepthGuard anomaly,
+        # and both oracles are loops.  Library code that recurses on its
+        # input still can, e.g. ``json.load`` on a deeply nested
+        # ``minimize`` record; it must end in an exit code, not a traceback.
         print(f"error: run exceeded Python's recursion limit ({exc})", file=sys.stderr)
         return EXIT_ANOMALY
 

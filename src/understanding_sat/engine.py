@@ -121,7 +121,7 @@ class EngineState:
     ``values``, ``pins`` and ``unmet`` are lists indexed by literal
     (negative literals wrap to the upper half; slot 0 is unused), so a
     read is one index and a copy one slice.  ``values`` stores ``FREE``
-    too; ``snapshot`` lists only the literals that are not free.
+    too.
     ``pins[lit]`` is the value a literal is assumed to hold, ``""`` when
     unpinned; it stands unless the computed value directly opposes it, so
     the effective value is ``pins[lit] or values[lit]``.  ``not_true``
@@ -482,21 +482,5 @@ class EngineState:
             self.version,
             "".join(self.values),
             "|".join(self.pins),
-            tuple(sorted(self.not_true)),
-        )
-
-    # -- inspection helper (used by tests) -------------------------------
-
-    def snapshot(self):
-        """Canonical immutable view of the semantic state (run log and
-        accounting excluded)."""
-        values = self.values
-        pins = self.pins
-        lits = range(-self.inst.variable_count, self.inst.variable_count + 1)
-        return (
-            tuple((lit, values[lit]) for lit in lits if values[lit] != FREE),
-            tuple(sorted(self.concepts.items())),
-            tuple(sorted(self.admitted)),
-            tuple((lit, pins[lit]) for lit in lits if pins[lit]),
             tuple(sorted(self.not_true)),
         )

@@ -1,8 +1,10 @@
 """Reference deciders used to adjudicate the main procedure.
 
 ``brute_force`` enumerates assignments as bit patterns and is the ground
-truth for small instances; ``dpll`` is a plain unit-propagating
-backtracker that scales a little further.  Both return an
+truth for small instances; ``dpll`` is a unit-propagating backtracker
+that scales further: one loop over a trail and a decision stack, with
+propagation driven by the literal just set, so its depth is not bounded
+by Python's recursion limit.  Both return an
 ``OracleVerdict`` carrying a model when one exists, and both are tested
 against each other so neither is a single point of failure.
 """
@@ -69,62 +71,72 @@ def brute_force(inst: Instance) -> OracleVerdict:
 
 def dpll(inst: Instance) -> OracleVerdict:
     """Unit propagation plus branching on the lowest unassigned
-    variable, true branch first."""
+    variable, true branch first, searched in one loop over a trail.
+
+    ``value`` is indexed by literal (negative literals wrap to the upper
+    half): 1 true, -1 false, 0 unassigned.  Every literal set goes on the
+    trail.  When one becomes true, only the clauses that hold its
+    negation can have become unit or false, so only they are scanned:
+    ``occurs[lit]`` lists the other two literals of each clause holding
+    ``lit``.  Each entry of the decision stack is ``(trail length before
+    the decision, variable, on the true branch?)``; a conflict undoes the
+    trail to the latest decision still on its true branch and sets that
+    variable false.  ``nodes`` counts the root, every decision and every
+    flip to the false branch.  Propagation to a fixpoint is confluent, so
+    the verdict, the node count and the model are those of the recursive
+    search that copies the assignment at every node.
+    """
     n = inst.variable_count
-    clauses = [c.literals for c in inst.clauses]
-    nodes = 0
-
-    def lit_value(lit: int, assign: dict[int, bool]):
-        var = abs(lit)
-        if var not in assign:
-            return None
-        val = assign[var]
-        return val if lit > 0 else not val
-
-    def propagate(assign: dict[int, bool]):
-        """Returns False on conflict, else True; mutates assign."""
-        changed = True
-        while changed:
-            changed = False
-            for lits in clauses:
-                unassigned = None
-                satisfied = False
-                open_count = 0
-                for lit in lits:
-                    v = lit_value(lit, assign)
-                    if v is True:
-                        satisfied = True
-                        break
-                    if v is None:
-                        open_count += 1
-                        unassigned = lit
-                if satisfied:
-                    continue
-                if open_count == 0:
-                    return False
-                if open_count == 1:
-                    assign[abs(unassigned)] = unassigned > 0
-                    changed = True
-        return True
-
-    def search(assign: dict[int, bool]):
-        nonlocal nodes
+    occurs: list[list[tuple[int, int]]] = [[] for _ in range(2 * n + 1)]
+    for a, b, c in (clause.literals for clause in inst.clauses):
+        occurs[a].append((b, c))
+        occurs[b].append((a, c))
+        occurs[c].append((a, b))
+    value = [0] * (2 * n + 1)
+    trail: list[int] = []
+    decisions: list[tuple[int, int, bool]] = []
+    nodes = 1
+    # A clause holds three distinct literals, so none is unit or false
+    # before the first decision: the root propagates nothing.
+    ok = True
+    while True:
+        if ok:
+            var = decisions[-1][1] + 1 if decisions else 1
+            while var <= n and value[var]:
+                var += 1
+            if var > n:
+                values = {v: int(value[v] > 0) for v in range(1, n + 1)}
+                return OracleVerdict(True, Assignment(values=values), nodes, "dpll")
+            decisions.append((len(trail), var, True))
+            lit = var
+        else:
+            while decisions and not decisions[-1][2]:
+                decisions.pop()
+            if not decisions:
+                return OracleVerdict(False, None, nodes, "dpll")
+            size, var, _ = decisions.pop()
+            for undone in trail[size:]:
+                value[undone] = value[-undone] = 0
+            del trail[size:]
+            decisions.append((size, var, False))
+            lit = -var
         nodes += 1
-        assign = dict(assign)
-        if not propagate(assign):
-            return None
-        var = next((v for v in range(1, n + 1) if v not in assign), None)
-        if var is None:
-            return assign
-        for val in (True, False):
-            assign[var] = val
-            result = search(assign)
-            if result is not None:
-                return result
-        return None
-
-    model = search({})
-    if model is None:
-        return OracleVerdict(False, None, nodes, "dpll")
-    values = {v: int(model.get(v, False)) for v in range(1, n + 1)}
-    return OracleVerdict(True, Assignment(values=values), nodes, "dpll")
+        head = len(trail)
+        value[lit], value[-lit] = 1, -1
+        trail.append(lit)
+        ok = True
+        while ok and head < len(trail):
+            for a, b in occurs[-trail[head]]:
+                va, vb = value[a], value[b]
+                if va < 0 and vb < 0:
+                    ok = False
+                    break
+                if va == 0 and vb < 0:
+                    lit = a
+                elif vb == 0 and va < 0:
+                    lit = b
+                else:
+                    continue
+                value[lit], value[-lit] = 1, -1
+                trail.append(lit)
+            head += 1

@@ -7,7 +7,7 @@ from collections import deque
 from functools import lru_cache
 
 from understanding_sat.algorithms import algorithm_g
-from understanding_sat.cnf import Clause, Instance, build_instance, parse_dimacs
+from understanding_sat.cnf import Assignment, Clause, Instance, build_instance, parse_dimacs
 from understanding_sat.engine import (
     FALSE,
     FREE,
@@ -19,6 +19,7 @@ from understanding_sat.engine import (
     flip,
 )
 from understanding_sat.harness import CounterexampleRecord, GenSpec, adjudicate
+from understanding_sat.oracle import OracleVerdict
 from understanding_sat.solver import SolveConfig, _admit_clause
 
 # Satisfiable by the all-false assignment, yet the main procedure answers
@@ -299,8 +300,23 @@ def sweep_assumption_check(
     return stats
 
 
+def snapshot(state: EngineState):
+    """Canonical immutable view of the semantic state (run log and
+    accounting excluded); it lists only the literals that are not free."""
+    values = state.values
+    pins = state.pins
+    lits = range(-state.inst.variable_count, state.inst.variable_count + 1)
+    return (
+        tuple((lit, values[lit]) for lit in lits if values[lit] != FREE),
+        tuple(sorted(state.concepts.items())),
+        tuple(sorted(state.admitted)),
+        tuple((lit, pins[lit]) for lit in lits if pins[lit]),
+        tuple(sorted(state.not_true)),
+    )
+
+
 def view_snapshot(state: EngineState, literal: int):
-    """``state.restrict_to(literal).snapshot()``, read off the state's
+    """``snapshot(state.restrict_to(literal))``, read off the state's
     own index without building the view: the view keeps the concepts
     indexed under the literal or its negation, as focus or companion."""
     keys = set()
@@ -352,7 +368,7 @@ def index_of(state: EngineState):
     """The whole concept index in canonical form, lookup lists included
     (``snapshot`` leaves those out)."""
     return (
-        state.snapshot(),
+        snapshot(state),
         sorted((lit, sorted(keys)) for lit, keys in state.by_focus.items()),
         sorted((lit, sorted(keys)) for lit, keys in state.by_member.items()),
     )
@@ -525,3 +541,68 @@ def pairwise_compute_fixpoint(state: EngineState, seeds):
                     queue.append(dep)
                     queued.add(dep)
     return None
+
+
+def recursive_dpll(inst: Instance) -> OracleVerdict:
+    """The recursive search ``oracle.dpll`` replaced, kept as its
+    reference: unit propagation plus branching on the lowest unassigned
+    variable, true branch first.  It recurses once per decision and
+    copies the assignment at every node."""
+    n = inst.variable_count
+    clauses = [c.literals for c in inst.clauses]
+    nodes = 0
+
+    def lit_value(lit: int, assign: dict[int, bool]):
+        var = abs(lit)
+        if var not in assign:
+            return None
+        val = assign[var]
+        return val if lit > 0 else not val
+
+    def propagate(assign: dict[int, bool]):
+        """Returns False on conflict, else True; mutates assign."""
+        changed = True
+        while changed:
+            changed = False
+            for lits in clauses:
+                unassigned = None
+                satisfied = False
+                open_count = 0
+                for lit in lits:
+                    v = lit_value(lit, assign)
+                    if v is True:
+                        satisfied = True
+                        break
+                    if v is None:
+                        open_count += 1
+                        unassigned = lit
+                if satisfied:
+                    continue
+                if open_count == 0:
+                    return False
+                if open_count == 1:
+                    assign[abs(unassigned)] = unassigned > 0
+                    changed = True
+        return True
+
+    def search(assign: dict[int, bool]):
+        nonlocal nodes
+        nodes += 1
+        assign = dict(assign)
+        if not propagate(assign):
+            return None
+        var = next((v for v in range(1, n + 1) if v not in assign), None)
+        if var is None:
+            return assign
+        for val in (True, False):
+            assign[var] = val
+            result = search(assign)
+            if result is not None:
+                return result
+        return None
+
+    model = search({})
+    if model is None:
+        return OracleVerdict(False, None, nodes, "dpll")
+    values = {v: int(model.get(v, False)) for v in range(1, n + 1)}
+    return OracleVerdict(True, Assignment(values=values), nodes, "dpll")

@@ -55,6 +55,7 @@ from helpers import (
     fuzz_specs,
     random_instance,
     removable_clauses,
+    snapshot,
     soundness_violations,
     sweep_assumption_check,
 )
@@ -393,7 +394,7 @@ def test_a7_reruns_are_byte_identical_and_failure_paths_roll_back(
         rng = random.Random(seed)
         inst = random_instance(rng, rng.randint(2, 4), rng.randint(1, 5))
         _, state = admitted_state(inst)
-        snap = state.snapshot()
+        snap = snapshot(state)
         lits = [
             l
             for v in range(1, inst.variable_count + 1)
@@ -403,7 +404,7 @@ def test_a7_reruns_are_byte_identical_and_failure_paths_roll_back(
         if free:
             exercised["check"] += 1
             algorithm_g(state, rng.choice(free))
-            if state.snapshot() != snap:
+            if snapshot(state) != snap:
                 violations.append((seed, "check"))
         false = [l for l in lits if state.value(l) == FALSE]
         if false:
@@ -412,14 +413,14 @@ def test_a7_reruns_are_byte_identical_and_failure_paths_roll_back(
                 algorithm_d(state, rng.choice(false), depth_guard=default_depth_guard(state))
             except GuardExceeded:
                 pass
-            if state.snapshot() != snap:
+            if snapshot(state) != snap:
                 violations.append((seed, "repair"))
         work = state.fork()
         for _ in range(rng.randint(1, 5)):
             lit = rng.choice(lits)
             if not work.add_not_true(lit):
                 continue
-            pre = work.snapshot()
+            pre = snapshot(work)
             exercised["propagation"] += 1
             try:
                 result = work.compute_fixpoint([lit])
@@ -427,7 +428,7 @@ def test_a7_reruns_are_byte_identical_and_failure_paths_roll_back(
                 result = Contradiction(lit, "guard")
             if isinstance(result, Contradiction):
                 exercised["rolled-back"] += 1
-                if work.snapshot() != pre:
+                if snapshot(work) != pre:
                     violations.append((seed, "propagation"))
                 break
 

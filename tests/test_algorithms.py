@@ -30,6 +30,7 @@ from helpers import (
     random_instance,
     rebuilding_algorithm_d,
     reevaluate_literal,
+    snapshot,
     soundness_violations,
 )
 
@@ -97,9 +98,9 @@ class TestAssumptionCheck:
 
     def test_never_mutates_caller(self):
         st_ = staged(3, [((1, 2, 3), 1), ((-1, 2, 3), -1)])
-        before = st_.snapshot()
+        before = snapshot(st_)
         algorithm_g(st_, 1)
-        assert st_.snapshot() == before
+        assert snapshot(st_) == before
 
     def test_agreement_is_scoped_to_the_literal_restriction(self):
         # An outside clause keeps companion 2 load-bearing: the behavioral
@@ -127,7 +128,7 @@ class TestRepair:
         status, st_ = admitted_state(build_instance(3, [(1, 2, 3)]))
         assert status == "ok"
         assert st_.value(-1) == FALSE
-        before = st_.snapshot()
+        before = snapshot(st_)
         result = algorithm_d(st_, -1, depth_guard=default_depth_guard(st_))
         assert result is not None
         assert result.value(-1) == FREE
@@ -135,13 +136,13 @@ class TestRepair:
         assert result.pins[2] == TRUE
         assert coupling_violations(result) == []
         assert soundness_violations(result) == []
-        assert st_.snapshot() == before  # caller untouched
+        assert snapshot(st_) == before  # caller untouched
 
     def test_history_blocks_both_members(self):
         status, st_ = admitted_state(build_instance(3, [(1, 2, 3)]))
-        before = st_.snapshot()
+        before = snapshot(st_)
         assert algorithm_d(st_, -1, history=frozenset({2, 3}), depth_guard=default_depth_guard(st_)) is None
-        assert st_.snapshot() == before
+        assert snapshot(st_) == before
 
     def test_depth_guard_raises(self):
         status, st_ = admitted_state(build_instance(3, [(1, 2, 3)]))
@@ -170,11 +171,11 @@ class TestRepair:
     def test_unrepairable_state_returns_none(self):
         status, st_ = admitted_state(order_trap_instance(), upto=3)
         assert status == "ok"
-        before = st_.snapshot()
+        before = snapshot(st_)
         for lam in (-1, -2, -3):
             assert st_.value(lam) == FALSE
             assert algorithm_d(st_, lam, depth_guard=default_depth_guard(st_)) is None
-        assert st_.snapshot() == before
+        assert snapshot(st_) == before
 
 
 @given(st.integers(min_value=0, max_value=400))
@@ -190,10 +191,10 @@ def test_repair_postcondition_on_random_states(seed):
         for lit in (var, -var)
         if st_.value(lit) == FALSE
     ]
-    before = st_.snapshot()
+    before = snapshot(st_)
     for lam in false_literals[:2]:
         result = algorithm_d(st_, lam, depth_guard=default_depth_guard(st_))
-        assert st_.snapshot() == before
+        assert snapshot(st_) == before
         if result is not None:
             assert result.value(lam) == FREE
             assert coupling_violations(result) == []
@@ -228,7 +229,7 @@ def test_repair_matches_rebuilding_reference(seed):
         except GuardExceeded:
             res = "guard"
         else:
-            res = None if res is None else res.snapshot()
+            res = None if res is None else snapshot(res)
         log = st_.log
         return res, log.ops, log.guard_trips, log.paper_gaps, log.events
 

@@ -111,16 +111,26 @@ class TestOracleCommand:
         assert "s UNSATISFIABLE" in out
         assert "method dpll" in err
 
-    def test_dpll_recursion_limit_is_an_anomaly_exit(self, tmp_path, capsys):
-        # DPLL recurses once per decision; on the satisfiable chain
-        # (v, v+1, v+2) it decides every variable, so a chain longer than
-        # the recursion limit (1,500 variables at the default 1,000)
-        # outgrows the stack.
+    def test_dpll_decides_a_chain_longer_than_the_recursion_limit(self, tmp_path, capsys):
+        # DPLL decides every variable of the satisfiable chain
+        # (v, v+1, v+2); it searches in a loop, so a chain longer than
+        # the recursion limit is answered like any other.
         n = sys.getrecursionlimit() + 500
         lines = [f"p cnf {n} {n - 2}"] + [f"{v} {v + 1} {v + 2} 0" for v in range(1, n - 1)]
         path = tmp_path / "chain.cnf"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         code = cli.main(["oracle", str(path), "--method", "dpll"])
+        out, err = capsys.readouterr()
+        assert code == 10
+        assert out.startswith("s SATISFIABLE\n")
+        assert f"c nodes {n + 1} method dpll" in err
+
+    def test_recursion_limit_is_an_anomaly_exit(self, core_file, capsys, monkeypatch):
+        def recurse_too_deep(inst, method):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "run_oracle", recurse_too_deep)
+        code = cli.main(["oracle", core_file, "--method", "dpll"])
         out, err = capsys.readouterr()
         assert code == 30
         assert out == ""
@@ -215,14 +225,16 @@ class TestCorpusCommands:
         assert len(records) == 6
         assert [replay(record) for record in records] == ["FalseUnsat"] * 6
 
-    def test_failed_run_leaves_no_report_files(self, tmp_path, capsys):
-        # The DPLL oracle outgrows the recursion limit on the first draw
-        # (one decision per variable, far more variables than the limit).
-        n = sys.getrecursionlimit() + 200
+    def test_failed_run_leaves_no_report_files(self, tmp_path, capsys, monkeypatch):
+        real = cli.adjudicate
+
+        def fail_on_first_row(items, cfg, oracle):
+            next(real(items, cfg, oracle))
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "adjudicate", fail_on_first_row)
         out = tmp_path / "r.jsonl"
-        code = cli.main(["fuzz", "--n", str(n), "--m", "20", "--count", "3", "--seed", "1",
-                         "--oracle", "dpll", "--out", str(out),
-                         "--cex-dir", str(tmp_path / "cex")])
+        code = cli.main(self.FUZZ + ["--out", str(out), "--cex-dir", str(tmp_path / "cex")])
         stdout, err = capsys.readouterr()
         assert code == 30
         assert stdout == "" and err.startswith("error:")

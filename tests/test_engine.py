@@ -34,6 +34,7 @@ from helpers import (
     random_instance,
     scanning_restrict_to,
     scanning_unmet,
+    snapshot,
     soundness_violations,
     view_snapshot,
 )
@@ -92,12 +93,12 @@ class TestValueRule:
         inst = build_instance(3, [(1, 2, 3), (-1, 2, 3)])
         st_ = fresh_state(inst)
         assert st_.add_concept(inst.clauses[0], 1) is None
-        before = st_.snapshot()
+        before = snapshot(st_)
         res = st_.add_concept(inst.clauses[1], -1)
         assert isinstance(res, Contradiction)
         assert res.reason == "needed-and-opposed"
         assert abs(res.witness) == 1
-        assert st_.snapshot() == before
+        assert snapshot(st_) == before
 
     def test_concept_type_follows_stored_values(self):
         inst = build_instance(3, [(1, 2, 3)])
@@ -177,10 +178,10 @@ class TestFixpointMechanics:
         inst = build_instance(3, [(1, 2, 3)])
         st_ = fresh_state(inst)
         monkeypatch.setattr(EngineState, "_step_cap", lambda self: 0)
-        before = st_.snapshot()
+        before = snapshot(st_)
         with pytest.raises(GuardExceeded):
             st_.add_concept(inst.clauses[0], 1)
-        assert st_.snapshot() == before
+        assert snapshot(st_) == before
         assert st_.log.guard_trips == 1
 
     def test_ops_counts_reevaluations(self):
@@ -343,7 +344,7 @@ def test_values_stay_canonical(script):
     n, m, seed = script
     inst = random_instance(random.Random(seed), n, m)
     status, st_ = admitted_state(inst)
-    assert FREE not in {value for _, value in st_.snapshot()[0]}
+    assert FREE not in {value for _, value in snapshot(st_)[0]}
     assert len(st_.values) == 2 * n + 1
     assert set(st_.values) <= {TRUE, FALSE, FREE}
     assert coupling_violations(st_) == []
@@ -395,9 +396,9 @@ def test_views_are_read_off_the_index(states, seed):
         extra.add_not_true(rng.choice(literals))
     states = (parent, child, extra, extra.fork())
     for lit in literals:
-        snapshots = [state.restrict_to(lit).snapshot() for state in states]
-        for state, snapshot in zip(states, snapshots):
-            assert view_snapshot(state, lit) == snapshot
+        snapshots = [snapshot(state.restrict_to(lit)) for state in states]
+        for state, snap in zip(states, snapshots):
+            assert view_snapshot(state, lit) == snap
         for (a, snap_a), (b, snap_b) in itertools.combinations(zip(states, snapshots), 2):
             if a.view_key(lit) == b.view_key(lit):
                 assert snap_a == snap_b
@@ -454,7 +455,7 @@ def test_insert_outside_the_view_changes_the_key():
     parent = _two_clause_state()
     child = parent.fork()
     child.insert_concept(child.inst.clauses[1], 4)
-    assert child.restrict_to(1).snapshot() == parent.restrict_to(1).snapshot()
+    assert snapshot(child.restrict_to(1)) == snapshot(parent.restrict_to(1))
     assert child.view_key(1) != parent.view_key(1)
     # The parent keeps its own index and its key.
     assert parent.view_key(1) == parent.fork().view_key(1)
@@ -464,10 +465,10 @@ def test_add_concept_undone_by_contradiction_changes_the_key():
     inst = build_instance(3, [(1, 2, 3), (-1, 2, 3)])
     st_ = fresh_state(inst)
     assert st_.add_concept(inst.clauses[0], 1) is None
-    before = (st_.snapshot(), st_.view_key(2))
+    before = (snapshot(st_), st_.view_key(2))
     res = st_.add_concept(inst.clauses[1], -1)
     assert isinstance(res, Contradiction) and res.reason == "needed-and-opposed"
-    assert st_.snapshot() == before[0]
+    assert snapshot(st_) == before[0]
     assert st_.view_key(2) != before[1]
 
 
@@ -477,7 +478,7 @@ def test_states_built_apart_never_share_a_key():
     states = [fresh_state(inst) for _ in range(2)] + [EngineState(inst) for _ in range(2)]
     for st_ in states:
         st_.insert_concept(inst.clauses[0], 1)
-    assert len({st_.snapshot() for st_ in states}) == 1
+    assert len({snapshot(st_) for st_ in states}) == 1
     assert len({st_.view_key(1) for st_ in states}) == len(states)
     assert len({st_.restrict_to(1).view_key(1) for st_ in states}) == len(states)
     assert fresh_state(inst).view_key(1) != fresh_state(inst).view_key(1)

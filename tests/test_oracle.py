@@ -3,12 +3,12 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from understanding_sat.cnf import build_instance, evaluate
 from understanding_sat.oracle import BRUTE_FORCE_MAX_VARS, brute_force, dpll
 
-from helpers import full_sign_instance, order_trap_instance, random_instance
+from helpers import full_sign_instance, order_trap_instance, random_instance, recursive_dpll
 
 
 class TestBruteForce:
@@ -62,6 +62,13 @@ class TestDpll:
         assert v.sat is True
         assert set(v.model.values) == {1, 2, 3, 4, 5}
 
+    def test_chain_far_past_the_recursion_limit(self):
+        # One decision per variable and no backtracking: n + 1 nodes.
+        n = 20_000
+        v = dpll(build_instance(n, [(x, x + 1, x + 2) for x in range(1, n - 1)]))
+        assert v.sat is True
+        assert v.nodes == n + 1
+
 
 @given(st.integers(min_value=0, max_value=300))
 def test_oracles_agree_and_models_verify(seed):
@@ -73,3 +80,27 @@ def test_oracles_agree_and_models_verify(seed):
     for v in (b, d):
         if v.sat:
             assert evaluate(inst, v.model) == []
+
+
+def search_instance(used: int, idle: int, rng: random.Random):
+    """``used`` variables in clauses plus ``idle``, anywhere in 1..n, in
+    none; 1 to 6 clauses per variable, which may hold a complementary
+    pair."""
+    names = rng.sample(range(1, used + idle + 1), used)
+    literals = [s * v for v in names for s in (1, -1)]
+    m = rng.randint(used, 6 * used) if used > 1 else 0
+    return build_instance(used + idle, [rng.sample(literals, 3) for _ in range(m)])
+
+
+@settings(max_examples=300)  # a few ms each; most draws search little
+@given(
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=2**32),
+)
+@example(used=0, idle=0, seed=0)
+def test_dpll_matches_the_recursive_search(used, idle, seed):
+    inst = search_instance(used, idle, random.Random(seed))
+    new, old = dpll(inst), recursive_dpll(inst)
+    assert (new.sat, new.nodes) == (old.sat, old.nodes)
+    assert (new.model and new.model.values) == (old.model and old.model.values)
