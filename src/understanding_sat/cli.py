@@ -203,7 +203,12 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_minimize(args) -> int:
     with open(args.record, "r", encoding="utf-8") as fh:
-        record = CounterexampleRecord.from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            # The decoder recurses once per nesting level.
+            raise ValueError("record file nests JSON too deeply to read") from None
+    record = CounterexampleRecord.from_dict(data)
     shrunk = minimize(record)
     text = _json_line(shrunk.as_dict())
     if args.out:
@@ -340,9 +345,10 @@ def main(argv=None) -> int:
     except RecursionError as exc:
         # The package's own code never lets one escape: ``solve`` ends a
         # repair or admission that hits the limit as a DepthGuard anomaly,
-        # and both oracles are loops.  Library code that recurses on its
-        # input still can, e.g. ``json.load`` on a deeply nested
-        # ``minimize`` record; it must end in an exit code, not a traceback.
+        # both oracles are loops, and ``minimize`` reports a record nested
+        # too deeply for ``json.load`` as an input error.  This is the
+        # last resort for anything else, so that it ends in an exit code,
+        # not a traceback.
         print(f"error: run exceeded Python's recursion limit ({exc})", file=sys.stderr)
         return EXIT_ANOMALY
 

@@ -87,6 +87,14 @@ class RunLog:
     exactly as running it again would.  ``enabled`` is fixed for the life
     of the log, so a stored event list is complete whenever it is
     replayed.  ``solve`` empties ``checks`` when its run ends.
+
+    ``copy`` carries ``ops``, the guard trips, the gaps and the events (a
+    new list of the same event dicts) into a new log with an empty
+    ``checks``; a run resumed from a saved state continues on it.  The
+    empty store is exact, not a loss: every stored key names an index
+    ``version`` drawn before the saved state's last concept insert, and
+    the resumed run only ever sees that state's own version or newer
+    ones, so no stored check would have been asked again.
     """
 
     __slots__ = ("ops", "events", "enabled", "guard_trips", "paper_gaps", "checks")
@@ -98,6 +106,14 @@ class RunLog:
         self.guard_trips = 0
         self.paper_gaps = 0
         self.checks: dict = {}
+
+    def copy(self) -> "RunLog":
+        log = RunLog(self.enabled)
+        log.ops = self.ops
+        log.events = self.events[:]
+        log.guard_trips = self.guard_trips
+        log.paper_gaps = self.paper_gaps
+        return log
 
     def emit(self, kind: str, literal=None, old=None, new=None, clause=None):
         if self.enabled:

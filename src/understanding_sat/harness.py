@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 from .cnf import Instance, build_instance, emit_dimacs, parse_dimacs
 from .oracle import OracleVerdict, brute_force, dpll
-from .solver import SolveConfig, SolverOutcome, solve
+from .solver import SolveConfig, SolverOutcome, advance, solve
 
 DISAGREEMENT_KINDS = ("FalseSat", "FalseUnsat", "Anomaly")
 # The keys a stored counterexample record must have, with their JSON types.
@@ -215,16 +215,17 @@ class Adjudication:
         )
 
 
-def adjudicate(items, cfg: SolveConfig | None = None, oracle: str = "auto"):
+def adjudicate(items, cfg: SolveConfig | None = None, oracle: str = "auto", *, prefix=None):
     """Yield one Adjudication per ``(meta, instance)`` item, in order.
 
     ``oracle`` names the reference procedure (``auto`` picks brute force
     up to 12 variables, the backtracker beyond); ``meta`` is carried
-    through untouched.
+    through untouched.  ``prefix``, a state to resume from, is passed to
+    every ``solve``.
     """
     cfg = cfg if cfg is not None else SolveConfig()
     for meta, inst in items:
-        outcome = solve(inst, cfg)
+        outcome = solve(inst, cfg, prefix=prefix)
         verdict = run_oracle(inst, oracle)
         yield Adjudication(meta, inst, cfg, outcome, verdict, classify(outcome, verdict))
 
@@ -279,19 +280,39 @@ def minimize(record: CounterexampleRecord) -> CounterexampleRecord:
     when that run can only keep its bin under clause removal (an anomaly,
     or an unsat answer on a satisfiable instance) the instance is cut to
     its first k+1 clauses; each accepted candidate is cut the same way.
-    Then single clauses are removed in passes that never restart: after
-    a removal the scan stays at the same index.  Passes repeat until one
-    removes nothing, which proves the core 1-minimal.  Every candidate is
-    adjudicated; the returned record is the row of the exact core, reused
-    from the scan when the last accepted candidate was not cut.
+
+    Then single clauses are removed in one cyclic scan: the candidate at
+    index i drops clause i of the current list; an accepted candidate
+    becomes the list and the scan stays at i, a rejected one moves it to
+    i+1, and past the end it wraps to 0.  The scan ends once every clause
+    of the current list has been rejected in a row, which proves the core
+    1-minimal.  A scan of passes that repeat until one removes nothing
+    would go on to re-run candidates already rejected against the same
+    list; adjudication is deterministic, so those repeats reject again and
+    cannot change the core.
+
+    Under input order every candidate's run resumes (``solve``'s
+    ``prefix``) from the state after admitting the first clauses of the
+    list, which the candidate shares.  That state is advanced by one
+    clause (``solver.advance``) each time a candidate is rejected, kept
+    when one is accepted (the new list has the same first i clauses) and
+    dropped when the scan wraps.  It is not advanced to the last clause,
+    which no later candidate keeps, nor past the clause where the list's
+    own run stops: the candidates after that clause resume from before it
+    and repeat the stop.  A resumed run is exact, so every candidate
+    adjudicates as it would afresh.  Under ``perm`` order every run starts
+    from the empty state.  The returned record is the row of the exact
+    core, reused from the scan when the last accepted candidate was not
+    cut.
     """
     inst = parse_dimacs(record.dimacs)
     cfg = SolveConfig(**record.config)
     method = record.oracle_verdict.get("method", "auto")
+    resumes = cfg.clause_order == "input"
 
-    def adjudicated(clause_lits) -> Adjudication:
+    def adjudicated(clause_lits, prefix=None) -> Adjudication:
         cand = build_instance(inst.variable_count, clause_lits)
-        return next(adjudicate([(None, cand)], cfg, method))
+        return next(adjudicate([(None, cand)], cfg, method, prefix=prefix))
 
     def kept(row: Adjudication) -> list:
         """The row's clauses, cut after its failing clause when that is safe."""
@@ -300,22 +321,33 @@ def minimize(record: CounterexampleRecord) -> CounterexampleRecord:
         # Dropping clauses keeps a satisfiable instance satisfiable, and
         # the cut run repeats the same outcome, so the bin cannot change.
         keeps_bin = row.outcome.kind == "anomaly" or row.verdict.sat
-        if row.bin == record.kind and cfg.clause_order == "input" and k is not None and keeps_bin:
+        if row.bin == record.kind and resumes and k is not None and keeps_bin:
             return lits[: k + 1]
         return lits
 
     row = adjudicated([c.literals for c in inst.clauses])
     lits = kept(row)
-    removed = True
-    while removed:
-        removed = False
-        i = 0
-        while i < len(lits):
-            cand = adjudicated(lits[:i] + lits[i + 1 :])
-            if cand.bin == record.kind:
-                row, lits, removed = cand, kept(cand), True
-            else:
-                i += 1
+    # ``prefix`` is the state after admitting ``lits[:done]``; None is the
+    # empty one.  ``row.instance`` starts with ``lits``.
+    prefix, done = None, 0
+    i = rejected = 0
+    while rejected < len(lits):
+        if i >= len(lits):
+            i, prefix, done = 0, None, 0
+        cand = adjudicated(lits[:i] + lits[i + 1 :], prefix)
+        if cand.bin == record.kind:
+            row, lits, rejected = cand, kept(cand), 0
+            continue
+        rejected += 1
+        # The advanced state serves only candidates that drop clause i + 1
+        # or later, and only if the list's run admits clause i: it stops
+        # at its failing clause.
+        stop = row.outcome.failing_clause
+        if resumes and done == i < (len(lits) - 1 if stop is None else stop):
+            advanced = advance(prefix, row.instance, cfg)
+            if advanced is not None:
+                prefix, done = advanced, i + 1
+        i += 1
     if len(row.instance.clauses) != len(lits):
         row = adjudicated(lits)
     return replace(row.record(), minimized=True)

@@ -36,6 +36,14 @@ ANOMALY_UNDEFINED = "UndefinedAtU4"
 ANOMALY_UNVERIFIED = "UnverifiedSat"
 ANOMALY_GUARD = "DepthGuard"
 
+# The outcome kind and anomaly of a run stopped by each admission status.
+_STOPS = {
+    "unsat": ("unsat", None),
+    "anomaly": ("anomaly", ANOMALY_UNDEFINED),
+    "guard": ("anomaly", ANOMALY_GUARD),
+    "recursion": ("anomaly", ANOMALY_GUARD),
+}
+
 
 @dataclass
 class SolveConfig:
@@ -175,27 +183,70 @@ def _outcome(
     )
 
 
-def solve(inst: Instance, cfg: SolveConfig | None = None) -> SolverOutcome:
-    """Decide the instance; always terminates with sat, unsat, or anomaly."""
+def solve(
+    inst: Instance, cfg: SolveConfig | None = None, *, prefix: EngineState | None = None
+) -> SolverOutcome:
+    """Decide the instance; always terminates with sat, unsat, or anomaly.
+
+    ``prefix`` resumes the run from a state that ``advance`` built under
+    the same config and input clause order, from instances whose first
+    ``k`` clauses are ``inst``'s first ``k`` (``k`` is the number of
+    clauses the prefix admitted).  Input order admits those clauses first
+    and the prefix holds what admitting them did, so the run reads the
+    rest of ``inst`` exactly as a fresh one would: the outcome, ``ops``,
+    guard trips, gaps and trace all match ``solve(inst, cfg)``.  The
+    prefix and its log are not changed.  A plain run is this loop resumed
+    from the empty state.  Under ``perm`` order the first ``k`` clauses
+    admitted are not ``inst``'s first ``k``, so a prefix raises
+    ValueError.
+    """
     cfg = cfg if cfg is not None else SolveConfig()
-    state = EngineState(inst, RunLog(enabled=cfg.trace))
-    for cid in _clause_order(inst, cfg):
+    state = _resume(inst, cfg, prefix)
+    for cid in _clause_order(inst, cfg)[len(state.admitted) :]:
         clause = inst.clauses[cid]
-        try:
-            status, state = _admit_clause(state, clause, cfg)
-        except GuardExceeded:
-            return _outcome(state, cfg, "anomaly", clause, anomaly=ANOMALY_GUARD)
-        except RecursionError:
+        status, state = _admit(state, clause, cfg)
+        if status != "ok":
+            kind, anomaly = _STOPS[status]
+            stopped = _outcome(state, cfg, kind, clause, anomaly=anomaly)
             # Python's own limit tripped before a guard did, in repair or
             # midway through indexing or retallying a concept, so the
             # state may be half-updated: the outcome does not carry it.
-            state.log.guard_trips += 1
-            return replace(_outcome(state, cfg, "anomaly", clause, anomaly=ANOMALY_GUARD), state=None)
-        if status == "unsat":
-            return _outcome(state, cfg, "unsat", clause)
-        if status == "anomaly":
-            return _outcome(state, cfg, "anomaly", clause, anomaly=ANOMALY_UNDEFINED)
+            return replace(stopped, state=None) if status == "recursion" else stopped
     return _finalize(state, inst, cfg)
+
+
+def advance(prefix: EngineState | None, inst: Instance, cfg: SolveConfig) -> EngineState | None:
+    """The state after admitting ``inst``'s next clause onto ``prefix``
+    (``None`` is the empty state) as ``solve``'s loop admits it, or None
+    when a run stops at that clause.  Input clause order only; ``prefix``
+    is not changed."""
+    state = _resume(inst, cfg, prefix)
+    status, state = _admit(state, inst.clauses[len(state.admitted)], cfg)
+    return state if status == "ok" else None
+
+
+def _resume(inst: Instance, cfg: SolveConfig, prefix: EngineState | None) -> EngineState:
+    if prefix is None:
+        return EngineState(inst, RunLog(enabled=cfg.trace))
+    if cfg.clause_order != "input":
+        raise ValueError("a run can resume from a prefix state only under input clause order")
+    state = prefix.fork()
+    state.inst = inst
+    state.log = prefix.log.copy()
+    return state
+
+
+def _admit(state: EngineState, clause: Clause, cfg: SolveConfig):
+    """``_admit_clause`` with a trip turned into a status: ``guard`` for
+    GuardExceeded, ``recursion`` for Python's recursion limit, each with
+    the state the admission started from."""
+    try:
+        return _admit_clause(state, clause, cfg)
+    except GuardExceeded:
+        return "guard", state
+    except RecursionError:
+        state.log.guard_trips += 1
+        return "recursion", state
 
 
 def _finalize(state: EngineState, inst: Instance, cfg: SolveConfig) -> SolverOutcome:

@@ -4,6 +4,7 @@ structural freeing conditions, state audits and reference procedures."""
 import itertools
 import random
 from collections import deque
+from dataclasses import replace
 from functools import lru_cache
 
 from understanding_sat.algorithms import algorithm_g
@@ -18,7 +19,12 @@ from understanding_sat.engine import (
     RunLog,
     flip,
 )
-from understanding_sat.harness import CounterexampleRecord, GenSpec, adjudicate
+from understanding_sat.harness import (
+    Adjudication,
+    CounterexampleRecord,
+    GenSpec,
+    adjudicate,
+)
 from understanding_sat.oracle import OracleVerdict
 from understanding_sat.solver import SolveConfig, _admit_clause
 
@@ -606,3 +612,57 @@ def recursive_dpll(inst: Instance) -> OracleVerdict:
         return OracleVerdict(False, None, nodes, "dpll")
     values = {v: int(model.get(v, False)) for v in range(1, n + 1)}
     return OracleVerdict(True, Assignment(values=values), nodes, "dpll")
+
+
+def restarting_minimize(record: CounterexampleRecord) -> CounterexampleRecord:
+    """``harness.minimize`` as it was before it resumed candidates from a
+    saved prefix state and stopped once every clause had been rejected in
+    a row, kept as its reference; body unchanged.
+
+    Shrink the record's instance to a 1-minimal core that keeps its bin.
+
+    The instance is adjudicated afresh.  Under input clause order a run
+    that stops at failing clause k never reads the clauses after it, so
+    when that run can only keep its bin under clause removal (an anomaly,
+    or an unsat answer on a satisfiable instance) the instance is cut to
+    its first k+1 clauses; each accepted candidate is cut the same way.
+    Then single clauses are removed in passes that never restart: after
+    a removal the scan stays at the same index.  Passes repeat until one
+    removes nothing, which proves the core 1-minimal.  Every candidate is
+    adjudicated; the returned record is the row of the exact core, reused
+    from the scan when the last accepted candidate was not cut.
+    """
+    inst = parse_dimacs(record.dimacs)
+    cfg = SolveConfig(**record.config)
+    method = record.oracle_verdict.get("method", "auto")
+
+    def adjudicated(clause_lits) -> Adjudication:
+        cand = build_instance(inst.variable_count, clause_lits)
+        return next(adjudicate([(None, cand)], cfg, method))
+
+    def kept(row: Adjudication) -> list:
+        """The row's clauses, cut after its failing clause when that is safe."""
+        lits = [c.literals for c in row.instance.clauses]
+        k = row.outcome.failing_clause
+        # Dropping clauses keeps a satisfiable instance satisfiable, and
+        # the cut run repeats the same outcome, so the bin cannot change.
+        keeps_bin = row.outcome.kind == "anomaly" or row.verdict.sat
+        if row.bin == record.kind and cfg.clause_order == "input" and k is not None and keeps_bin:
+            return lits[: k + 1]
+        return lits
+
+    row = adjudicated([c.literals for c in inst.clauses])
+    lits = kept(row)
+    removed = True
+    while removed:
+        removed = False
+        i = 0
+        while i < len(lits):
+            cand = adjudicated(lits[:i] + lits[i + 1 :])
+            if cand.bin == record.kind:
+                row, lits, removed = cand, kept(cand), True
+            else:
+                i += 1
+    if len(row.instance.clauses) != len(lits):
+        row = adjudicated(lits)
+    return replace(row.record(), minimized=True)

@@ -362,11 +362,14 @@ class TestErrors:
             ({"dimacs": "p cnf 3 1\n1 2 3 0\n", "config": {"clause_order": "perm"},
               "solver_outcome": {}, "oracle_verdict": {}, "kind": "FalseUnsat"},
              "'order_seed' must be an int when 'clause_order' is 'perm', not null"),
+            # Raw file text: JSON nested deeper than the decoder can recurse.
+            pytest.param("[" * 100000 + "]" * 100000, "too deeply", id="deeply-nested"),
         ],
     )
     def test_malformed_record(self, tmp_path, capsys, record, fragment):
         path = tmp_path / "record.json"
-        path.write_text(json.dumps(record), encoding="utf-8")
+        text = record if isinstance(record, str) else json.dumps(record)
+        path.write_text(text, encoding="utf-8")
         assert cli.main(["minimize", str(path)]) == 1
         out, err = capsys.readouterr()
         assert out == ""

@@ -2,9 +2,11 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import pytest
 
+from understanding_sat import harness
 from understanding_sat.cnf import build_instance, parse_dimacs
 from understanding_sat.harness import (
     DISAGREEMENT_KINDS,
@@ -24,9 +26,10 @@ from understanding_sat.harness import (
     run_oracle,
 )
 from understanding_sat.oracle import OracleVerdict
-from understanding_sat.solver import SolveConfig, SolverOutcome
+from understanding_sat.solver import ANOMALY_GUARD, SolveConfig, SolverOutcome, advance
 
-from helpers import fuzz_specs, order_trap_instance, removable_clauses
+import helpers
+from helpers import fuzz_specs, order_trap_instance, removable_clauses, restarting_minimize
 
 
 class TestGenSpec:
@@ -147,10 +150,11 @@ class TestDiffRun:
 
 class TestMinimize:
     @staticmethod
-    def wrong_unsat_records(cfg, n, m, count):
-        """The first ``count`` wrong-unsat records among seeded draws."""
+    def wrong_unsat_records(cfg, n, m, count, kind="FalseUnsat"):
+        """The first ``count`` records of bin ``kind`` (wrong-unsat by
+        default) among seeded draws."""
         draws = ((seed, gen_random(GenSpec(n=n, m=m, seed=seed))) for seed in range(1000))
-        rows = (row for row in adjudicate(draws, cfg, "brute") if row.bin == "FalseUnsat")
+        rows = (row for row in adjudicate(draws, cfg, "brute") if row.bin == kind)
         return [row.record() for row in itertools.islice(rows, count)]
 
     def test_order_trap_core_is_one_minimal(self):
@@ -192,6 +196,69 @@ class TestMinimize:
     def test_minimize_is_deterministic(self):
         rec = self.wrong_unsat_records(SolveConfig(), 8, 34, 1)[0]
         assert minimize(rec).as_dict() == minimize(rec).as_dict()
+
+    def test_minimize_matches_the_restarting_reference(self, monkeypatch):
+        wrong_unsat = self.wrong_unsat_records(SolveConfig(), 8, 34, 5)
+        perm = self.wrong_unsat_records(SolveConfig(clause_order="perm", order_seed=1), 6, 26, 4)
+        guard = self.wrong_unsat_records(SolveConfig(depth_guard_factor=0), 8, 34, 2, "Anomaly")
+        assert all(rec.solver_outcome["anomaly"] == ANOMALY_GUARD for rec in guard)
+        # Runs that stop before their last clause, which no cut removes:
+        # an agreeing unsat answer, and a wrong-unsat record relabelled so
+        # that no candidate keeps its bin.
+        agree_unsat = self.wrong_unsat_records(SolveConfig(), 8, 34, 1, "AgreeUnsat")
+        relabelled = replace(wrong_unsat[0], kind="AgreeUnsat")
+        stopping = agree_unsat + [relabelled]
+        assert all(rec.solver_outcome["failing_clause"] < 33 for rec in stopping)
+        advances, resumed_at = [], []
+
+        def spying_advance(prefix, inst, cfg):
+            state = advance(prefix, inst, cfg)
+            advances.append(state)
+            return state
+
+        def spying_adjudicate(items, cfg=None, oracle="auto", *, prefix=None):
+            resumed_at.append(len(prefix.admitted) if prefix is not None else 0)
+            return adjudicate(items, cfg, oracle, prefix=prefix)
+
+        monkeypatch.setattr(harness, "advance", spying_advance)
+        monkeypatch.setattr(harness, "adjudicate", spying_adjudicate)
+        for rec in wrong_unsat + perm + guard + stopping:
+            advances.clear()
+            resumed_at.clear()
+            assert minimize(rec).as_dict() == restarting_minimize(rec).as_dict()
+            # The prefix state is never asked to pass a clause where the
+            # list's run stops, and under ``perm`` it is never built.
+            assert None not in advances
+            if rec in perm:
+                assert not advances and set(resumed_at) == {0}
+        # The relabelled record's list never changes: after the fresh run,
+        # the candidate that drops clause i resumes from the state after
+        # ``min(i, k)`` clauses, k being where the run stops, and the ones
+        # past k repeat the stop.
+        k = relabelled.solver_outcome["failing_clause"]
+        assert resumed_at == [0] + [min(i, k) for i in range(34)]
+
+    def test_scan_ends_once_every_clause_is_rejected_in_a_row(self, monkeypatch):
+        # The restarting scan runs one more pass after its last removal,
+        # repeating rejected candidates; the cyclic scan skips them.
+        calls = {"cyclic": 0, "restarting": 0}
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(harness, "adjudicate", counting("cyclic", harness.adjudicate))
+        monkeypatch.setattr(helpers, "adjudicate", counting("restarting", helpers.adjudicate))
+        fewer = False
+        for rec in self.wrong_unsat_records(SolveConfig(), 8, 34, 3):
+            calls.update(cyclic=0, restarting=0)
+            assert minimize(rec).as_dict() == restarting_minimize(rec).as_dict()
+            assert calls["cyclic"] <= calls["restarting"]
+            fewer = fewer or calls["cyclic"] < calls["restarting"]
+        assert fewer
 
 
 class TestFitComplexity:

@@ -4,7 +4,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from understanding_sat.cnf import Assignment, build_instance, evaluate
 from understanding_sat.engine import Contradiction, EngineState
@@ -16,11 +16,12 @@ from understanding_sat.solver import (
     SolveConfig,
     SolverOutcome,
     _finalize,
+    advance,
     extract_assignment,
     solve,
 )
 
-from helpers import full_sign_instance, order_trap_instance, random_instance
+from helpers import full_sign_instance, order_trap_instance, random_instance, snapshot
 
 
 class TestVerdicts:
@@ -260,3 +261,54 @@ def test_sat_outcomes_self_verify(seed):
     elif out.kind == "unsat":
         assert 0 <= out.failing_clause < len(inst.clauses)
     assert out.ops >= 1
+
+
+class TestResume:
+    def test_prefix_under_permuted_order_raises(self):
+        inst = order_trap_instance()
+        prefix = advance(None, inst, SolveConfig())
+        with pytest.raises(ValueError, match="input clause order"):
+            solve(inst, SolveConfig(clause_order="perm", order_seed=0), prefix=prefix)
+
+
+@settings(max_examples=25)
+@given(
+    st.integers(min_value=6, max_value=12).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.integers(2 * n, 5 * n), st.integers(0, 10_000), st.integers(0, 10_000)
+        )
+    )
+)
+def test_resumed_run_equals_a_fresh_run(case):
+    # For each k at which a plain run has admitted clauses[:k] without
+    # stopping, an instance that shares those clauses and differs after
+    # them, resumed from the state at k, runs exactly as it would afresh.
+    n, m, seed, tail_seed = case
+    cfg = SolveConfig(trace=True)
+    inst = gen_random(GenSpec(n=n, m=m, seed=seed))
+    tail = [c.literals for c in gen_random(GenSpec(n=n, m=m, seed=tail_seed)).clauses]
+    prefix = None
+    for k in range(len(inst.clauses) + 1):
+        other = build_instance(n, [c.literals for c in inst.clauses[:k]] + tail[k:])
+        assert other.clauses[:k] == inst.clauses[:k]
+        before = None
+        if prefix is not None:
+            log = prefix.log
+            before = (prefix.values[:], prefix.pins[:], log.ops, len(log.events))
+        resumed = solve(other, cfg, prefix=prefix)
+        fresh = solve(other, cfg)
+        if prefix is not None:
+            log = prefix.log
+            assert (prefix.values, prefix.pins, log.ops, len(log.events)) == before
+        for field in ("kind", "ops", "failing_clause", "anomaly", "guard_trips", "gaps", "trace"):
+            assert getattr(resumed, field) == getattr(fresh, field), field
+        assert resumed.as_dict() == fresh.as_dict()
+        assert (resumed.state is None) == (fresh.state is None)
+        if fresh.state is not None:
+            assert resumed.state.inst is other
+            assert snapshot(resumed.state) == snapshot(fresh.state)
+        if k == len(inst.clauses):
+            break
+        prefix = advance(prefix, inst, cfg)
+        if prefix is None:
+            break
