@@ -9,13 +9,13 @@ their input; ``algorithm_d`` returns the rewritten fork on success.
 ``algorithm_d`` asks the same freeing check many times in one run: about
 70% of its checks on random instances repeat a (companion, restricted
 view) pair already answered.  ``_freeing_check`` runs each distinct check
-once per run and stores its answer, ``ops`` and events in the run log;
-a repeat replays them.  The key names the state's concept index by its
-``version``, so building it reads no concepts; a repeat on an index
-whose concepts match but whose version differs runs again, which costs
-time and never a wrong answer.  A replayed check is indistinguishable
-from a fresh one: same answer, same ``ops``, same events at the same
-steps and counters.  A check that trips a guard is not stored.
+once per concept index and stores its answer, ``ops`` and events with
+the index (``EngineState.checks``); a repeat replays them.  The store
+belongs to the index, so the key reads no concepts; a repeat on another
+index whose concepts match runs again, which costs time and never a
+wrong answer.  A replayed check is indistinguishable from a fresh one:
+same answer, same ``ops``, same events at the same steps and counters.
+A check that trips a guard is not stored.
 """
 
 from __future__ import annotations
@@ -56,12 +56,12 @@ def algorithm_g(state: EngineState, literal: int) -> bool:
 
 def _freeing_check(state: EngineState, literal: int) -> bool:
     """``algorithm_g(state.restrict_to(literal), literal)``, run at most
-    once per run for each distinct key.
+    once per concept index for each distinct key.
 
-    The key is ``state.view_key(literal)``: the literal, the index's
-    ``version`` and the values, pins and not-true constraints, so equal
-    keys mean equal views.  On a miss the view is built, the check runs and
-    its answer, ``ops`` and events go into ``state.log.checks``; on a hit
+    The key is ``state.view_key(literal)``: the literal and the values,
+    pins and not-true constraints, so equal keys in one index's store mean
+    equal views.  On a miss the view is built, the check runs and its
+    answer, ``ops`` and events go into ``state.checks``; on a hit
     each stored event is emitted again at the counter it had relative to
     the check's start, and the stored ``ops`` are added.
     ``GuardExceeded`` propagates and stores nothing, so a repeat trips the
@@ -70,7 +70,7 @@ def _freeing_check(state: EngineState, literal: int) -> bool:
     log = state.log
     key = state.view_key(literal)
     start = log.ops
-    stored = log.checks.get(key)
+    stored = state.checks.get(key)
     if stored is None:
         step = len(log.events)
         answer = algorithm_g(state.restrict_to(literal), literal)
@@ -78,7 +78,7 @@ def _freeing_check(state: EngineState, literal: int) -> bool:
             (e["kind"], e["literal"], e["old"], e["new"], e["clause"], e["counter"] - start)
             for e in log.events[step:]
         )
-        log.checks[key] = (answer, log.ops - start, events)
+        state.checks[key] = (answer, log.ops - start, events)
         return answer
     answer, ops, events = stored
     for kind, lit, old, new, clause, counter in events:
@@ -106,8 +106,8 @@ def algorithm_d(
     it, then pinned true with the fixpoint recomputed.  Companions in
     ``history`` are skipped.  A concept none of whose companions works
     fails the whole call.  The check goes through ``_freeing_check``,
-    which answers a repeat of an earlier check of the run from the run
-    log: ``ops`` and the trace come out as if every check ran.
+    which answers a repeat of an earlier check on the same index from the
+    index's store: ``ops`` and the trace come out as if every check ran.
 
     Returns the rewritten fork (with the literal free) or None.  The
     caller's state is never touched.  ``depth_guard`` caps recursion depth

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import count
 
 from .cnf import Clause, Instance
 
@@ -46,8 +45,6 @@ FREE: TruthValue = "e"
 _FLIP = {TRUE: FALSE, FALSE: TRUE, FREE: FREE}
 
 ConceptKey = tuple[int, int]  # (origin clause id, focus literal)
-
-_versions = count()  # process-wide, so states on different logs never share one
 
 
 def flip(value: TruthValue) -> TruthValue:
@@ -70,34 +67,18 @@ class Contradiction:
 
 class RunLog:
     """Shared per-run accounting: the basic-operation counter, guard trip
-    counts, (when enabled) the append-only trace of events, and the
-    answers of the freeing checks already run.
+    counts and (when enabled) the append-only trace of events.
 
     Forked states and restricted views share the log of their parent, so
     work done on discarded branches still counts toward the run and stays
-    visible in the trace.
-
-    ``checks`` maps ``EngineState.view_key(literal)``, which names the
-    state's index by its ``version`` rather than by its content, to what
-    ``algorithm_g(state.restrict_to(literal), literal)`` did the first
-    time the run asked it: its answer, the ``ops`` it added and the events
-    it emitted, each event's ``counter`` taken relative to the check's
-    start.  ``algorithms._freeing_check`` replays that record on a
-    repeat, so a check answered from here leaves ``ops`` and the trace
-    exactly as running it again would.  ``enabled`` is fixed for the life
-    of the log, so a stored event list is complete whenever it is
-    replayed.  ``solve`` empties ``checks`` when its run ends.
+    visible in the trace.  ``enabled`` is fixed for the life of the log.
 
     ``copy`` carries ``ops``, the guard trips, the gaps and the events (a
-    new list of the same event dicts) into a new log with an empty
-    ``checks``; a run resumed from a saved state continues on it.  The
-    empty store is exact, not a loss: every stored key names an index
-    ``version`` drawn before the saved state's last concept insert, and
-    the resumed run only ever sees that state's own version or newer
-    ones, so no stored check would have been asked again.
+    new list of the same event dicts) into a new log; a run resumed from
+    a saved state continues on it.
     """
 
-    __slots__ = ("ops", "events", "enabled", "guard_trips", "paper_gaps", "checks")
+    __slots__ = ("ops", "events", "enabled", "guard_trips", "paper_gaps")
 
     def __init__(self, enabled: bool = False):
         self.ops = 0
@@ -105,7 +86,6 @@ class RunLog:
         self.enabled = enabled
         self.guard_trips = 0
         self.paper_gaps = 0
-        self.checks: dict = {}
 
     def copy(self) -> "RunLog":
         log = RunLog(self.enabled)
@@ -144,20 +124,28 @@ class EngineState:
     holds the literals that may be free or false but not computed true
     (only ``algorithm_g``'s attempt forks have any); none is pinned true.
 
-    The concept index (``concepts``, ``by_focus``, ``by_member`` and
-    ``admitted``) is copy-on-write.  ``fork`` hands the child the
-    parent's index and marks both states as sharing it; whichever of them
-    next inserts a concept copies the index first and owns its copy from
-    then on, so neither ever sees the other's later inserts.  (A concept
-    is removed only to undo its insert on the same state, which already
-    owns its index by then.)  Values and assumptions are copied on every
-    fork; ``restrict_to`` builds a view with an index of its own.  Code
-    outside this class reads the index and never changes it.
+    The concept index (``concepts``, ``by_focus`` and ``by_member``) is
+    copy-on-write.  ``fork`` hands the child the parent's index and marks
+    both states as sharing it; whichever of them next inserts a concept
+    copies the index first and owns its copy from then on, so neither
+    ever sees the other's later inserts.  (A concept is removed only to
+    undo its insert on the same state, which already owns its index by
+    then.)  Values and assumptions are copied on every fork;
+    ``restrict_to`` builds a view with an index of its own.  Code outside
+    this class reads the index and never changes it.
 
-    ``version`` names the index: equal versions mean equal indexes.
-    ``__init__``, ``_index`` and ``_remove_concept`` each draw a fresh one
-    from a process-wide counter (so an insert undone by a contradiction
-    leaves a new one); ``fork`` copies it and ``_own_index`` keeps it.
+    ``checks`` stores the freeing checks already run on this index: it
+    maps ``view_key(literal)`` to what
+    ``algorithm_g(state.restrict_to(literal), literal)`` did the first
+    time it was asked, its answer, the ``ops`` it added and the events it
+    emitted (each ``counter`` relative to the check's start).  ``fork``
+    shares the dict along with the index; ``__init__`` (so every view)
+    and ``insert_concept`` give the state a fresh one, which an insert
+    undone by a contradiction leaves in place.  States that share a store
+    therefore share an index, and the key need only name the rest of the
+    view.  A stored event list replays what the state's log recorded, so
+    a state is moved to another log only with a fresh store, as ``solve``
+    does when it resumes a run.
 
     ``unmet[lit]`` is the number of concepts focused on ``lit`` whose two
     companions are both not true, reading each companion's effective
@@ -180,13 +168,12 @@ class EngineState:
         "concepts",
         "by_focus",
         "by_member",
-        "admitted",
         "pins",
         "not_true",
         "unmet",
         "log",
         "_shared",
-        "version",
+        "checks",
     )
 
     def __init__(self, inst: Instance, log: RunLog | None = None):
@@ -195,13 +182,12 @@ class EngineState:
         self.concepts: dict[ConceptKey, tuple[int, int]] = {}
         self.by_focus: dict[int, list[ConceptKey]] = {}
         self.by_member: dict[int, list[ConceptKey]] = {}
-        self.admitted: set[int] = set()
         self.pins: list[TruthValue] = [""] * (2 * inst.variable_count + 1)
         self.not_true: set[int] = set()
         self.unmet: list[int] = [0] * (2 * inst.variable_count + 1)
         self.log = log if log is not None else RunLog()
         self._shared = False  # the index may be another state's too
-        self.version = next(_versions)
+        self.checks: dict = {}
 
     # -- reads ---------------------------------------------------------
 
@@ -381,15 +367,14 @@ class EngineState:
             raise ValueError(f"focus {focus} not in clause {clause.id}")
         self._own_index()
         self._index(key, tuple(lit for lit in clause.literals if lit != focus))
+        self.checks = {}
         return key
 
     def _index(self, key: ConceptKey, members: tuple[int, int]) -> None:
-        self.version = next(_versions)
         self.concepts[key] = members
         self.by_focus.setdefault(key[1], []).append(key)
         for m in members:
             self.by_member.setdefault(m, []).append(key)
-        self.admitted.add(key[0])
         if not self._covered(members):
             self.unmet[key[1]] += 1
 
@@ -399,13 +384,12 @@ class EngineState:
             self.concepts = dict(self.concepts)
             self.by_focus = {k: list(v) for k, v in self.by_focus.items()}
             self.by_member = {k: list(v) for k, v in self.by_member.items()}
-            self.admitted = set(self.admitted)
             self._shared = False
 
-    def _remove_concept(self, key: ConceptKey, newly_admitted: bool) -> None:
+    def _remove_concept(self, key: ConceptKey) -> None:
         # Only ever undoes an insert_concept on this same state, so the
-        # index is already this state's own copy.
-        self.version = next(_versions)
+        # index is already this state's own copy, and its store the empty
+        # one the insert gave it.
         members = self.concepts.pop(key)
         focus = key[1]
         if not self._covered(members):
@@ -417,21 +401,18 @@ class EngineState:
             self.by_member[m].remove(key)
             if not self.by_member[m]:
                 del self.by_member[m]
-        if newly_admitted:
-            self.admitted.discard(key[0])
 
     def add_concept(self, clause: Clause, focus: int) -> Contradiction | None:
         """Admit one concept and propagate; atomic on contradiction."""
-        newly = clause.id not in self.admitted
         key = self.insert_concept(clause, focus)
         self.log.emit("ADD_CONCEPT", literal=focus, clause=clause.id)
         try:
             res = self.compute_fixpoint([focus])
         except GuardExceeded:
-            self._remove_concept(key, newly)
+            self._remove_concept(key)
             raise
         if res is not None:
-            self._remove_concept(key, newly)
+            self._remove_concept(key)
         return res
 
     # -- copies --------------------------------------------------------
@@ -440,9 +421,9 @@ class EngineState:
         """Observationally independent copy sharing the run log.
 
         Only the values, the assumptions and ``unmet`` are copied.  The
-        concept index is shared with this state until either of the two
-        inserts a concept, which copies it first (see the class
-        docstring).
+        concept index and its stored checks are shared with this state
+        until either of the two inserts a concept, which copies the index
+        first (see the class docstring).
         """
         self._shared = True
         n = object.__new__(EngineState)
@@ -451,19 +432,18 @@ class EngineState:
         n.concepts = self.concepts
         n.by_focus = self.by_focus
         n.by_member = self.by_member
-        n.admitted = self.admitted
         n.pins = self.pins[:]
         n.not_true = set(self.not_true)
         n.unmet = self.unmet[:]
         n.log = self.log
         n._shared = True
-        n.version = self.version
+        n.checks = self.checks
         return n
 
     def restrict_to(self, literal: int) -> "EngineState":
         """Copy restricted to the admitted clauses that contain the
         literal or its negation; values and assumptions carry over
-        unchanged.  The view owns its index.
+        unchanged.  The view owns its index and an empty store of checks.
 
         Every concept of a clause holds all three of the clause's
         literals, as focus or companion, so the kept concepts are exactly
@@ -485,17 +465,13 @@ class EngineState:
         return n
 
     def view_key(self, literal: int) -> tuple:
-        """Key of ``(literal, restrict_to(literal))`` for the run log's
-        stored checks: the index is named by ``version``, not read.
-
-        Equal keys mean equal views (same index, literal, values, pins and
-        not-true constraints), but not the converse: indexes that differ
-        only outside the view, or were built apart, never share a version.
-        Pins are joined by ``|`` because an unpinned slot is empty.
+        """Key of ``(literal, restrict_to(literal))`` in ``checks``, whose
+        states all share one index: the literal, values, pins and
+        not-true constraints.  Pins are joined by ``|`` because an
+        unpinned slot is empty.
         """
         return (
             literal,
-            self.version,
             "".join(self.values),
             "|".join(self.pins),
             tuple(sorted(self.not_true)),

@@ -25,6 +25,10 @@ from .oracle import OracleVerdict, brute_force, dpll
 from .solver import SolveConfig, SolverOutcome, advance, solve
 
 DISAGREEMENT_KINDS = ("FalseSat", "FalseUnsat", "Anomaly")
+# The fewest decided runs, and the smallest max/min clause-count ratio,
+# that ``fit_complexity`` fits a growth exponent to.
+FIT_MIN_SAMPLES = 5
+FIT_MIN_SPREAD = 4.0
 # The keys a stored counterexample record must have, with their JSON types.
 RECORD_KEYS = {
     "dimacs": str,
@@ -42,11 +46,8 @@ class GenSpec:
     n: int
     m: int
     seed: int
-    model: str = "uniform-3sat"
 
     def validate(self) -> None:
-        if self.model != "uniform-3sat":
-            raise ValueError(f"unknown model {self.model!r}")
         if self.n < 0 or self.m < 0:
             raise ValueError("n and m must be non-negative")
         capacity = 8 * math.comb(self.n, 3)
@@ -363,20 +364,21 @@ class FitResult:
     m_max: int
 
 
-def fit_complexity(samples, min_samples: int = 5, min_spread: float = 4.0) -> FitResult:
+def fit_complexity(samples) -> FitResult:
     """Least-squares fit of log(ops) against log(m) over decided runs.
 
     The slope estimates the growth exponent.  Requires at least
-    ``min_samples`` usable points spanning a ``min_spread`` factor in m,
-    otherwise the fit would be meaningless and a ValueError is raised.
+    ``FIT_MIN_SAMPLES`` usable points spanning a ``FIT_MIN_SPREAD`` factor
+    in m, otherwise the fit would be meaningless and a ValueError is
+    raised.
     """
     usable = [s for s in samples if s.kind in ("sat", "unsat") and s.ops > 0 and s.m > 0]
-    if len(usable) < min_samples:
-        raise ValueError(f"need at least {min_samples} decided samples, got {len(usable)}")
+    if len(usable) < FIT_MIN_SAMPLES:
+        raise ValueError(f"need at least {FIT_MIN_SAMPLES} decided samples, got {len(usable)}")
     ms = [s.m for s in usable]
-    if max(ms) / min(ms) < min_spread:
+    if max(ms) / min(ms) < FIT_MIN_SPREAD:
         raise ValueError(
-            f"clause counts span only {max(ms) / min(ms):.2f}x, need {min_spread}x"
+            f"clause counts span only {max(ms) / min(ms):.2f}x, need {FIT_MIN_SPREAD}x"
         )
     xs = [math.log(s.m) for s in usable]
     ys = [math.log(s.ops) for s in usable]

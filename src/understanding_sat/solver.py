@@ -168,7 +168,7 @@ def _outcome(
     """Log the verdict and build the outcome; ``clause`` is the failing
     clause of a run that stopped early."""
     log = state.log
-    log.checks.clear()  # the run asks no more checks; the outcome need not hold them
+    state.checks = {}  # the run asks no more checks; the outcome need not hold them
     failing = clause.id if clause is not None else None
     log.emit("VERDICT", new=kind, clause=failing)
     return SolverOutcome(
@@ -190,19 +190,21 @@ def solve(
 
     ``prefix`` resumes the run from a state that ``advance`` built under
     the same config and input clause order, from instances whose first
-    ``k`` clauses are ``inst``'s first ``k`` (``k`` is the number of
-    clauses the prefix admitted).  Input order admits those clauses first
-    and the prefix holds what admitting them did, so the run reads the
-    rest of ``inst`` exactly as a fresh one would: the outcome, ``ops``,
-    guard trips, gaps and trace all match ``solve(inst, cfg)``.  The
-    prefix and its log are not changed.  A plain run is this loop resumed
-    from the empty state.  Under ``perm`` order the first ``k`` clauses
-    admitted are not ``inst``'s first ``k``, so a prefix raises
-    ValueError.
+    ``k`` clauses are ``inst``'s first ``k``.  ``k`` is the number of
+    clauses the prefix admitted, ``len(prefix.concepts) // 3``: every
+    admitted clause holds its three concepts, and ``advance`` returns no
+    state where an admission stopped part way.  Input order admits those
+    clauses first and the prefix holds what admitting them did, so the
+    run reads the rest of ``inst`` exactly as a fresh one would: the
+    outcome, ``ops``, guard trips, gaps and trace all match
+    ``solve(inst, cfg)``.  The prefix, its log and its stored checks are
+    not changed.  A plain run is this loop resumed from the empty state.
+    Under ``perm`` order the first ``k`` clauses admitted are not
+    ``inst``'s first ``k``, so a prefix raises ValueError.
     """
     cfg = cfg if cfg is not None else SolveConfig()
     state = _resume(inst, cfg, prefix)
-    for cid in _clause_order(inst, cfg)[len(state.admitted) :]:
+    for cid in _clause_order(inst, cfg)[len(state.concepts) // 3 :]:
         clause = inst.clauses[cid]
         status, state = _admit(state, clause, cfg)
         if status != "ok":
@@ -221,7 +223,7 @@ def advance(prefix: EngineState | None, inst: Instance, cfg: SolveConfig) -> Eng
     when a run stops at that clause.  Input clause order only; ``prefix``
     is not changed."""
     state = _resume(inst, cfg, prefix)
-    status, state = _admit(state, inst.clauses[len(state.admitted)], cfg)
+    status, state = _admit(state, inst.clauses[len(state.concepts) // 3], cfg)
     return state if status == "ok" else None
 
 
@@ -233,6 +235,7 @@ def _resume(inst: Instance, cfg: SolveConfig, prefix: EngineState | None) -> Eng
     state = prefix.fork()
     state.inst = inst
     state.log = prefix.log.copy()
+    state.checks = {}  # the resumed run never writes into the prefix's store
     return state
 
 

@@ -207,7 +207,7 @@ def sweep_assumption_check(
     - ``dead``: admissions that failed (no deeper states behind them)
     - ``comparisons``: (state, literal) pairs checked
     - ``memo_hits``: comparisons answered from the restricted-view cache
-      (keyed by ``view_snapshot``, so a hit builds no view)
+      (keyed by ``view_memo_key``, so a hit builds no view)
     - ``divergences``: comparisons where the two answers differ
     - ``unsound``: divergences where the check approves but the
       conditions reject (the direction that would break soundness)
@@ -256,7 +256,7 @@ def sweep_assumption_check(
                 for lit in (var, -var):
                     if state.value(lit) != FREE:
                         continue
-                    key = (lit, view_snapshot(state, lit))
+                    key = view_memo_key(state, lit)
                     if key in memo:
                         stats["memo_hits"] += 1
                         check, conditions = memo[key]
@@ -315,32 +315,45 @@ def snapshot(state: EngineState):
     return (
         tuple((lit, values[lit]) for lit in lits if values[lit] != FREE),
         tuple(sorted(state.concepts.items())),
-        tuple(sorted(state.admitted)),
+        tuple(sorted({key[0] for key in state.concepts})),
         tuple((lit, pins[lit]) for lit in lits if pins[lit]),
         tuple(sorted(state.not_true)),
     )
 
 
-def view_snapshot(state: EngineState, literal: int):
-    """``snapshot(state.restrict_to(literal))``, read off the state's
-    own index without building the view: the view keeps the concepts
-    indexed under the literal or its negation, as focus or companion."""
+def view_memo_key(state: EngineState, literal: int) -> tuple:
+    """Exact key of ``(literal, snapshot(state.restrict_to(literal)))``,
+    read off the state's own index without building the view, as one flat
+    tuple: the literal; the values of the positive literals, of the
+    negative ones, and likewise the pins, each joined into one string with
+    its trailing free (unpinned) slots cut, so that equal views over
+    different variable counts share a key as their snapshots do; the
+    number of not-true literals, then those literals; then the origin
+    clause, focus and two companions of every kept concept in key order.
+    The view keeps the concepts indexed under the literal or its negation,
+    as focus or companion."""
     keys = set()
     for lit in (literal, -literal):
         keys.update(state.by_focus.get(lit, ()))
         keys.update(state.by_member.get(lit, ()))
-    keys = sorted(keys)
-    concepts = state.concepts
+    n = state.inst.variable_count
     values = state.values
     pins = state.pins
-    n = state.inst.variable_count
-    return (
-        tuple((lit, values[lit]) for lit in range(-n, n + 1) if values[lit] != FREE),
-        tuple((key, concepts[key]) for key in keys),
-        tuple(sorted({key[0] for key in keys})),
-        tuple((lit, pins[lit]) for lit in range(-n, n + 1) if pins[lit]),
-        tuple(sorted(state.not_true)),
-    )
+    not_true = sorted(state.not_true)
+    flat = [
+        literal,
+        "".join(values[1 : n + 1]).rstrip(FREE),
+        "".join(values[:n:-1]).rstrip(FREE),
+        "|".join(pins[1 : n + 1]).rstrip("|"),
+        "|".join(pins[:n:-1]).rstrip("|"),
+        len(not_true),
+        *not_true,
+    ]
+    concepts = state.concepts
+    for key in sorted(keys):
+        flat += key
+        flat += concepts[key]
+    return tuple(flat)
 
 
 def scanning_restrict_to(state: EngineState, literal: int) -> EngineState:
@@ -349,13 +362,12 @@ def scanning_restrict_to(state: EngineState, literal: int) -> EngineState:
     admitted clause, then filter every concept and index list."""
     keep = {
         cid
-        for cid in state.admitted
+        for cid in {key[0] for key in state.concepts}
         if literal in state.inst.clauses[cid].literals
         or -literal in state.inst.clauses[cid].literals
     }
     view = EngineState(state.inst, state.log)
     view.values = state.values[:]
-    view.admitted = keep
     view.concepts = {k: v for k, v in state.concepts.items() if k[0] in keep}
     for index, out in (
         (state.by_focus, view.by_focus),

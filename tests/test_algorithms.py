@@ -223,7 +223,9 @@ def test_repair_matches_rebuilding_reference(seed):
     ]
 
     def run(repair, lam, guard):
-        st_.log = RunLog(enabled=True)
+        # A stored check replays the events its own log recorded, so a
+        # state moved to a new log starts a new store, as a resumed run does.
+        st_.log, st_.checks = RunLog(enabled=True), {}
         try:
             res = repair(st_, lam, depth_guard=guard)
         except GuardExceeded:
@@ -253,7 +255,7 @@ def _run(inst, cfg):
     st.sampled_from(("input", "perm")),
 )
 def test_stored_checks_leave_every_run_as_it_was(n, seed, order):
-    # A check answered from the run log must leave the run exactly as
+    # A check answered from its index's store must leave the run exactly as
     # running it again does: verdict, ops, failing clause, guard trips,
     # gaps and every event, steps and counters included.
     rng = random.Random(seed)
@@ -283,7 +285,7 @@ def test_repeated_checks_are_replayed_not_run():
                 solve(inst)
         asked, calls = calls, 0
         for inst in insts:
-            assert solve(inst).state.log.checks == {}
+            assert solve(inst).state.checks == {}
     assert 0 < 2 * calls < asked
 
 
@@ -309,9 +311,10 @@ def _fresh_check(state, literal):
 
 def test_stored_checks_tell_clause_ids_apart_by_their_literals():
     # Clause 0 holds other literals in the two instances; the concept
-    # keys of the views of -2 are the same, and the answers are not.
+    # keys and the ``view_key``s of the views of -2 are the same, and the
+    # answers are not.  Each index keeps its answer in a store of its own.
     log = RunLog(enabled=True)
-    answers = []
+    states, answers = [], []
     for first in ((1, -1, -2), (-1, -2, 3)):
         inst = build_instance(3, [first, (1, -1, 2)])
         state = EngineState(inst, log)
@@ -319,8 +322,12 @@ def test_stored_checks_tell_clause_ids_apart_by_their_literals():
         state.insert_concept(inst.clauses[1], 1)
         assert _check_on_log(state, -2) == _fresh_check(state, -2)
         answers.append(_check_on_log(state, -2)[0])
+        states.append(state)
     assert answers == [False, True]
-    assert len(log.checks) == 2
+    a, b = states
+    assert a.view_key(-2) == b.view_key(-2)
+    assert a.checks is not b.checks
+    assert len(a.checks) == len(b.checks) == 1
 
 
 @given(st.integers(min_value=0, max_value=100_000))
@@ -335,7 +342,7 @@ def test_instances_sharing_a_log_never_share_a_wrong_check(seed):
     for _ in range(3):
         inst = random_instance(rng, n, m)
         _, state = admitted_state(inst, upto=rng.randint(0, len(inst.clauses)))
-        state.log = log
+        state.log, state.checks = log, {}  # a store replays its own log's events
         states.append(state)
     for _ in range(2):
         for state in states:
@@ -361,12 +368,12 @@ def test_guard_tripping_check_is_not_stored():
                 algorithms._freeing_check(state, 1)
             events = [(e["kind"], e["literal"], e["counter"] - ops) for e in log.events[step:]]
             tripped.append((log.guard_trips - trips, log.ops - ops, events))
-            assert log.checks == {}
+            assert state.checks == {}
     assert tripped[0] == tripped[1]
     assert tripped[0][0] == 1 and tripped[0][1] > 0
     # Without the patched cap the same check completes and is stored.
     assert _check_on_log(state, 1) == _fresh_check(state, 1)
-    assert len(log.checks) == 1
+    assert len(state.checks) == 1
 
 
 def test_conditions_miss_support_retraction_cascades():

@@ -36,7 +36,7 @@ from helpers import (
     scanning_unmet,
     snapshot,
     soundness_violations,
-    view_snapshot,
+    view_memo_key,
 )
 
 
@@ -235,8 +235,7 @@ class TestViews:
         status, st_ = admitted_state(inst)
         assert status == "ok"
         view = st_.restrict_to(1)
-        assert view.admitted == {0, 2}
-        assert all(key[0] in (0, 2) for key in view.concepts)
+        assert {key[0] for key in view.concepts} == {0, 2}
         # values carry over untouched
         for lit in (1, -1, 2, -2, 3, -3, 4, -4):
             assert view.value(lit) == st_.value(lit)
@@ -249,6 +248,21 @@ class TestViews:
         view = st_.restrict_to(3)
         assert view.concepts[(0, 3)] == (1, 2)
         assert view.pins[2] == TRUE
+
+
+@pytest.mark.parametrize(
+    "build",
+    [EngineState.fork, lambda state: state.restrict_to(1), lambda state: state.log.copy()],
+    ids=["fork", "restrict_to", "RunLog.copy"],
+)
+def test_copies_set_every_slot(build):
+    # ``fork`` fills a bare object slot by slot; the others go through
+    # ``__init__``.  A slot left unset would fail only on a later read.
+    inst = build_instance(4, [(1, 2, 3), (-1, -2, 3), (2, -3, 4)])
+    status, st_ = admitted_state(inst)
+    assert status == "ok"
+    built = build(st_)
+    assert [slot for slot in type(built).__slots__ if not hasattr(built, slot)] == []
 
 
 class TestCopyIsolation:
@@ -383,10 +397,12 @@ def test_restrict_to_matches_scanning_reference(states):
 
 @given(staged_states(), st.integers(min_value=0, max_value=10_000))
 def test_views_are_read_off_the_index(states, seed):
-    # ``view_snapshot`` (the a4 sweep's memo key) equals the built view's
-    # snapshot, and two states whose ``view_key``s (the run log's key for
-    # a freeing check) are equal have equal built views.  The converse is
-    # not asked: the key names the index by version, not by content.
+    # ``view_memo_key`` (the a4 sweep's memo key) is read off the index
+    # yet equals the built view's own, and two keys are equal exactly when
+    # the built views' snapshots are.  Two states that share a store of
+    # checks and have equal ``view_key``s have equal built views.  The
+    # converse is not asked: a store belongs to one index, so indexes
+    # with equal content built apart never share one.
     rng = random.Random(seed)
     parent, child = states
     n = parent.inst.variable_count
@@ -396,13 +412,18 @@ def test_views_are_read_off_the_index(states, seed):
         extra.add_not_true(rng.choice(literals))
     states = (parent, child, extra, extra.fork())
     for lit in literals:
-        snapshots = [snapshot(state.restrict_to(lit)) for state in states]
-        for state, snap in zip(states, snapshots):
-            assert view_snapshot(state, lit) == snap
-        for (a, snap_a), (b, snap_b) in itertools.combinations(zip(states, snapshots), 2):
-            if a.view_key(lit) == b.view_key(lit):
-                assert snap_a == snap_b
+        views = [state.restrict_to(lit) for state in states]
+        snapshots = [snapshot(view) for view in views]
+        keys = [view_memo_key(state, lit) for state in states]
+        for state, view, key in zip(states, views, keys):
+            assert view_memo_key(view, lit) == key
+        for i, j in itertools.combinations(range(len(states)), 2):
+            assert (keys[i] == keys[j]) == (snapshots[i] == snapshots[j])
+            a, b = states[i], states[j]
+            if a.checks is b.checks and a.view_key(lit) == b.view_key(lit):
+                assert snapshots[i] == snapshots[j]
         assert parent.view_key(lit) != parent.view_key(-lit)
+        assert view_memo_key(parent, lit) != view_memo_key(parent, -lit)
 
 
 def test_view_key_tells_variable_counts_apart():
@@ -417,7 +438,7 @@ def test_view_key_tells_variable_counts_apart():
 
 
 def test_view_key_tells_pins_apart():
-    # Forks of one staged state (so one version, equal stored values) with
+    # Forks of one staged state (so one store, equal stored values) with
     # no pin, a pin on 1 or a pin on 2.  An unpinned slot of ``pins`` is
     # empty, so without separators the last two would both read "tf".
     inst = build_instance(3, [(1, 2, 3)])
@@ -429,9 +450,15 @@ def test_view_key_tells_pins_apart():
         if pin is not None:
             assert st_.pin_literal(pin, TRUE)
         states.append(st_)
-    assert all(st_.version == staged.version for st_ in states)
+    assert all(st_.checks is staged.checks for st_ in states)
     assert all(st_.values == staged.values for st_ in states)
     assert len({st_.view_key(3) for st_ in states}) == 3
+
+
+def _stored_under(state, literal):
+    """Where a freeing check of ``literal`` on ``state`` is stored: the
+    store (by identity, all states here being alive) and the key in it."""
+    return id(state.checks), state.view_key(literal)
 
 
 def _two_clause_state():
@@ -445,31 +472,40 @@ def test_fork_that_inserts_nothing_shares_the_key():
     parent = _two_clause_state()
     child = parent.fork()
     grandchild = child.fork()
+    assert child.checks is parent.checks is grandchild.checks
     for lit in (1, -1, 4):
-        assert child.view_key(lit) == parent.view_key(lit) == grandchild.view_key(lit)
+        assert (
+            _stored_under(child, lit)
+            == _stored_under(parent, lit)
+            == _stored_under(grandchild, lit)
+        )
 
 
 def test_insert_outside_the_view_changes_the_key():
     # The concept (1, 4) holds no 1 or -1, so the views of 1 stay equal,
-    # yet the child's index is no longer the parent's: a new key.
+    # yet the child's index is no longer the parent's: a fresh store.
     parent = _two_clause_state()
+    store = parent.checks
     child = parent.fork()
     child.insert_concept(child.inst.clauses[1], 4)
     assert snapshot(child.restrict_to(1)) == snapshot(parent.restrict_to(1))
-    assert child.view_key(1) != parent.view_key(1)
-    # The parent keeps its own index and its key.
-    assert parent.view_key(1) == parent.fork().view_key(1)
+    assert child.checks is not store and child.checks == {}
+    assert _stored_under(child, 1) != _stored_under(parent, 1)
+    # The parent keeps its own index and its store.
+    assert parent.checks is store
+    assert _stored_under(parent, 1) == _stored_under(parent.fork(), 1)
 
 
 def test_add_concept_undone_by_contradiction_changes_the_key():
     inst = build_instance(3, [(1, 2, 3), (-1, 2, 3)])
     st_ = fresh_state(inst)
     assert st_.add_concept(inst.clauses[0], 1) is None
-    before = (snapshot(st_), st_.view_key(2))
+    before = (snapshot(st_), st_.checks, _stored_under(st_, 2))
     res = st_.add_concept(inst.clauses[1], -1)
     assert isinstance(res, Contradiction) and res.reason == "needed-and-opposed"
     assert snapshot(st_) == before[0]
-    assert st_.view_key(2) != before[1]
+    assert st_.checks is not before[1] and st_.checks == {}
+    assert _stored_under(st_, 2) != before[2]
 
 
 def test_states_built_apart_never_share_a_key():
@@ -479,9 +515,11 @@ def test_states_built_apart_never_share_a_key():
     for st_ in states:
         st_.insert_concept(inst.clauses[0], 1)
     assert len({snapshot(st_) for st_ in states}) == 1
-    assert len({st_.view_key(1) for st_ in states}) == len(states)
-    assert len({st_.restrict_to(1).view_key(1) for st_ in states}) == len(states)
-    assert fresh_state(inst).view_key(1) != fresh_state(inst).view_key(1)
+    assert len({_stored_under(st_, 1) for st_ in states}) == len(states)
+    views = [st_.restrict_to(1) for st_ in states]
+    assert len({_stored_under(view, 1) for view in states + views}) == 2 * len(states)
+    a, b = fresh_state(inst), fresh_state(inst)
+    assert _stored_under(a, 1) != _stored_under(b, 1)
 
 
 def _unmet_mismatches(state):

@@ -26,17 +26,13 @@ from understanding_sat.harness import (
     run_oracle,
 )
 from understanding_sat.oracle import OracleVerdict
-from understanding_sat.solver import ANOMALY_GUARD, SolveConfig, SolverOutcome, advance
+from understanding_sat.solver import ANOMALY_GUARD, SolveConfig, SolverOutcome, advance, solve
 
 import helpers
 from helpers import fuzz_specs, order_trap_instance, removable_clauses, restarting_minimize
 
 
 class TestGenSpec:
-    def test_unknown_model_rejected(self):
-        with pytest.raises(ValueError):
-            GenSpec(n=5, m=5, seed=1, model="planted").validate()
-
     def test_negative_sizes_rejected(self):
         with pytest.raises(ValueError):
             GenSpec(n=-1, m=2, seed=1).validate()
@@ -217,7 +213,7 @@ class TestMinimize:
             return state
 
         def spying_adjudicate(items, cfg=None, oracle="auto", *, prefix=None):
-            resumed_at.append(len(prefix.admitted) if prefix is not None else 0)
+            resumed_at.append(len(prefix.concepts) // 3 if prefix is not None else 0)
             return adjudicate(items, cfg, oracle, prefix=prefix)
 
         monkeypatch.setattr(harness, "advance", spying_advance)
@@ -237,6 +233,30 @@ class TestMinimize:
         # past k repeat the stop.
         k = relabelled.solver_outcome["failing_clause"]
         assert resumed_at == [0] + [min(i, k) for i in range(34)]
+
+    def test_resumed_runs_leave_the_prefix_store_empty_and_its_own(self, monkeypatch):
+        # A run resumed from a prefix state stores its freeing checks
+        # apart from the prefix: after ``minimize`` and after resumed
+        # ``solve`` calls, each prefix state still holds the store it was
+        # built with, and it is empty.
+        prefixes = []
+
+        def spying_advance(prefix, inst, cfg):
+            state = advance(prefix, inst, cfg)
+            if state is not None:
+                prefixes.append((state, state.checks, inst))
+            return state
+
+        monkeypatch.setattr(harness, "advance", spying_advance)
+        for rec in self.wrong_unsat_records(SolveConfig(), 8, 34, 3):
+            prefixes.clear()
+            minimize(rec)
+            assert prefixes
+            for state, store, _ in prefixes:
+                assert state.checks is store and store == {}
+            for state, store, inst in prefixes:
+                assert solve(inst, prefix=state).ops == solve(inst).ops
+                assert state.checks is store and store == {}
 
     def test_scan_ends_once_every_clause_is_rejected_in_a_row(self, monkeypatch):
         # The restarting scan runs one more pass after its last removal,
