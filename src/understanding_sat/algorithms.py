@@ -123,7 +123,9 @@ def algorithm_d(
             f"recursion depth guard ({depth_guard}) exceeded freeing {literal}"
         )
     log = state.log
-    log.emit("D_ENTER", literal=literal)
+    traced = log.enabled
+    if traced:
+        log.emit("D_ENTER", literal=literal)
     # ``work`` is read, never changed, until it is replaced by a trial,
     # which is always a private fork; until then it may be ``state``.
     work = state
@@ -134,29 +136,37 @@ def algorithm_d(
     concepts = state.concepts
     considered: set = set()
     while True:
-        key = next(
-            (k for k in keys if k not in considered and not work._covered(concepts[k])),
-            None,
-        )
-        if key is None:
+        values = work.values
+        pins = work.pins
+        for key in keys:
+            if key in considered:
+                continue
+            m1, m2 = members = concepts[key]
+            if (pins[m1] or values[m1]) != TRUE and (pins[m2] or values[m2]) != TRUE:
+                break
+        else:
             break
         considered.add(key)
-        log.emit("D_CONCEPT", literal=literal, clause=key[0])
+        if traced:
+            log.emit("D_CONCEPT", literal=literal, clause=key[0])
         covered = False
-        for companion in work.concepts[key]:
+        for companion in members:
             if companion in history:
                 continue
-            log.emit("D_MEMBER", literal=companion, old=work.value(companion), clause=key[0])
+            value = values[companion]
+            if traced:
+                log.emit("D_MEMBER", literal=companion, old=value, clause=key[0])
             candidate = None
-            if work.value(companion) == FALSE:
-                log.emit("D_RECURSE", literal=companion)
+            if value == FALSE:
+                if traced:
+                    log.emit("D_RECURSE", literal=companion)
                 candidate = algorithm_d(
                     work, companion, history | {literal}, depth_guard=depth_guard
                 )
                 if candidate is None:
                     continue
             basis = candidate if candidate is not None else work
-            if basis.value(companion) != FREE:
+            if basis.values[companion] != FREE:
                 # Companions of a C+ concept are free or false; a false
                 # one was just freed above, so this cannot trigger.
                 continue
@@ -171,16 +181,19 @@ def algorithm_d(
             covered = True
             break
         if not covered:
-            log.emit("D_RESULT", literal=literal, new="none")
+            if traced:
+                log.emit("D_RESULT", literal=literal, new="none")
             return None
     if work is state:
         work = state.fork()
     res = work.compute_fixpoint([literal])
-    if res is not None or work.value(literal) != FREE:
+    if res is not None or work.values[literal] != FREE:
         # The concepts forcing the literal false were all covered, yet the
         # literal did not come out free; surface as a gap, not a success.
-        work.log.paper_gaps += 1
-        log.emit("D_RESULT", literal=literal, new="gap")
+        log.paper_gaps += 1
+        if traced:
+            log.emit("D_RESULT", literal=literal, new="gap")
         return None
-    log.emit("D_RESULT", literal=literal, new="ok")
+    if traced:
+        log.emit("D_RESULT", literal=literal, new="ok")
     return work

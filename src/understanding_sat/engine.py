@@ -139,7 +139,7 @@ class EngineState:
     ``algorithm_g(state.restrict_to(literal), literal)`` did the first
     time it was asked, its answer, the ``ops`` it added and the events it
     emitted (each ``counter`` relative to the check's start).  ``fork``
-    shares the dict along with the index; ``__init__`` (so every view)
+    shares the dict along with the index; ``__init__``, ``restrict_to``
     and ``insert_concept`` give the state a fresh one, which an insert
     undone by a contradiction leaves in place.  States that share a store
     therefore share an index, and the key need only name the rest of the
@@ -155,11 +155,12 @@ class EngineState:
     equal to that scan, each stepping it only when a literal's effective
     truth actually changes or a concept enters or leaves the index:
     ``_index`` and ``_remove_concept`` (a concept's own contribution),
-    ``_set_pair`` (every stored-value write, so ``compute_fixpoint`` and
-    ``_rollback``; a pinned polarity is skipped, its effective value does
-    not move) and ``pin_literal``.  ``fork`` copies it with the values;
-    ``restrict_to`` sets the values and assumptions before indexing, so its
-    view's count comes out right by construction.
+    ``_set_pair`` (every stored-value write: ``_rollback``'s, and
+    ``compute_fixpoint``'s, which writes it out in its loop; a pinned
+    polarity is skipped, its effective value does not move) and
+    ``pin_literal``.  ``fork`` copies it with the values; ``restrict_to``
+    sets the values and assumptions before indexing, so its view's count
+    comes out right by construction.
     """
 
     __slots__ = (
@@ -201,39 +202,6 @@ class EngineState:
     def concepts_focused(self, literal: int) -> list[ConceptKey]:
         """Concept keys focused on ``literal``, ascending by origin clause."""
         return sorted(self.by_focus.get(literal, ()))
-
-    def _reevaluate_pair(self, var: int) -> TruthValue | Contradiction:
-        """Two basic operations, one per polarity: the value of ``var``
-        under the current concepts and assumptions (``-var`` takes its flip),
-        or a Contradiction marker.  The contradictions are tried in this
-        order: ``var`` needed and opposed, ``var``'s pin opposed, ``var``
-        forced true while not-true, ``-var`` forced true while not-true.
-        One found on ``var`` costs one operation: ``-var`` is not reached.
-        """
-        log = self.log
-        log.ops += 2
-        p = self.unmet[var] > 0
-        q = self.unmet[-var] > 0
-        if p and q:
-            log.ops -= 1
-            return Contradiction(var, "needed-and-opposed")
-        computed = TRUE if p else FALSE if q else FREE
-        pins = self.pins
-        pin = pins[var]
-        if pin:
-            if computed != FREE and computed != pin:
-                log.ops -= 1
-                return Contradiction(var, "pin-conflict")
-            if pins[-var] != _FLIP[pin]:
-                raise AssertionError(f"coupling broke during recomputation of variable {var}")
-            return pin
-        if computed == TRUE:
-            if var in self.not_true:
-                log.ops -= 1
-                return Contradiction(var, "not-true-forced")
-        elif computed == FALSE and -var in self.not_true:
-            return Contradiction(-var, "not-true-forced")
-        return computed
 
     # -- assumptions ---------------------------------------------------
 
@@ -298,27 +266,26 @@ class EngineState:
             if (pins[other] or values[other]) != TRUE:
                 unmet[key[1]] += step
 
-    def _dependents(self, literal: int) -> list[int]:
-        # Variables whose focused concepts contain either polarity of the
-        # changed literal; their values may need recomputation.
-        out = set()
-        for lit in (literal, -literal):
-            for key in self.by_member.get(lit, ()):
-                out.add(abs(key[1]))
-        return sorted(out)
-
     def _step_cap(self) -> int:
         return 64 + 8 * (len(self.concepts) + 1) * (2 * self.inst.variable_count + 2)
 
     def compute_fixpoint(self, seeds) -> Contradiction | None:
         """Recompute values starting from ``seeds`` until stable.
 
-        FIFO worklist over variables, seeded in index order; each step
-        reevaluates both polarities of one (``_reevaluate_pair``).  A value
-        change re-enqueues, in index order, every variable whose focused
-        concepts mention the changed pair.  On contradiction every value
-        change made by this call is rolled back before returning the
-        witness.
+        FIFO worklist over variables, seeded in index order.  Each step
+        reevaluates both polarities of one variable, two basic operations
+        (``-var`` takes the flip of ``var``'s value), or stops at a
+        Contradiction, which costs one operation when found on ``var``:
+        ``-var`` is not reached.  They are tried in this order: ``var``
+        needed and opposed, ``var``'s pin opposed, ``var`` forced true
+        while not-true, ``-var`` forced true while not-true.  A value
+        change is written as ``_set_pair`` writes it and re-enqueues, in
+        index order, every variable whose focused concepts mention the
+        changed pair.  On contradiction every value change made by this
+        call is rolled back before returning the witness.
+
+        The step is written out in the loop, with no call per step, because
+        it is the engine's innermost work.
         """
         queue: deque[int] = deque()
         queued: set[int] = set()
@@ -327,31 +294,79 @@ class EngineState:
             queued.add(var)
         undo: list[tuple[int, TruthValue]] = []
         values = self.values
+        pins = self.pins
+        unmet = self.unmet
+        not_true = self.not_true
+        by_member = self.by_member
+        concepts = self.concepts
+        log = self.log
+        traced = log.enabled
         steps = 0
         cap = self._step_cap()
         while queue:
             steps += 1
             if steps > cap:
                 self._rollback(undo)
-                self.log.guard_trips += 1
+                log.guard_trips += 1
                 raise GuardExceeded("fixpoint step guard exceeded")
             var = queue.popleft()
             queued.discard(var)
-            r = self._reevaluate_pair(var)
-            if isinstance(r, Contradiction):
-                self._rollback(undo)
-                self.log.emit("CONTRADICTION", literal=r.witness, new=r.reason)
-                return r
+            neg = -var
+            log.ops += 2
+            if unmet[var] > 0:
+                if unmet[neg] > 0:
+                    log.ops -= 1
+                    witness, reason = var, "needed-and-opposed"
+                    break
+                new = TRUE
+            else:
+                new = FALSE if unmet[neg] > 0 else FREE
+            pin = pins[var]
+            if pin:
+                if new != FREE and new != pin:
+                    log.ops -= 1
+                    witness, reason = var, "pin-conflict"
+                    break
+                if pins[neg] != _FLIP[pin]:
+                    raise AssertionError(f"coupling broke during recomputation of variable {var}")
+                new = pin
+            elif new == TRUE:
+                if var in not_true:
+                    log.ops -= 1
+                    witness, reason = var, "not-true-forced"
+                    break
+            elif new == FALSE and neg in not_true:
+                witness, reason = neg, "not-true-forced"
+                break
             old = values[var]
-            if r != old:
-                undo.append((var, old))
-                self._set_pair(var, r)
-                self.log.emit("SET", literal=var, old=old, new=r)
-                for dep in self._dependents(var):
-                    if dep not in queued:
-                        queue.append(dep)
-                        queued.add(dep)
-        return None
+            if new == old:
+                continue
+            undo.append((var, old))
+            deps = set()
+            for lit, v in ((var, new), (neg, _FLIP[new])):
+                keys = by_member.get(lit, ())
+                was_true = values[lit] == TRUE
+                values[lit] = v
+                if was_true != (v == TRUE) and not pins[lit]:
+                    step = 1 if was_true else -1
+                    for key in keys:
+                        m1, m2 = concepts[key]
+                        other = m2 if m1 == lit else m1
+                        if (pins[other] or values[other]) != TRUE:
+                            unmet[key[1]] += step
+                for key in keys:
+                    deps.add(abs(key[1]))
+            if traced:
+                log.emit("SET", literal=var, old=old, new=new)
+            for dep in sorted(deps):
+                if dep not in queued:
+                    queue.append(dep)
+                    queued.add(dep)
+        else:
+            return None
+        self._rollback(undo)
+        log.emit("CONTRADICTION", literal=witness, new=reason)
+        return Contradiction(witness, reason)
 
     def _rollback(self, undo) -> None:
         for var, old in reversed(undo):
@@ -365,8 +380,9 @@ class EngineState:
             raise ValueError(f"concept {key} already present")
         if focus not in clause.literals:
             raise ValueError(f"focus {focus} not in clause {clause.id}")
+        a, b, c = clause.literals
         self._own_index()
-        self._index(key, tuple(lit for lit in clause.literals if lit != focus))
+        self._index(key, (b, c) if focus == a else (a, c) if focus == b else (a, b))
         self.checks = {}
         return key
 
@@ -455,13 +471,28 @@ class EngineState:
         for lit in (literal, -literal):
             keys.update(self.by_focus.get(lit, ()))
             keys.update(self.by_member.get(lit, ()))
-        n = EngineState(self.inst, self.log)
-        n.values = self.values[:]
-        n.pins = self.pins[:]
+        n = object.__new__(EngineState)
+        n.inst = self.inst
+        n.values = values = self.values[:]
+        n.pins = pins = self.pins[:]
         n.not_true = set(self.not_true)
-        concepts = self.concepts
+        n.unmet = unmet = [0] * len(values)
+        n.log = self.log
+        n._shared = False
+        n.checks = {}
+        n.concepts = concepts = {}
+        n.by_focus = by_focus = {}
+        n.by_member = by_member = {}
+        # ``_index`` written out, in the same order.
+        source = self.concepts
         for key in sorted(keys):
-            n._index(key, concepts[key])
+            concepts[key] = m1, m2 = source[key]
+            focus = key[1]
+            by_focus.setdefault(focus, []).append(key)
+            by_member.setdefault(m1, []).append(key)
+            by_member.setdefault(m2, []).append(key)
+            if (pins[m1] or values[m1]) != TRUE and (pins[m2] or values[m2]) != TRUE:
+                unmet[focus] += 1
         return n
 
     def view_key(self, literal: int) -> tuple:

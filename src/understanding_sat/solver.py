@@ -127,10 +127,13 @@ def _admit_clause(state: EngineState, clause: Clause, cfg: SolveConfig):
     """Admit one clause; returns (status, state) where status is ``ok``,
     ``unsat`` or ``anomaly`` and state may be a rewritten fork."""
     log = state.log
+    traced = log.enabled
     lits = clause.literals
-    log.emit("U1_CLAUSE", clause=clause.id)
+    if traced:
+        log.emit("U1_CLAUSE", clause=clause.id)
     if all(state.value(l) == FALSE for l in lits):
-        log.emit("U2_ALLFALSE", clause=clause.id)
+        if traced:
+            log.emit("U2_ALLFALSE", clause=clause.id)
         guard = cfg.depth_guard_factor * (2 * state.inst.variable_count) + 1
         adopted = None
         for lam in lits:
@@ -141,14 +144,16 @@ def _admit_clause(state: EngineState, clause: Clause, cfg: SolveConfig):
         if adopted is None:
             return "unsat", state
         state = adopted
-    for lit in lits:
-        log.emit("U3_VALUE", literal=lit, old=state.value(lit), clause=clause.id)
+    if traced:
+        for lit in lits:
+            log.emit("U3_VALUE", literal=lit, old=state.value(lit), clause=clause.id)
     remaining = list(lits)
     while remaining:
         non_false = [l for l in remaining if state.value(l) != FALSE]
         pick = (non_false or remaining)[0]
         remaining.remove(pick)
-        log.emit("U3_PICK", literal=pick, old=state.value(pick), clause=clause.id)
+        if traced:
+            log.emit("U3_PICK", literal=pick, old=state.value(pick), clause=clause.id)
         res = state.add_concept(clause, pick)
         if isinstance(res, Contradiction):
             return "anomaly", state

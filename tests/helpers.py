@@ -117,7 +117,7 @@ def soundness_violations(state: EngineState) -> list[int]:
     out = [
         var
         for var in range(1, state.inst.variable_count + 1)
-        if not state.pins[var] and state._reevaluate_pair(var) != state.values[var]
+        if not state.pins[var] and reevaluate_pair(state, var) != state.values[var]
     ]
     state.log.ops = ops
     return out
@@ -496,8 +496,54 @@ def rebuilding_algorithm_d(
     return work
 
 
+def reevaluate_pair(state: EngineState, var: int):
+    """Reference for one step of ``EngineState.compute_fixpoint``, which
+    writes it out in its loop: two basic operations, one per polarity:
+    the value of ``var`` under the current concepts and assumptions
+    (``-var`` takes its flip), or a Contradiction marker.  The
+    contradictions are tried in this order: ``var`` needed and opposed,
+    ``var``'s pin opposed, ``var`` forced true while not-true, ``-var``
+    forced true while not-true.  One found on ``var`` costs one
+    operation: ``-var`` is not reached."""
+    log = state.log
+    log.ops += 2
+    p = state.unmet[var] > 0
+    q = state.unmet[-var] > 0
+    if p and q:
+        log.ops -= 1
+        return Contradiction(var, "needed-and-opposed")
+    computed = TRUE if p else FALSE if q else FREE
+    pins = state.pins
+    pin = pins[var]
+    if pin:
+        if computed != FREE and computed != pin:
+            log.ops -= 1
+            return Contradiction(var, "pin-conflict")
+        if pins[-var] != flip(pin):
+            raise AssertionError(f"coupling broke during recomputation of variable {var}")
+        return pin
+    if computed == TRUE:
+        if var in state.not_true:
+            log.ops -= 1
+            return Contradiction(var, "not-true-forced")
+    elif computed == FALSE and -var in state.not_true:
+        return Contradiction(-var, "not-true-forced")
+    return computed
+
+
+def dependents(state: EngineState, literal: int) -> list[int]:
+    """Reference for the variables ``compute_fixpoint`` re-enqueues after
+    a change to the literal's pair, in index order: those whose focused
+    concepts contain either polarity of the literal."""
+    out = set()
+    for lit in (literal, -literal):
+        for key in state.by_member.get(lit, ()):
+            out.add(abs(key[1]))
+    return sorted(out)
+
+
 def reevaluate_literal(state: EngineState, literal: int):
-    """Reference for one polarity of ``EngineState._reevaluate_pair``:
+    """Reference for one polarity of ``reevaluate_pair``:
     one basic operation, the literal's value under the current concepts
     and assumptions, or a Contradiction marker."""
     state.log.ops += 1
@@ -554,7 +600,7 @@ def pairwise_compute_fixpoint(state: EngineState, seeds):
             undo.append((var, old))
             state._set_pair(var, r_pos)
             state.log.emit("SET", literal=var, old=old, new=r_pos)
-            for dep in state._dependents(var):
+            for dep in dependents(state, var):
                 if dep not in queued:
                     queue.append(dep)
                     queued.add(dep)
