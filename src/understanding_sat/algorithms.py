@@ -33,24 +33,30 @@ def algorithm_g(state: EngineState, literal: int) -> bool:
     contradiction answers yes; exhaustion (or no concepts at all) answers
     no.
     """
-    if state.value(literal) != FREE:
+    if state.values[literal] != FREE:
         raise ValueError("algorithm_g requires a free literal")
     log = state.log
-    log.emit("G_ENTER", literal=literal)
+    traced = log.enabled
+    if traced:
+        log.emit("G_ENTER", literal=literal)
     base = state.fork()
     if not base.pin_literal(literal, TRUE):
-        log.emit("G_RESULT", literal=literal, new="false")
+        if traced:
+            log.emit("G_RESULT", literal=literal, new="false")
         return False
-    log.emit("G_PIN", literal=literal, new=TRUE)
+    if traced:
+        log.emit("G_PIN", literal=literal, new=TRUE)
     for key in base.concepts_focused(literal):
         m1, m2 = base.concepts[key]
         attempt = base.fork()
         if not (attempt.add_not_true(m1) and attempt.add_not_true(m2)):
             continue
         if attempt.compute_fixpoint([literal, m1, m2]) is None:
-            log.emit("G_RESULT", literal=literal, new="true", clause=key[0])
+            if traced:
+                log.emit("G_RESULT", literal=literal, new="true", clause=key[0])
             return True
-    log.emit("G_RESULT", literal=literal, new="false")
+    if traced:
+        log.emit("G_RESULT", literal=literal, new="false")
     return False
 
 
@@ -63,7 +69,10 @@ def _freeing_check(state: EngineState, literal: int) -> bool:
     equal views.  On a miss the view is built, the check runs and its
     answer, ``ops`` and events go into ``state.checks``; on a hit
     each stored event is emitted again at the counter it had relative to
-    the check's start, and the stored ``ops`` are added.
+    the check's start, and the stored ``ops`` are added.  On an untraced
+    log no events are gathered, so a hit emits none; that is exact
+    because ``enabled`` is fixed for a log's life and a state moves to
+    another log only with a fresh store.
     ``GuardExceeded`` propagates and stores nothing, so a repeat trips the
     guard again.
     """
@@ -74,10 +83,12 @@ def _freeing_check(state: EngineState, literal: int) -> bool:
     if stored is None:
         step = len(log.events)
         answer = algorithm_g(state.restrict_to(literal), literal)
-        events = tuple(
-            (e["kind"], e["literal"], e["old"], e["new"], e["clause"], e["counter"] - start)
-            for e in log.events[step:]
-        )
+        events = ()
+        if log.enabled:
+            events = tuple(
+                (e["kind"], e["literal"], e["old"], e["new"], e["clause"], e["counter"] - start)
+                for e in log.events[step:]
+            )
         state.checks[key] = (answer, log.ops - start, events)
         return answer
     answer, ops, events = stored
@@ -115,7 +126,7 @@ def algorithm_d(
     no default: ``solve`` derives it from its config, and every recursive
     call passes it on unchanged.
     """
-    if state.value(literal) != FALSE:
+    if state.values[literal] != FALSE:
         raise ValueError("algorithm_d requires a false literal")
     if len(history) >= depth_guard:
         state.log.guard_trips += 1
@@ -135,6 +146,7 @@ def algorithm_d(
     keys = state.concepts_focused(-literal)
     concepts = state.concepts
     considered: set = set()
+    deeper = None  # ``history | {literal}``, built at the first recursion
     while True:
         values = work.values
         pins = work.pins
@@ -160,9 +172,9 @@ def algorithm_d(
             if value == FALSE:
                 if traced:
                     log.emit("D_RECURSE", literal=companion)
-                candidate = algorithm_d(
-                    work, companion, history | {literal}, depth_guard=depth_guard
-                )
+                if deeper is None:
+                    deeper = history | {literal}
+                candidate = algorithm_d(work, companion, deeper, depth_guard=depth_guard)
                 if candidate is None:
                     continue
             basis = candidate if candidate is not None else work

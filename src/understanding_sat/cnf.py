@@ -9,6 +9,7 @@ legal input).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 
@@ -62,29 +63,26 @@ class Instance:
         )
 
 
-def _check_clause(literals: tuple[int, ...], variable_count: int) -> None:
+def _check_clause(literals: tuple[int, ...], variable_count: int) -> tuple[int, ...]:
     if len(literals) != 3 or len(set(literals)) != 3:
         raise ValueError(f"clause needs exactly 3 distinct literals: {literals}")
     for lit in literals:
         if lit == 0 or abs(lit) > variable_count:
             raise ValueError(f"literal {lit} out of range for n={variable_count}")
+    return literals
 
 
-def build_instance(variable_count: int, clause_literals) -> Instance:
-    """Assemble an instance from literal tuples, dropping duplicate clauses.
+# The engine and the oracles index lists by literal, 2n + 1 slots: a
+# larger count has no list to index.
+_MAX_VARIABLES = (sys.maxsize - 1) // 2
 
-    Duplicates are clauses with an identical literal set; the first
-    occurrence wins and keeps its literal order.  Clause ids are dense and
-    follow input order.
-    """
-    if variable_count < 0:
-        raise ValueError("variable count must be non-negative")
+
+def _assemble(variable_count: int, clause_literals) -> Instance:
+    # Clauses already checked, as tuples; drops the duplicates.
     clauses: list[Clause] = []
     seen: set[frozenset[int]] = set()
     dropped = 0
     for lits in clause_literals:
-        lits = tuple(lits)
-        _check_clause(lits, variable_count)
         key = frozenset(lits)
         if key in seen:
             dropped += 1
@@ -94,17 +92,36 @@ def build_instance(variable_count: int, clause_literals) -> Instance:
     return Instance(variable_count=variable_count, clauses=clauses, dedup_count=dropped)
 
 
+def build_instance(variable_count: int, clause_literals) -> Instance:
+    """Assemble an instance from literal tuples, dropping duplicate clauses.
+
+    Duplicates are clauses with an identical literal set; the first
+    occurrence wins and keeps its literal order.  Clause ids are dense and
+    follow input order.  A variable count below 0, or whose ``2n + 1``
+    exceeds ``sys.maxsize``, raises ValueError.
+    """
+    if variable_count < 0:
+        raise ValueError("variable count must be non-negative")
+    if variable_count > _MAX_VARIABLES:
+        raise ValueError(f"variable count {variable_count} is too large to index")
+    return _assemble(
+        variable_count, (_check_clause(tuple(lits), variable_count) for lits in clause_literals)
+    )
+
+
 def parse_dimacs(text: str) -> Instance:
     """Parse DIMACS CNF text into an Instance.
 
     Comment lines start with ``c``.  The header ``p cnf <n> <m>`` must
-    appear before any clause line.  The declared clause count ``m`` must
-    be a non-negative integer but is otherwise not enforced: the clause
-    lines that follow decide how many clauses the instance has.  Each clause line is whitespace
-    separated nonzero integers terminated by ``0``; duplicate literals in
-    a clause collapse, and after collapsing exactly three distinct
-    literals must remain.  Duplicate clauses are dropped (counted in
-    ``dedup_count``).
+    appear before any clause line.  ``n`` is rejected when ``2n + 1``
+    exceeds ``sys.maxsize``, as ``build_instance`` rejects it.  The
+    declared clause count ``m`` must be a non-negative integer but is
+    otherwise not enforced: the clause lines that follow decide how many
+    clauses the instance has.  Each clause line is whitespace separated
+    nonzero integers terminated by ``0``; duplicate literals in a clause
+    collapse, and after collapsing exactly three distinct literals must
+    remain.  Each clause is checked here once.  Duplicate clauses are
+    dropped (counted in ``dedup_count``).
     """
     variable_count = None
     raw_clauses: list[tuple[int, ...]] = []
@@ -124,6 +141,10 @@ def parse_dimacs(text: str) -> Instance:
                 raise DimacsError(f"line {lineno}: malformed header {line!r}") from None
             if variable_count < 0 or declared < 0:
                 raise DimacsError(f"line {lineno}: malformed header {line!r}")
+            if variable_count > _MAX_VARIABLES:
+                raise DimacsError(
+                    f"line {lineno}: variable count {variable_count} is too large to index"
+                )
             continue
         if variable_count is None:
             raise DimacsError(f"line {lineno}: clause before header")
@@ -152,7 +173,7 @@ def parse_dimacs(text: str) -> Instance:
         raw_clauses.append(tuple(lits))
     if variable_count is None:
         raise DimacsError("missing header")
-    return build_instance(variable_count, raw_clauses)
+    return _assemble(variable_count, raw_clauses)
 
 
 def emit_dimacs(inst: Instance) -> str:

@@ -31,6 +31,7 @@ state is rolled back to what it was on entry.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 
@@ -76,6 +77,10 @@ class RunLog:
     ``copy`` carries ``ops``, the guard trips, the gaps and the events (a
     new list of the same event dicts) into a new log; a run resumed from
     a saved state continues on it.
+
+    Every call site checks ``enabled`` before it calls ``emit`` (a stored
+    freeing check holds events to replay only on a traced log), so an
+    untraced run never calls it and builds no event arguments.
     """
 
     __slots__ = ("ops", "events", "enabled", "guard_trips", "paper_gaps")
@@ -125,14 +130,17 @@ class EngineState:
     (only ``algorithm_g``'s attempt forks have any); none is pinned true.
 
     The concept index (``concepts``, ``by_focus`` and ``by_member``) is
-    copy-on-write.  ``fork`` hands the child the parent's index and marks
-    both states as sharing it; whichever of them next inserts a concept
-    copies the index first and owns its copy from then on, so neither
-    ever sees the other's later inserts.  (A concept is removed only to
-    undo its insert on the same state, which already owns its index by
-    then.)  Values and assumptions are copied on every fork;
-    ``restrict_to`` builds a view with an index of its own.  Code outside
-    this class reads the index and never changes it.
+    copy-on-write.  Each ``by_focus`` list is kept in ascending key order,
+    that is by origin clause, as ``_index`` inserts into it: an insert in
+    input order appends, any other goes to its place.  ``fork`` hands the
+    child the parent's index and marks both states as sharing it;
+    whichever of them next inserts a concept copies the index first and
+    owns its copy from then on, so neither ever sees the other's later
+    inserts.  (A concept is removed only to undo its insert on the same
+    state, which already owns its index by then.)  Values and assumptions
+    are copied on every fork; ``restrict_to`` builds a view with an index
+    of its own, inserting in key order.  Code outside this class reads
+    the index and never changes it.
 
     ``checks`` stores the freeing checks already run on this index: it
     maps ``view_key(literal)`` to what
@@ -200,8 +208,13 @@ class EngineState:
         return self.pins[literal] or self.values[literal]
 
     def concepts_focused(self, literal: int) -> list[ConceptKey]:
-        """Concept keys focused on ``literal``, ascending by origin clause."""
-        return sorted(self.by_focus.get(literal, ()))
+        """Concept keys focused on ``literal``, ascending by origin clause.
+
+        This is the index's own list, already in that order: read it and
+        never change it.  It holds until this state next inserts or
+        removes a concept.
+        """
+        return self.by_focus.get(literal) or []
 
     # -- assumptions ---------------------------------------------------
 
@@ -270,7 +283,8 @@ class EngineState:
         return 64 + 8 * (len(self.concepts) + 1) * (2 * self.inst.variable_count + 2)
 
     def compute_fixpoint(self, seeds) -> Contradiction | None:
-        """Recompute values starting from ``seeds`` until stable.
+        """Recompute values starting from ``seeds``, a list of literals,
+        until stable.
 
         FIFO worklist over variables, seeded in index order.  Each step
         reevaluates both polarities of one variable, two basic operations
@@ -287,11 +301,15 @@ class EngineState:
         The step is written out in the loop, with no call per step, because
         it is the engine's innermost work.
         """
-        queue: deque[int] = deque()
-        queued: set[int] = set()
-        for var in sorted({abs(s) for s in seeds}):
-            queue.append(var)
-            queued.add(var)
+        if len(seeds) == 1:
+            # Nearly every call has one seed: admission, repair's pin.
+            var = abs(seeds[0])
+            queue = deque((var,))
+            queued = {var}
+        else:
+            ordered = sorted({abs(s) for s in seeds})
+            queue = deque(ordered)
+            queued = set(ordered)
         undo: list[tuple[int, TruthValue]] = []
         values = self.values
         pins = self.pins
@@ -365,7 +383,8 @@ class EngineState:
         else:
             return None
         self._rollback(undo)
-        log.emit("CONTRADICTION", literal=witness, new=reason)
+        if traced:
+            log.emit("CONTRADICTION", literal=witness, new=reason)
         return Contradiction(witness, reason)
 
     def _rollback(self, undo) -> None:
@@ -388,11 +407,16 @@ class EngineState:
 
     def _index(self, key: ConceptKey, members: tuple[int, int]) -> None:
         self.concepts[key] = members
-        self.by_focus.setdefault(key[1], []).append(key)
+        focus = key[1]
+        focused = self.by_focus.setdefault(focus, [])
+        if not focused or focused[-1] < key:
+            focused.append(key)
+        else:
+            insort(focused, key)
         for m in members:
             self.by_member.setdefault(m, []).append(key)
         if not self._covered(members):
-            self.unmet[key[1]] += 1
+            self.unmet[focus] += 1
 
     def _own_index(self) -> None:
         """Copy a shared concept index before changing it."""
@@ -421,7 +445,8 @@ class EngineState:
     def add_concept(self, clause: Clause, focus: int) -> Contradiction | None:
         """Admit one concept and propagate; atomic on contradiction."""
         key = self.insert_concept(clause, focus)
-        self.log.emit("ADD_CONCEPT", literal=focus, clause=clause.id)
+        if self.log.enabled:
+            self.log.emit("ADD_CONCEPT", literal=focus, clause=clause.id)
         try:
             res = self.compute_fixpoint([focus])
         except GuardExceeded:

@@ -131,7 +131,9 @@ def _admit_clause(state: EngineState, clause: Clause, cfg: SolveConfig):
     lits = clause.literals
     if traced:
         log.emit("U1_CLAUSE", clause=clause.id)
-    if all(state.value(l) == FALSE for l in lits):
+    values = state.values
+    a, b, c = lits
+    if values[a] == FALSE and values[b] == FALSE and values[c] == FALSE:
         if traced:
             log.emit("U2_ALLFALSE", clause=clause.id)
         guard = cfg.depth_guard_factor * (2 * state.inst.variable_count) + 1
@@ -144,16 +146,22 @@ def _admit_clause(state: EngineState, clause: Clause, cfg: SolveConfig):
         if adopted is None:
             return "unsat", state
         state = adopted
+        values = state.values
     if traced:
         for lit in lits:
-            log.emit("U3_VALUE", literal=lit, old=state.value(lit), clause=clause.id)
+            log.emit("U3_VALUE", literal=lit, old=values[lit], clause=clause.id)
+    # Each concept goes in on the first literal still not false, or the
+    # first left when all are; ``add_concept`` changes ``values`` in place.
     remaining = list(lits)
     while remaining:
-        non_false = [l for l in remaining if state.value(l) != FALSE]
-        pick = (non_false or remaining)[0]
+        for pick in remaining:
+            if values[pick] != FALSE:
+                break
+        else:
+            pick = remaining[0]
         remaining.remove(pick)
         if traced:
-            log.emit("U3_PICK", literal=pick, old=state.value(pick), clause=clause.id)
+            log.emit("U3_PICK", literal=pick, old=values[pick], clause=clause.id)
         res = state.add_concept(clause, pick)
         if isinstance(res, Contradiction):
             return "anomaly", state
@@ -175,7 +183,8 @@ def _outcome(
     log = state.log
     state.checks = {}  # the run asks no more checks; the outcome need not hold them
     failing = clause.id if clause is not None else None
-    log.emit("VERDICT", new=kind, clause=failing)
+    if log.enabled:
+        log.emit("VERDICT", new=kind, clause=failing)
     return SolverOutcome(
         kind=kind,
         failing_clause=failing,
@@ -258,17 +267,19 @@ def _admit(state: EngineState, clause: Clause, cfg: SolveConfig):
 
 
 def _finalize(state: EngineState, inst: Instance, cfg: SolveConfig) -> SolverOutcome:
+    values = state.values
     understanding = {}
     for var in range(1, inst.variable_count + 1):
-        understanding[var] = state.value(var)
-        understanding[-var] = state.value(-var)
+        understanding[var] = values[var]
+        understanding[-var] = values[-var]
     try:
         assignment = extract_assignment(understanding, inst, cfg.default_free)
     except ValueError:
         assignment = None
     verified = assignment is not None and not evaluate(inst, assignment)
     each_clause_witnessed = all(
-        any(state.value(l) == TRUE for l in c.literals) for c in inst.clauses
+        values[a] == TRUE or values[b] == TRUE or values[c] == TRUE
+        for a, b, c in (clause.literals for clause in inst.clauses)
     )
     if not verified or not each_clause_witnessed:
         return _outcome(

@@ -400,6 +400,20 @@ class TestErrors:
         assert cli.main(["fuzz", "--n", "5", "--count", "0"]) == 0
         assert json.loads(capsys.readouterr().out)["total"] == 0
 
+    @pytest.mark.parametrize(
+        "argv", [["solve"], ["oracle", "--method", "dpll"]], ids=["solve", "oracle-dpll"]
+    )
+    def test_variable_count_too_large_to_index(self, tmp_path, capsys, argv):
+        # 2n + 1 literal slots past sys.maxsize: refused at the header,
+        # before anything sized by n is built.
+        path = tmp_path / "huge.cnf"
+        path.write_text("p cnf 10000000000000000000 1\n1 2 3 0\n", encoding="utf-8")
+        assert cli.main(argv + [str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: line 1: variable count 10000000000000000000")
+        assert err.count("\n") == 1
+
     def test_bad_dimacs(self, tmp_path, capsys):
         bad = tmp_path / "bad.cnf"
         bad.write_text("p cnf 3 1\n1 2 3\n", encoding="utf-8")

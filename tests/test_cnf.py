@@ -1,5 +1,7 @@
 """Instance model, DIMACS parsing/emission, assignment evaluation."""
 
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -43,6 +45,17 @@ class TestBuildInstance:
     def test_rejects_negative_variable_count(self):
         with pytest.raises(ValueError):
             build_instance(-1, [])
+
+    def test_rejects_variable_count_too_large_to_index(self):
+        # The largest count whose 2n + 1 literal slots fit an index is
+        # accepted; nothing sized by n is built without clauses.
+        largest = (sys.maxsize - 1) // 2
+        assert build_instance(largest, []).variable_count == largest
+        assert parse_dimacs(f"p cnf {largest} 0\n").variable_count == largest
+        with pytest.raises(ValueError, match=f"variable count {largest + 1} is too large"):
+            build_instance(largest + 1, [])
+        with pytest.raises(DimacsError, match=f"line 2: variable count {largest + 1} is too large"):
+            parse_dimacs(f"c\np cnf {largest + 1} 1\n1 2 3 0\n")
 
     def test_equality_ignores_literal_order_within_clause(self):
         a = build_instance(3, [(1, 2, 3), (-1, 2, -3)])

@@ -532,11 +532,25 @@ def _unmet_mismatches(state):
     ]
 
 
+def _focus_order_mismatches(state):
+    # Each ``by_focus`` list in ascending key order, and what
+    # ``concepts_focused`` hands out equal to a sorted scan of the store.
+    n = state.inst.variable_count
+    bad = [lit for lit, keys in state.by_focus.items() if keys != sorted(keys)]
+    for v in range(1, n + 1):
+        for lit in (v, -v):
+            if state.concepts_focused(lit) != sorted(k for k in state.concepts if k[1] == lit):
+                bad.append(lit)
+    return bad
+
+
 @given(admission_scripts())
 def test_unmet_matches_scanning_reference(script):
     # A random walk of every mutation the engine offers, on a parent, its
     # forks (which then diverge) and restricted views; after each step
-    # every state's count must equal a fresh scan of ``by_focus``.
+    # every state's count must equal a fresh scan of ``by_focus``, and
+    # each focus list must be in key order.  Inserts pick any clause, so
+    # many come out of input order; some are undone by a contradiction.
     n, m, seed = script
     rng = random.Random(seed)
     inst = random_instance(rng, n, m)
@@ -578,6 +592,33 @@ def test_unmet_matches_scanning_reference(script):
             states.append(st_.fork())
         for state in states:
             assert _unmet_mismatches(state) == []
+            assert _focus_order_mismatches(state) == []
+
+
+def test_focus_lists_stay_in_key_order():
+    # Each way a key reaches a focus list other than an append in input
+    # order: an insert ahead of a larger key, an insert undone by a
+    # contradiction, an insert after a fork, and a restricted view.
+    inst = build_instance(3, [(1, 2, 3), (1, 2, -3), (1, -2, 3), (-1, 2, 3)])
+    c0, c1, c2, c3 = inst.clauses
+    st_ = fresh_state(inst)
+    st_.insert_concept(c2, 1)
+    st_.insert_concept(c0, 1)
+    assert st_.concepts_focused(1) == [(0, 1), (2, 1)]
+    st_.insert_concept(c3, -1)
+    child = st_.fork()
+    # (1, 1) goes between the two, and 1 is then needed and opposed.
+    assert isinstance(st_.add_concept(c1, 1), Contradiction)
+    assert st_.concepts_focused(1) == [(0, 1), (2, 1)]
+    child.insert_concept(c1, 1)
+    assert child.concepts_focused(1) == [(0, 1), (1, 1), (2, 1)]
+    assert st_.concepts_focused(1) == [(0, 1), (2, 1)]
+    view = st_.restrict_to(2)
+    view.insert_concept(c1, 1)
+    assert view.concepts_focused(1) == [(0, 1), (1, 1), (2, 1)]
+    assert view.concepts_focused(3) == [] and st_.concepts_focused(-2) == []
+    for state in (st_, child, view, child.restrict_to(-3)):
+        assert _focus_order_mismatches(state) == []
 
 
 def _fixpoint_branches(seed):

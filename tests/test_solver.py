@@ -1,5 +1,7 @@
 """End-to-end decision procedure: verdicts, anomalies, determinism."""
 
+import hashlib
+import json
 import random
 import sys
 from dataclasses import replace
@@ -8,8 +10,8 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from understanding_sat.cnf import Assignment, build_instance, evaluate
-from understanding_sat.engine import Contradiction, EngineState
-from understanding_sat.harness import GenSpec, enumerate_small, gen_random
+from understanding_sat.engine import Contradiction, EngineState, RunLog
+from understanding_sat.harness import GenSpec, adjudicate, enumerate_small, gen_random, minimize
 from understanding_sat.solver import (
     ANOMALY_GUARD,
     ANOMALY_UNDEFINED,
@@ -100,6 +102,30 @@ class TestVerdicts:
         # change that keeps the procedure must keep every count.
         total = sum(solve(inst).ops for inst in enumerate_small(3, 4))
         assert total == 184_468
+
+    def test_ops_and_traces_past_the_threshold_are_frozen(self):
+        # The exhaustive corpus hardly repairs; at m = 4n most runs do,
+        # through forks, views and stored freeing checks.  Pins the
+        # ``ops`` sum and every event of every trace, under both orders;
+        # an untraced run must count the same ``ops``.
+        digest = hashlib.sha256()
+        total = 0
+        for seed in range(40):
+            n = 8 + seed % 10
+            inst = gen_random(GenSpec(n=n, m=4 * n, seed=seed))
+            for order in ("input", "perm"):
+                cfg = SolveConfig(clause_order=order, order_seed=seed)
+                plain = solve(inst, cfg)
+                traced = solve(inst, replace(cfg, trace=True))
+                assert traced.ops == plain.ops
+                total += plain.ops
+                for event in traced.trace:
+                    line = json.dumps(event, sort_keys=True, separators=(",", ":"))
+                    digest.update(line.encode() + b"\n")
+        assert total == 185_542
+        assert digest.hexdigest() == (
+            "06f5036a0b1b683501b3ee0e9cf1a0d0ac98b92bde8646a9955d1cef377d0e90"
+        )
 
 
 def _lowest_recursion_limit() -> int:
@@ -240,6 +266,36 @@ class TestTrace:
         assert kinds[-1] == "VERDICT"
         assert kinds.count("U3_VALUE") == 3
         assert kinds.count("U3_PICK") == 3
+
+    def test_untraced_runs_never_call_emit(self, monkeypatch):
+        # Every call site checks ``enabled`` first, so an untraced run
+        # pays nothing for its events: admission, repair, freeing checks
+        # (run and replayed), contradictions, verdicts and minimize.
+        calls = []
+        emit = RunLog.emit
+
+        def counting(self, *args, **kwargs):
+            calls.append(args[0] if args else kwargs["kind"])
+            return emit(self, *args, **kwargs)
+
+        monkeypatch.setattr(RunLog, "emit", counting)
+        instances = [order_trap_instance(), full_sign_instance()]
+        instances += [gen_random(GenSpec(n=n, m=4 * n, seed=n)) for n in range(14, 21)]
+        kinds = set()
+        for inst in instances:
+            for order in ("input", "perm"):
+                out = solve(inst, SolveConfig(clause_order=order, order_seed=7))
+                kinds.add(out.kind)
+        record = next(
+            adjudicate([(None, gen_random(GenSpec(n=8, m=34, seed=0)))], SolveConfig(), "brute")
+        ).record()
+        assert minimize(record).kind == "FalseUnsat"
+        assert calls == []
+        assert kinds == {"sat", "unsat"}
+        # The patch does see a traced run's events.
+        solve(instances[2], SolveConfig(trace=True))
+        expected = {"ADD_CONCEPT", "CONTRADICTION", "D_ENTER", "G_ENTER", "G_RESULT", "VERDICT"}
+        assert expected <= set(calls)
 
 
 @given(st.integers(min_value=0, max_value=200), st.sampled_from(["input", "perm"]))
