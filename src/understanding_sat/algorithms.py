@@ -26,12 +26,14 @@ from .engine import EngineState, FALSE, FREE, GuardExceeded, TRUE
 def algorithm_g(state: EngineState, literal: int) -> bool:
     """Can the map be rewritten so ``literal`` (currently free) is true?
 
-    Works entirely on forks of ``state``.  The literal is pinned true and
-    each concept focused on it is tried in ascending origin-clause order:
-    both companions are constrained not-true on a fresh fork and the
-    fixpoint is recomputed.  The first attempt that survives without
-    contradiction answers yes; exhaustion (or no concepts at all) answers
-    no.
+    Works on one fork of ``state``, on which the literal is pinned true.
+    Each concept focused on the literal is tried in ascending
+    origin-clause order: the fixpoint is recomputed with both companions
+    constrained not-true for that call.  An attempt whose companion is
+    pinned true is skipped.  A failed attempt leaves the fork as it found
+    it, so the next attempt runs on the same fork.  The first attempt
+    that survives without contradiction answers yes; exhaustion (or no
+    concepts at all) answers no.
     """
     if state.values[literal] != FREE:
         raise ValueError("algorithm_g requires a free literal")
@@ -46,12 +48,12 @@ def algorithm_g(state: EngineState, literal: int) -> bool:
         return False
     if traced:
         log.emit("G_PIN", literal=literal, new=TRUE)
+    pins = base.pins
     for key in base.concepts_focused(literal):
         m1, m2 = base.concepts[key]
-        attempt = base.fork()
-        if not (attempt.add_not_true(m1) and attempt.add_not_true(m2)):
+        if pins[m1] == TRUE or pins[m2] == TRUE:
             continue
-        if attempt.compute_fixpoint([literal, m1, m2]) is None:
+        if base.compute_fixpoint([literal, m1, m2], (m1, m2)) is None:
             if traced:
                 log.emit("G_RESULT", literal=literal, new="true", clause=key[0])
             return True
@@ -64,12 +66,12 @@ def _freeing_check(state: EngineState, literal: int) -> bool:
     """``algorithm_g(state.restrict_to(literal), literal)``, run at most
     once per concept index for each distinct key.
 
-    The key is ``state.view_key(literal)``: the literal and the values,
-    pins and not-true constraints, so equal keys in one index's store mean
-    equal views.  On a miss the view is built, the check runs and its
-    answer, ``ops`` and events go into ``state.checks``; on a hit
-    each stored event is emitted again at the counter it had relative to
-    the check's start, and the stored ``ops`` are added.  On an untraced
+    The key is ``state.view_key(literal)``: the literal, the values and
+    the pins, so equal keys in one index's store mean equal views.  On a
+    miss the view is built, the check runs and its answer, ``ops`` and
+    events go into ``state.checks``; on a hit each stored event is
+    emitted again at the counter it had relative to the check's start,
+    and the stored ``ops`` are added.  On an untraced
     log no events are gathered, so a hit emits none; that is exact
     because ``enabled`` is fixed for a log's life and a state moves to
     another log only with a fresh store.

@@ -223,7 +223,10 @@ def _parse_pairs(spec: str):
     pairs = []
     for chunk in spec.split(","):
         n_str, _, m_str = chunk.partition(":")
-        pairs.append((int(n_str), int(m_str)))
+        try:
+            pairs.append((int(n_str), int(m_str)))
+        except ValueError:
+            raise ValueError(f"--pairs entry {chunk!r} is not n:m with integers n and m") from None
     return pairs
 
 

@@ -21,7 +21,8 @@ The value of a literal is recomputed from two predicates:
 literal free, and both at once is a contradiction (the map cannot be
 defined).  Assumption pins take precedence over the computed value; a
 computed value that directly opposes a pin, or a computed true on a
-literal constrained not-true, is also a contradiction.
+literal that one ``compute_fixpoint`` call constrains not-true, is also
+a contradiction.
 
 ``compute_fixpoint`` re-runs this rule over a worklist of variables
 until stable, applying it to both polarities of a variable in one step.
@@ -125,9 +126,7 @@ class EngineState:
     too.
     ``pins[lit]`` is the value a literal is assumed to hold, ``""`` when
     unpinned; it stands unless the computed value directly opposes it, so
-    the effective value is ``pins[lit] or values[lit]``.  ``not_true``
-    holds the literals that may be free or false but not computed true
-    (only ``algorithm_g``'s attempt forks have any); none is pinned true.
+    the effective value is ``pins[lit] or values[lit]``.
 
     The concept index (``concepts``, ``by_focus`` and ``by_member``) is
     copy-on-write.  Each ``by_focus`` list is kept in ascending key order,
@@ -159,16 +158,16 @@ class EngineState:
     companions are both not true, reading each companion's effective
     value (a pin overrides the stored value): the concept is C+ exactly
     when it counts, so one reevaluation reads ``P`` and ``Q`` in O(1)
-    instead of rescanning the concepts.  Four places keep it
-    equal to that scan, each stepping it only when a literal's effective
-    truth actually changes or a concept enters or leaves the index:
-    ``_index`` and ``_remove_concept`` (a concept's own contribution),
-    ``_set_pair`` (every stored-value write: ``_rollback``'s, and
-    ``compute_fixpoint``'s, which writes it out in its loop; a pinned
+    instead of rescanning the concepts.  Three places step it, each only
+    when a literal's effective truth actually changes or a concept enters
+    or leaves the index: ``_index`` and ``_remove_concept`` (a concept's
+    own contribution), ``compute_fixpoint``'s value writes (a pinned
     polarity is skipped, its effective value does not move) and
-    ``pin_literal``.  ``fork`` copies it with the values; ``restrict_to``
-    sets the values and assumptions before indexing, so its view's count
-    comes out right by construction.
+    ``pin_literal``.  A fixpoint that fails writes back the copies of
+    ``values`` and ``unmet`` it took before its first write, so the two
+    stay equal.  ``fork`` copies it with the values; ``restrict_to`` sets
+    the values and assumptions before indexing, so its view's count comes
+    out right by construction.
     """
 
     __slots__ = (
@@ -178,7 +177,6 @@ class EngineState:
         "by_focus",
         "by_member",
         "pins",
-        "not_true",
         "unmet",
         "log",
         "_shared",
@@ -192,7 +190,6 @@ class EngineState:
         self.by_focus: dict[int, list[ConceptKey]] = {}
         self.by_member: dict[int, list[ConceptKey]] = {}
         self.pins: list[TruthValue] = [""] * (2 * inst.variable_count + 1)
-        self.not_true: set[int] = set()
         self.unmet: list[int] = [0] * (2 * inst.variable_count + 1)
         self.log = log if log is not None else RunLog()
         self._shared = False  # the index may be another state's too
@@ -220,15 +217,12 @@ class EngineState:
 
     def pin_literal(self, literal: int, value: TruthValue) -> bool:
         """Record an assumption pin on the literal pair; False on clash
-        with an existing pin or not-true constraint."""
+        with an existing pin."""
         if value not in (TRUE, FALSE):
             raise ValueError("pins must be true or false")
         pins = self.pins
         for lit, v in ((literal, value), (-literal, flip(value))):
-            existing = pins[lit]
-            if existing and existing != v:
-                return False
-            if v == TRUE and lit in self.not_true:
+            if pins[lit] and pins[lit] != v:
                 return False
         for lit, v in ((literal, value), (-literal, flip(value))):
             was_true = self.effective_value(lit) == TRUE
@@ -237,25 +231,7 @@ class EngineState:
                 self._retally(lit, 1 if was_true else -1)
         return True
 
-    def add_not_true(self, literal: int) -> bool:
-        """Constrain the literal to free-or-false; False if pinned true."""
-        if self.pins[literal] == TRUE:
-            return False
-        self.not_true.add(literal)
-        return True
-
     # -- mutations -----------------------------------------------------
-
-    def _set_pair(self, literal: int, value: TruthValue) -> None:
-        # One polarity at a time, so a concept holding both as companions
-        # sees each change against the other's value of that moment.
-        values = self.values
-        pins = self.pins
-        for lit, v in ((literal, value), (-literal, _FLIP[value])):
-            was_true = values[lit] == TRUE
-            values[lit] = v
-            if was_true != (v == TRUE) and not pins[lit]:
-                self._retally(lit, 1 if was_true else -1)
 
     def _covered(self, members: tuple[int, int]) -> bool:
         # Some companion is effectively true: the concept is C*.
@@ -282,9 +258,10 @@ class EngineState:
     def _step_cap(self) -> int:
         return 64 + 8 * (len(self.concepts) + 1) * (2 * self.inst.variable_count + 2)
 
-    def compute_fixpoint(self, seeds) -> Contradiction | None:
+    def compute_fixpoint(self, seeds, not_true=()) -> Contradiction | None:
         """Recompute values starting from ``seeds``, a list of literals,
-        until stable.
+        until stable, with the literals in ``not_true`` constrained to be
+        free or false for this call only.
 
         FIFO worklist over variables, seeded in index order.  Each step
         reevaluates both polarities of one variable, two basic operations
@@ -292,11 +269,14 @@ class EngineState:
         Contradiction, which costs one operation when found on ``var``:
         ``-var`` is not reached.  They are tried in this order: ``var``
         needed and opposed, ``var``'s pin opposed, ``var`` forced true
-        while not-true, ``-var`` forced true while not-true.  A value
-        change is written as ``_set_pair`` writes it and re-enqueues, in
-        index order, every variable whose focused concepts mention the
-        changed pair.  On contradiction every value change made by this
-        call is rolled back before returning the witness.
+        while not-true, ``-var`` forced true while not-true (a pinned
+        variable takes its pin and is never forced).  A value change
+        writes ``var`` then ``-var``, stepping ``unmet`` after each, and
+        re-enqueues, in index order, every variable whose focused concepts
+        mention the changed pair.  Before its first change the call copies
+        ``values`` and ``unmet``; on contradiction, or when the step guard
+        trips, it writes the copies back into the same two lists, so the
+        state is as it was on entry.
 
         The step is written out in the loop, with no call per step, because
         it is the engine's innermost work.
@@ -310,11 +290,10 @@ class EngineState:
             ordered = sorted({abs(s) for s in seeds})
             queue = deque(ordered)
             queued = set(ordered)
-        undo: list[tuple[int, TruthValue]] = []
+        saved = None
         values = self.values
         pins = self.pins
         unmet = self.unmet
-        not_true = self.not_true
         by_member = self.by_member
         concepts = self.concepts
         log = self.log
@@ -324,9 +303,8 @@ class EngineState:
         while queue:
             steps += 1
             if steps > cap:
-                self._rollback(undo)
-                log.guard_trips += 1
-                raise GuardExceeded("fixpoint step guard exceeded")
+                witness = None
+                break
             var = queue.popleft()
             queued.discard(var)
             neg = -var
@@ -359,7 +337,8 @@ class EngineState:
             old = values[var]
             if new == old:
                 continue
-            undo.append((var, old))
+            if saved is None:
+                saved = values[:], unmet[:]
             deps = set()
             for lit, v in ((var, new), (neg, _FLIP[new])):
                 keys = by_member.get(lit, ())
@@ -382,14 +361,14 @@ class EngineState:
                     queued.add(dep)
         else:
             return None
-        self._rollback(undo)
+        if saved is not None:
+            values[:], unmet[:] = saved
+        if witness is None:
+            log.guard_trips += 1
+            raise GuardExceeded("fixpoint step guard exceeded")
         if traced:
             log.emit("CONTRADICTION", literal=witness, new=reason)
         return Contradiction(witness, reason)
-
-    def _rollback(self, undo) -> None:
-        for var, old in reversed(undo):
-            self._set_pair(var, old)
 
     def insert_concept(self, clause: Clause, focus: int) -> ConceptKey:
         """Index a concept without recomputation; low-level piece of
@@ -474,7 +453,6 @@ class EngineState:
         n.by_focus = self.by_focus
         n.by_member = self.by_member
         n.pins = self.pins[:]
-        n.not_true = set(self.not_true)
         n.unmet = self.unmet[:]
         n.log = self.log
         n._shared = True
@@ -500,7 +478,6 @@ class EngineState:
         n.inst = self.inst
         n.values = values = self.values[:]
         n.pins = pins = self.pins[:]
-        n.not_true = set(self.not_true)
         n.unmet = unmet = [0] * len(values)
         n.log = self.log
         n._shared = False
@@ -522,13 +499,7 @@ class EngineState:
 
     def view_key(self, literal: int) -> tuple:
         """Key of ``(literal, restrict_to(literal))`` in ``checks``, whose
-        states all share one index: the literal, values, pins and
-        not-true constraints.  Pins are joined by ``|`` because an
-        unpinned slot is empty.
+        states all share one index: the literal, values and pins.  Pins
+        are joined by ``|`` because an unpinned slot is empty.
         """
-        return (
-            literal,
-            "".join(self.values),
-            "|".join(self.pins),
-            tuple(sorted(self.not_true)),
-        )
+        return literal, "".join(self.values), "|".join(self.pins)

@@ -24,6 +24,7 @@ from .cnf import Instance, build_instance, emit_dimacs, parse_dimacs
 from .oracle import OracleVerdict, brute_force, dpll
 from .solver import SolveConfig, SolverOutcome, advance, solve
 
+BINS = ("AgreeSat", "AgreeUnsat", "FalseSat", "FalseUnsat", "Anomaly")
 DISAGREEMENT_KINDS = ("FalseSat", "FalseUnsat", "Anomaly")
 # The fewest decided runs, and the smallest max/min clause-count ratio,
 # that ``fit_complexity`` fits a growth exponent to.
@@ -161,6 +162,17 @@ class CounterexampleRecord:
                     f"counterexample record's {key!r} is a {type(data[key]).__name__},"
                     f" not a {expected.__name__}"
                 )
+        if data["kind"] not in BINS:
+            raise ValueError(
+                f"counterexample record's 'kind' must be one of {', '.join(BINS)},"
+                f" not {data['kind']!r}"
+            )
+        minimized = data.get("minimized", False)
+        if not isinstance(minimized, bool):
+            raise ValueError(
+                f"counterexample record's 'minimized' must be true or false,"
+                f" not {type(minimized).__name__} {minimized!r}"
+            )
         types = typing.get_type_hints(SolveConfig)
         for key, value in data["config"].items():
             if key not in types:
@@ -181,7 +193,7 @@ class CounterexampleRecord:
             solver_outcome=dict(data["solver_outcome"]),
             oracle_verdict=dict(data["oracle_verdict"]),
             kind=data["kind"],
-            minimized=bool(data.get("minimized", False)),
+            minimized=minimized,
         )
 
 

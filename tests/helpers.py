@@ -317,7 +317,6 @@ def snapshot(state: EngineState):
         tuple(sorted(state.concepts.items())),
         tuple(sorted({key[0] for key in state.concepts})),
         tuple((lit, pins[lit]) for lit in lits if pins[lit]),
-        tuple(sorted(state.not_true)),
     )
 
 
@@ -327,9 +326,9 @@ def view_memo_key(state: EngineState, literal: int) -> tuple:
     tuple: the literal; the values of the positive literals, of the
     negative ones, and likewise the pins, each joined into one string with
     its trailing free (unpinned) slots cut, so that equal views over
-    different variable counts share a key as their snapshots do; the
-    number of not-true literals, then those literals; then the origin
-    clause, focus and two companions of every kept concept in key order.
+    different variable counts share a key as their snapshots do; then the
+    origin clause, focus and two companions of every kept concept in key
+    order.
     The view keeps the concepts indexed under the literal or its negation,
     as focus or companion."""
     keys = set()
@@ -339,15 +338,12 @@ def view_memo_key(state: EngineState, literal: int) -> tuple:
     n = state.inst.variable_count
     values = state.values
     pins = state.pins
-    not_true = sorted(state.not_true)
     flat = [
         literal,
         "".join(values[1 : n + 1]).rstrip(FREE),
         "".join(values[:n:-1]).rstrip(FREE),
         "|".join(pins[1 : n + 1]).rstrip("|"),
         "|".join(pins[:n:-1]).rstrip("|"),
-        len(not_true),
-        *not_true,
     ]
     concepts = state.concepts
     for key in sorted(keys):
@@ -378,7 +374,6 @@ def scanning_restrict_to(state: EngineState, literal: int) -> EngineState:
             if kept:
                 out[lit] = kept
     view.pins = state.pins[:]
-    view.not_true = set(state.not_true)
     return view
 
 
@@ -496,15 +491,15 @@ def rebuilding_algorithm_d(
     return work
 
 
-def reevaluate_pair(state: EngineState, var: int):
+def reevaluate_pair(state: EngineState, var: int, not_true=()):
     """Reference for one step of ``EngineState.compute_fixpoint``, which
     writes it out in its loop: two basic operations, one per polarity:
     the value of ``var`` under the current concepts and assumptions
     (``-var`` takes its flip), or a Contradiction marker.  The
     contradictions are tried in this order: ``var`` needed and opposed,
-    ``var``'s pin opposed, ``var`` forced true while not-true, ``-var``
-    forced true while not-true.  One found on ``var`` costs one
-    operation: ``-var`` is not reached."""
+    ``var``'s pin opposed, ``var`` forced true while in ``not_true``,
+    ``-var`` forced true while in ``not_true``.  One found on ``var``
+    costs one operation: ``-var`` is not reached."""
     log = state.log
     log.ops += 2
     p = state.unmet[var] > 0
@@ -523,10 +518,10 @@ def reevaluate_pair(state: EngineState, var: int):
             raise AssertionError(f"coupling broke during recomputation of variable {var}")
         return pin
     if computed == TRUE:
-        if var in state.not_true:
+        if var in not_true:
             log.ops -= 1
             return Contradiction(var, "not-true-forced")
-    elif computed == FALSE and -var in state.not_true:
+    elif computed == FALSE and -var in not_true:
         return Contradiction(-var, "not-true-forced")
     return computed
 
@@ -542,7 +537,7 @@ def dependents(state: EngineState, literal: int) -> list[int]:
     return sorted(out)
 
 
-def reevaluate_literal(state: EngineState, literal: int):
+def reevaluate_literal(state: EngineState, literal: int, not_true=()):
     """Reference for one polarity of ``reevaluate_pair``:
     one basic operation, the literal's value under the current concepts
     and assumptions, or a Contradiction marker."""
@@ -557,40 +552,59 @@ def reevaluate_literal(state: EngineState, literal: int):
         if computed == flip(pin) and computed != FREE:
             return Contradiction(literal, "pin-conflict")
         return pin
-    if computed == TRUE and literal in state.not_true:
+    if computed == TRUE and literal in not_true:
         return Contradiction(literal, "not-true-forced")
     return computed
 
 
-def pairwise_compute_fixpoint(state: EngineState, seeds):
+def write_pair(state: EngineState, literal: int, value) -> None:
+    """Reference for ``compute_fixpoint``'s value write: one polarity at a
+    time, so a concept holding both as companions sees each change
+    against the other's value of that moment, and ``unmet`` retallied
+    for each unpinned polarity whose truth moved."""
+    values = state.values
+    for lit, v in ((literal, value), (-literal, flip(value))):
+        was_true = values[lit] == TRUE
+        values[lit] = v
+        if was_true != (v == TRUE) and not state.pins[lit]:
+            state._retally(lit, 1 if was_true else -1)
+
+
+def pairwise_compute_fixpoint(state: EngineState, seeds, not_true=()):
     """Reference for ``EngineState.compute_fixpoint``: the same worklist,
     but each step reevaluates the two polarities of its variable with two
     separate ``reevaluate_literal`` calls and checks that they come out
-    coupled."""
+    coupled, and a failure undoes its changes from a log, newest first,
+    rather than from a saved copy."""
     queue: deque[int] = deque()
     queued: set[int] = set()
     for var in sorted({abs(s) for s in seeds}):
         queue.append(var)
         queued.add(var)
     undo = []
+
+    def rollback():
+        for var, old in reversed(undo):
+            write_pair(state, var, old)
+
     steps = 0
     cap = state._step_cap()
     while queue:
         steps += 1
         if steps > cap:
-            state._rollback(undo)
+            rollback()
             state.log.guard_trips += 1
             raise GuardExceeded("fixpoint step guard exceeded")
         var = queue.popleft()
         queued.discard(var)
-        r_pos = reevaluate_literal(state, var)
+        r_pos = reevaluate_literal(state, var, not_true)
         if isinstance(r_pos, Contradiction):
-            state._rollback(undo)
+            rollback()
             state.log.emit("CONTRADICTION", literal=r_pos.witness, new=r_pos.reason)
             return r_pos
-        r_neg = reevaluate_literal(state, -var)
+        r_neg = reevaluate_literal(state, -var, not_true)
         if isinstance(r_neg, Contradiction):
-            state._rollback(undo)
+            rollback()
             state.log.emit("CONTRADICTION", literal=r_neg.witness, new=r_neg.reason)
             return r_neg
         if r_neg != flip(r_pos):
@@ -598,7 +612,7 @@ def pairwise_compute_fixpoint(state: EngineState, seeds):
         old = state.value(var)
         if r_pos != old:
             undo.append((var, old))
-            state._set_pair(var, r_pos)
+            write_pair(state, var, r_pos)
             state.log.emit("SET", literal=var, old=old, new=r_pos)
             for dep in dependents(state, var):
                 if dep not in queued:

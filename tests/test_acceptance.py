@@ -416,14 +416,16 @@ def test_a7_reruns_are_byte_identical_and_failure_paths_roll_back(
             if snapshot(state) != snap:
                 violations.append((seed, "repair"))
         work = state.fork()
+        not_true = []
         for _ in range(rng.randint(1, 5)):
             lit = rng.choice(lits)
-            if not work.add_not_true(lit):
+            if work.pins[lit] == TRUE:
                 continue
+            not_true.append(lit)
             pre = snapshot(work)
             exercised["propagation"] += 1
             try:
-                result = work.compute_fixpoint([lit])
+                result = work.compute_fixpoint([lit], not_true)
             except GuardExceeded:
                 result = Contradiction(lit, "guard")
             if isinstance(result, Contradiction):

@@ -118,6 +118,66 @@ class TestAssumptionCheck:
         assert lemma_g_conditions(view, 1) is True
 
 
+def _counting(calls):
+    """Patches that count ``fork`` calls and record each fixpoint's
+    not-true argument, leaving both to run as they would."""
+    real_fork, real_fixpoint = EngineState.fork, EngineState.compute_fixpoint
+
+    def fork(self):
+        calls["fork"] += 1
+        return real_fork(self)
+
+    def compute_fixpoint(self, seeds, not_true=()):
+        calls["not_true"].append(tuple(not_true))
+        return real_fixpoint(self, seeds, not_true)
+
+    return (
+        mock.patch.object(EngineState, "fork", fork),
+        mock.patch.object(EngineState, "compute_fixpoint", compute_fixpoint),
+    )
+
+
+def test_freeing_check_forks_once_and_leaves_its_input():
+    # However many attempts a call runs, it forks its input once: a
+    # failed attempt leaves that fork as it found it for the next one.
+    most = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        inst = random_instance(rng, rng.randint(3, 5), rng.randint(2, 7))
+        _, st_ = admitted_state(inst)
+        before = snapshot(st_)
+        for lit in (l for v in range(1, inst.variable_count + 1) for l in (v, -v)):
+            if st_.values[lit] != FREE:
+                continue
+            calls = {"fork": 0, "not_true": []}
+            fork_patch, fixpoint_patch = _counting(calls)
+            with fork_patch, fixpoint_patch:
+                algorithm_g(st_, lit)
+            assert calls["fork"] == 1
+            assert snapshot(st_) == before
+            most = max(most, len(calls["not_true"]))
+    assert most >= 3
+
+
+def test_freeing_check_skips_an_attempt_with_a_companion_pinned_true():
+    # The first concept of 1 has companion 2 pinned true, so 2 cannot be
+    # held not-true: that attempt is passed over with no fixpoint, and
+    # the second concept's attempt answers.
+    inst = build_instance(5, [(1, 2, 3), (1, 4, 5)])
+    st_ = fresh_state(inst, trace=True)
+    st_.insert_concept(inst.clauses[0], 1)
+    st_.insert_concept(inst.clauses[1], 1)
+    assert st_.pin_literal(2, TRUE)
+    assert st_.values[1] == FREE
+    calls = {"fork": 0, "not_true": []}
+    fork_patch, fixpoint_patch = _counting(calls)
+    with fork_patch, fixpoint_patch:
+        assert algorithm_g(st_, 1) is True
+    assert calls == {"fork": 1, "not_true": [(4, 5)]}
+    result = [e for e in st_.log.events if e["kind"] == "G_RESULT"]
+    assert [(e["new"], e["clause"]) for e in result] == [("true", 1)]
+
+
 class TestRepair:
     def test_precondition_requires_false_literal(self):
         st_ = fresh_state(build_instance(3, [(1, 2, 3)]))

@@ -304,6 +304,14 @@ class TestBenchCommand:
         stdout2, _ = capsys.readouterr()
         assert stdout1 == stdout2
 
+    @pytest.mark.parametrize("spec", ["5", "5:x", ""])
+    def test_malformed_pairs_name_the_option_and_entry(self, capsys, spec):
+        code = cli.main(["bench", "--pairs", spec, "--reps", "1"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --pairs entry {spec!r} is not n:m with integers n and m\n"
+
     def test_unfittable_run_is_a_usage_error(self, capsys):
         code = cli.main(["bench", "--pairs", "5:10", "--reps", "1"])
         _, err = capsys.readouterr()
@@ -362,6 +370,13 @@ class TestErrors:
             ({"dimacs": "p cnf 3 1\n1 2 3 0\n", "config": {"clause_order": "perm"},
               "solver_outcome": {}, "oracle_verdict": {}, "kind": "FalseUnsat"},
              "'order_seed' must be an int when 'clause_order' is 'perm', not null"),
+            ({"dimacs": "p cnf 3 1\n1 2 3 0\n", "config": {}, "solver_outcome": {},
+              "oracle_verdict": {}, "kind": "banana"},
+             "'kind' must be one of AgreeSat, AgreeUnsat, FalseSat, FalseUnsat, Anomaly,"
+             " not 'banana'"),
+            ({"dimacs": "p cnf 3 1\n1 2 3 0\n", "config": {}, "solver_outcome": {},
+              "oracle_verdict": {}, "kind": "FalseUnsat", "minimized": "no"},
+             "'minimized' must be true or false, not str 'no'"),
             # Raw file text: JSON nested deeper than the decoder can recurse.
             pytest.param("[" * 100000 + "]" * 100000, "too deeply", id="deeply-nested"),
         ],
@@ -374,6 +389,7 @@ class TestErrors:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error:")
+        assert err.count("\n") == 1
         assert fragment in err
         assert "Traceback" not in err
 

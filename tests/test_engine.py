@@ -146,23 +146,14 @@ class TestPins:
     def test_not_true_forced_contradiction(self):
         inst = build_instance(3, [(1, 2, 3)])
         st_ = fresh_state(inst)
-        assert st_.add_not_true(1)
-        res = st_.add_concept(inst.clauses[0], 1)
+        st_.insert_concept(inst.clauses[0], 1)
+        res = st_.compute_fixpoint([1], (1,))
         assert isinstance(res, Contradiction)
-        assert res.reason == "not-true-forced"
-
-    def test_not_true_rejected_on_pinned_true(self):
-        inst = build_instance(3, [(1, 2, 3)])
-        st_ = fresh_state(inst)
-        assert st_.pin_literal(1, TRUE)
-        assert not st_.add_not_true(1)
-
-    def test_pin_true_rejected_on_not_true(self):
-        inst = build_instance(3, [(1, 2, 3)])
-        st_ = fresh_state(inst)
-        assert st_.add_not_true(1)
-        assert not st_.pin_literal(1, TRUE)
-        assert st_.pin_literal(1, FALSE)  # not-true allows false
+        assert (res.witness, res.reason) == (1, "not-true-forced")
+        assert st_.value(1) == FREE
+        # The constraint belongs to that one call.
+        assert st_.compute_fixpoint([1]) is None
+        assert st_.value(1) == TRUE
 
     def test_free_pin_on_opposed_literal_survives(self):
         # epsilon never contradicts a pin; only direct opposition does
@@ -409,7 +400,7 @@ def test_views_are_read_off_the_index(states, seed):
     literals = [l for v in range(1, n + 1) for l in (v, -v)]
     extra = child.fork()
     for _ in range(rng.randint(0, 2)):
-        extra.add_not_true(rng.choice(literals))
+        extra.pin_literal(rng.choice(literals), FALSE)
     states = (parent, child, extra, extra.fork())
     for lit in literals:
         views = [state.restrict_to(lit) for state in states]
@@ -556,6 +547,9 @@ def test_unmet_matches_scanning_reference(script):
     inst = random_instance(rng, n, m)
     _, root = admitted_state(inst, upto=rng.randint(0, len(inst.clauses)))
     states = [root, root.fork()]
+    # Each state's not-true literals, passed to its fixpoint calls; a
+    # fork or view starts with a copy of its parent's.
+    not_true = {state: [] for state in states}
     literals = [l for v in range(1, n + 1) for l in (v, -v)]
     for _ in range(16):
         st_ = rng.choice(states)
@@ -569,11 +563,15 @@ def test_unmet_matches_scanning_reference(script):
         elif action == 1 and fresh:
             st_.add_concept(clause, focus)  # may contradict and roll back
         elif action == 2:
-            st_.pin_literal(lit, rng.choice((TRUE, FALSE)))
+            value = rng.choice((TRUE, FALSE))
+            # No pin makes a not-true literal true.
+            if (lit if value == TRUE else -lit) not in not_true[st_]:
+                st_.pin_literal(lit, value)
         elif action == 3:
-            st_.add_not_true(lit)
+            if st_.pins[lit] != TRUE:
+                not_true[st_].append(lit)
         elif action == 4:
-            st_.compute_fixpoint(rng.sample(literals, rng.randint(1, 3)))
+            st_.compute_fixpoint(rng.sample(literals, rng.randint(1, 3)), not_true[st_])
         elif action == 5:
             # Trip the step guard part-way through, so the rollback
             # undoes some value changes.
@@ -583,13 +581,13 @@ def test_unmet_matches_scanning_reference(script):
                     if fresh:
                         st_.add_concept(clause, focus)
                     else:
-                        st_.compute_fixpoint([lit])
+                        st_.compute_fixpoint([lit], not_true[st_])
                 except GuardExceeded:
                     pass
-        elif action == 6:
-            states.append(st_.restrict_to(lit))
-        elif action == 7:
-            states.append(st_.fork())
+        elif action in (6, 7):
+            new = st_.restrict_to(lit) if action == 6 else st_.fork()
+            states.append(new)
+            not_true[new] = not_true[st_][:]
         for state in states:
             assert _unmet_mismatches(state) == []
             assert _focus_order_mismatches(state) == []
@@ -637,6 +635,7 @@ def _fixpoint_branches(seed):
     if rng.random() < 0.5:
         state = state.fork()
     literals = [l for v in range(1, n + 1) for l in (v, -v)]
+    not_true = []  # passed to every call; it grows as the state does
     branches = []
     for _ in range(4):
         for clause in inst.clauses:
@@ -644,9 +643,14 @@ def _fixpoint_branches(seed):
                 if rng.random() < 0.3 and (clause.id, focus) not in state.concepts:
                     state.insert_concept(clause, focus)
         for _ in range(rng.randint(0, 2)):
-            state.pin_literal(rng.choice(literals), rng.choice((TRUE, FALSE)))
+            lit, value = rng.choice(literals), rng.choice((TRUE, FALSE))
+            # No pin makes a not-true literal true.
+            if (lit if value == TRUE else -lit) not in not_true:
+                state.pin_literal(lit, value)
         for _ in range(rng.randint(0, 2)):
-            state.add_not_true(rng.choice(literals))
+            lit = rng.choice(literals)
+            if state.pins[lit] != TRUE:
+                not_true.append(lit)
         seeds = rng.sample(literals, rng.randint(1, 3))
         cap = rng.choice((None, None, rng.randint(0, 4)))
         runs = []
@@ -660,7 +664,7 @@ def _fixpoint_branches(seed):
             )
             with guard:
                 try:
-                    res = fixpoint(copy, seeds)
+                    res = fixpoint(copy, seeds, not_true)
                 except GuardExceeded:
                     res = "guard"
             runs.append((copy, res))
@@ -696,6 +700,36 @@ def test_pairwise_reference_comparison_reaches_every_branch():
         ("not-true-forced", False),
         ("not-true-forced", True),
     }
+
+
+@pytest.mark.parametrize("cap", [None, 1], ids=["contradiction", "guard"])
+def test_failed_fixpoint_restores_the_same_lists(cap):
+    # Admission, repair and the freeing check hold ``values`` and ``pins``
+    # across fixpoint calls, so a failed call must write the saved copies
+    # back into the lists it was given, not bind new ones.  Here 1 turns
+    # true (stepping ``unmet[4]``, since 1 is a companion of 4), then 2 is
+    # forced true while not-true, or the guard trips first.
+    inst = build_instance(6, [(1, 2, 3), (2, 5, 6), (4, 1, 5)])
+    st_ = fresh_state(inst, trace=True)
+    for clause, focus in zip(inst.clauses, (1, 2, 4)):
+        st_.insert_concept(clause, focus)
+    assert st_.pin_literal(3, FALSE)
+    lists = (st_.values, st_.unmet, st_.pins)
+    before = [list(lst) for lst in lists]
+    guard = (
+        contextlib.nullcontext()
+        if cap is None
+        else mock.patch.object(EngineState, "_step_cap", lambda self: cap)
+    )
+    with guard:
+        try:
+            res = st_.compute_fixpoint([1, 2], (2,))
+        except GuardExceeded:
+            res = "guard"
+    assert res == ("guard" if cap else Contradiction(2, "not-true-forced"))
+    assert [(e["literal"], e["new"]) for e in st_.log.events if e["kind"] == "SET"] == [(1, TRUE)]
+    for lst, was, now in zip(lists, before, (st_.values, st_.unmet, st_.pins)):
+        assert now is lst and now == was
 
 
 @pytest.mark.parametrize("negation_pin", [None, TRUE])
