@@ -3,8 +3,9 @@
 Subcommands: ``solve`` and ``oracle`` decide a single DIMACS file;
 ``fuzz`` and ``enumerate`` adjudicate whole corpora and write JSONL
 reports with a CSV summary next to them; ``minimize`` shrinks a stored
-counterexample record; ``bench`` collects operation counts and fits a
-growth exponent.
+counterexample record, and exits 1 when the record's instance no longer
+adjudicates as the record's kind; ``bench`` collects operation counts
+and fits a growth exponent, and writes nothing when the fit fails.
 
 Exit codes: 10 satisfiable, 20 unsatisfiable, 30 anomaly (also a run
 that exceeds Python's recursion limit), 0 for a harness command that ran
@@ -20,11 +21,11 @@ The environment variable ``UNDERSTANDING_SAT_SEED`` overrides any
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .cnf import parse_dimacs
 from .harness import (
@@ -52,19 +53,24 @@ def _json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _write_jsonl(path: str, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in rows:
-            fh.write(_json_line(row) + "\n")
+def _write_lines(path: str, lines) -> None:
+    """Write each of ``lines`` to ``path`` with a ``\\n`` after it.  If
+    ``lines`` stops on an error, the half-written file is removed first;
+    a failed open has made no file and so removes none."""
+    fh = open(path, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            for line in lines:
+                fh.write(line + "\n")
+    except BaseException:
+        # Interrupts too: a half-written report must not outlive the run.
+        os.remove(path)
+        raise
 
 
-def _write_summary_csv(path: str, counts: dict, total: int) -> None:
+def _write_csv(path: str, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["kind", "count"])
-        for kind in sorted(counts):
-            writer.writerow([kind, counts[kind]])
-        writer.writerow(["total", total])
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def _effective_seed(seed: int | None) -> int | None:
@@ -134,33 +140,32 @@ def _run_corpus(args, items, cfg: SolveConfig) -> int:
     its partial ``--out`` file and writes nothing else, so no report
     file is ever a truncated one."""
     report = DiffReport()
-    sink = open(args.out, "w", encoding="utf-8", newline="\n") if args.out else None
-    try:
-        with sink or contextlib.nullcontext() as fh:
-            for row in adjudicate(items, cfg, args.oracle):
-                report.add(row)
-                if fh is not None:
-                    line = dict(
-                        row.meta,
-                        kind=row.bin,
-                        solver=row.outcome.kind,
-                        oracle_sat=row.verdict.sat,
-                        ops=row.outcome.ops,
-                    )
-                    fh.write(_json_line(line) + "\n")
-    except BaseException:
-        # Interrupts too: a half-written report must not outlive the run.
-        if args.out:
-            os.remove(args.out)
-        raise
+
+    def lines():
+        for row in adjudicate(items, cfg, args.oracle):
+            report.add(row)
+            yield _json_line(
+                dict(
+                    row.meta,
+                    kind=row.bin,
+                    solver=row.outcome.kind,
+                    oracle_sat=row.verdict.sat,
+                    ops=row.outcome.ops,
+                )
+            )
+
     if args.out:
-        _write_summary_csv(args.out + ".summary.csv", report.counts, report.total)
+        _write_lines(args.out, lines())
+        rows = [("kind", "count"), *sorted(report.counts.items()), ("total", report.total)]
+        _write_csv(args.out + ".summary.csv", rows)
+    else:
+        for _ in lines():
+            pass
     if args.cex_dir and report.counterexamples:
         os.makedirs(args.cex_dir, exist_ok=True)
         for i, record in enumerate(report.counterexamples):
             path = os.path.join(args.cex_dir, f"cex-{i:05d}.json")
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(_json_line(record.as_dict()) + "\n")
+            _write_lines(path, [_json_line(record.as_dict())])
     print(_json_line(report.summary()))
     return EXIT_OK
 
@@ -210,10 +215,14 @@ def _cmd_minimize(args) -> int:
             raise ValueError("record file nests JSON too deeply to read") from None
     record = CounterexampleRecord.from_dict(data)
     shrunk = minimize(record)
+    if shrunk.kind != record.kind:
+        # No candidate kept the record's kind: the record is stale.
+        raise ValueError(
+            f"record's instance adjudicates as {shrunk.kind}, not as its kind {record.kind}"
+        )
     text = _json_line(shrunk.as_dict())
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
+        _write_lines(args.out, [text])
     else:
         print(text)
     return EXIT_OK
@@ -231,46 +240,15 @@ def _parse_pairs(spec: str):
 
 
 def _cmd_bench(args) -> int:
-    seed = _effective_seed(args.seed)
-    pairs = _parse_pairs(args.pairs)
-    samples = bench_samples(pairs, args.reps, seed)
+    """Fit first, so that a failed fit (ValueError) writes no file."""
+    samples = bench_samples(_parse_pairs(args.pairs), args.reps, _effective_seed(args.seed))
+    fit = asdict(fit_complexity(samples))
     if args.out:
-        _write_jsonl(
-            args.out,
-            [{"n": s.n, "m": s.m, "ops": s.ops, "kind": s.kind} for s in samples],
-        )
-    try:
-        fit = fit_complexity(samples)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.out:
-        with open(args.out + ".summary.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["exponent", "intercept", "r_squared", "sample_count", "m_min", "m_max"]
-            )
-            writer.writerow(
-                [
-                    f"{fit.exponent:.6f}",
-                    f"{fit.intercept:.6f}",
-                    f"{fit.r_squared:.6f}",
-                    fit.sample_count,
-                    fit.m_min,
-                    fit.m_max,
-                ]
-            )
-    print(
-        _json_line(
-            {
-                "exponent": round(fit.exponent, 6),
-                "r_squared": round(fit.r_squared, 6),
-                "sample_count": fit.sample_count,
-                "m_min": fit.m_min,
-                "m_max": fit.m_max,
-            }
-        )
-    )
+        _write_lines(args.out, [_json_line(asdict(s)) for s in samples])
+        values = [f"{v:.6f}" if isinstance(v, float) else v for v in fit.values()]
+        _write_csv(args.out + ".summary.csv", [list(fit), values])
+    del fit["intercept"]
+    print(_json_line({k: round(v, 6) if isinstance(v, float) else v for k, v in fit.items()}))
     return EXIT_OK
 
 

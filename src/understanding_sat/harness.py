@@ -18,7 +18,7 @@ import itertools
 import math
 import random
 import typing
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 from .cnf import Instance, build_instance, emit_dimacs, parse_dimacs
 from .oracle import OracleVerdict, brute_force, dpll
@@ -30,14 +30,8 @@ DISAGREEMENT_KINDS = ("FalseSat", "FalseUnsat", "Anomaly")
 # that ``fit_complexity`` fits a growth exponent to.
 FIT_MIN_SAMPLES = 5
 FIT_MIN_SPREAD = 4.0
-# The keys a stored counterexample record must have, with their JSON types.
-RECORD_KEYS = {
-    "dimacs": str,
-    "config": dict,
-    "solver_outcome": dict,
-    "oracle_verdict": dict,
-    "kind": str,
-}
+# How a record's type errors name the JSON types that are not Python's.
+_JSON_NAMES = {bool: "true or false", type(None): "null"}
 
 
 @dataclass
@@ -137,64 +131,54 @@ class CounterexampleRecord:
     minimized: bool = False
 
     def as_dict(self) -> dict:
-        return {
-            "dimacs": self.dimacs,
-            "config": self.config,
-            "solver_outcome": self.solver_outcome,
-            "oracle_verdict": self.oracle_verdict,
-            "kind": self.kind,
-            "minimized": self.minimized,
-        }
+        return asdict(self)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "CounterexampleRecord":
+    def from_dict(cls, data) -> "CounterexampleRecord":
         """Rebuild a record from its ``as_dict`` form; raises ValueError
-        naming the problem when ``data`` is not one."""
+        naming the first problem when ``data`` is not one.
+
+        ``data`` must be a JSON object whose keys are this class's fields,
+        each of its field's type; only ``minimized`` may be left out, and
+        then reads false.  ``kind`` must be one of ``BINS``.  ``config``
+        is held to ``SolveConfig``'s fields the same way, any of which may
+        be left out, and then to the values ``SolveConfig`` accepts.
+        """
         if not isinstance(data, dict):
             raise ValueError(
                 f"counterexample record must be a JSON object, not {type(data).__name__}"
             )
-        for key, expected in RECORD_KEYS.items():
-            if key not in data:
-                raise ValueError(f"counterexample record has no {key!r} key")
-            if not isinstance(data[key], expected):
-                raise ValueError(
-                    f"counterexample record's {key!r} is a {type(data[key]).__name__},"
-                    f" not a {expected.__name__}"
-                )
+        _check_fields(cls, data, "counterexample record")
         if data["kind"] not in BINS:
             raise ValueError(
                 f"counterexample record's 'kind' must be one of {', '.join(BINS)},"
                 f" not {data['kind']!r}"
             )
-        minimized = data.get("minimized", False)
-        if not isinstance(minimized, bool):
-            raise ValueError(
-                f"counterexample record's 'minimized' must be true or false,"
-                f" not {type(minimized).__name__} {minimized!r}"
-            )
-        types = typing.get_type_hints(SolveConfig)
-        for key, value in data["config"].items():
-            if key not in types:
-                raise ValueError(f"config key {key!r} is not a SolveConfig field")
-            # ``int | None`` admits int and None; a bool is not an int here.
-            allowed = typing.get_args(types[key]) or (types[key],)
-            if not isinstance(value, allowed) or (
-                isinstance(value, bool) and bool not in allowed
-            ):
-                names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
-                raise ValueError(
-                    f"config key {key!r} must be {names}, not {type(value).__name__} {value!r}"
-                )
+        _check_fields(SolveConfig, data["config"], "config")
         SolveConfig(**data["config"])  # checks the values
-        return cls(
-            dimacs=data["dimacs"],
-            config=dict(data["config"]),
-            solver_outcome=dict(data["solver_outcome"]),
-            oracle_verdict=dict(data["oracle_verdict"]),
-            kind=data["kind"],
-            minimized=minimized,
-        )
+        # Copy the nested objects, so that the record shares none with ``data``.
+        return cls(**{k: dict(v) if isinstance(v, dict) else v for k, v in data.items()})
+
+
+def _check_fields(cls, data: dict, what: str) -> None:
+    """Raise ValueError unless ``data`` could be the fields of dataclass
+    ``cls``: no field without a default left out, no key that is not a
+    field, and each value of its field's type (``int | None`` admits int
+    and null; a bool is not an int).  ``what`` names ``data`` in the
+    message."""
+    for f in fields(cls):
+        if f.name not in data and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"{what} has no {f.name!r} key")
+    types = typing.get_type_hints(cls)
+    for key, value in data.items():
+        if key not in types:
+            raise ValueError(f"{what} key {key!r} is not a {cls.__name__} field")
+        allowed = typing.get_args(types[key]) or (types[key],)
+        if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+            names = " or ".join(_JSON_NAMES.get(t, t.__name__) for t in allowed)
+            raise ValueError(
+                f"{what} key {key!r} must be {names}, not {type(value).__name__} {value!r}"
+            )
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, output contracts, reruns."""
 
+import hashlib
 import io
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 import understanding_sat
 from understanding_sat import cli
 from understanding_sat.cnf import emit_dimacs
-from understanding_sat.harness import CounterexampleRecord, replay
+from understanding_sat.harness import CounterexampleRecord, adjudicate, replay
 from understanding_sat.solver import SolverOutcome
 
 from helpers import full_sign_instance, order_trap_instance
@@ -312,11 +313,72 @@ class TestBenchCommand:
         assert out == ""
         assert err == f"error: --pairs entry {spec!r} is not n:m with integers n and m\n"
 
-    def test_unfittable_run_is_a_usage_error(self, capsys):
-        code = cli.main(["bench", "--pairs", "5:10", "--reps", "1"])
-        _, err = capsys.readouterr()
+    def test_unfittable_run_is_a_usage_error(self, tmp_path, capsys):
+        # The fit comes first: a run that cannot be fitted writes no file.
+        code = cli.main(["bench", "--pairs", "5:10", "--reps", "1",
+                         "--out", str(tmp_path / "b.jsonl")])
+        out, err = capsys.readouterr()
         assert code == 1
-        assert "error:" in err
+        assert out == ""
+        assert err == "error: need at least 5 decided samples, got 1\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestDefaultBytes:
+    FUZZ = TestCorpusCommands.FUZZ
+    RUNS = [
+        FUZZ + ["--order", "input", "--out", "fuzz-input.jsonl", "--cex-dir", "cex-input"],
+        FUZZ + ["--order", "perm", "--out", "fuzz-perm.jsonl", "--cex-dir", "cex-perm"],
+        ["enumerate", "--max-n", "2", "--max-m", "3", "--out", "enum.jsonl",
+         "--cex-dir", "cex-enum"],
+        ["bench", "--pairs", "4:8,5:15,6:24,7:35,8:48", "--reps", "2", "--seed", "3",
+         "--out", "bench.jsonl"],
+        ["minimize", "cex-input/cex-00000.json", "--out", "min.json"],
+    ]
+    # sha256 of each command's stdout, in RUNS order, then of every file
+    # the commands write.  Any change to a default report's bytes fails
+    # here; a change meant to make one must say so and record new digests.
+    STDOUT = [
+        "b8f88c1492fb21be1b92e100cf8ffb235199beeeceb99a42df11753bbc010269",
+        "b8f88c1492fb21be1b92e100cf8ffb235199beeeceb99a42df11753bbc010269",
+        "961dde64b32b9db9e09d8b87bb4c16bbe27ff70242fa4e37b005ef80c04d2e71",
+        "edd00365a3a8e38bdb9b4e6e85c1fc9509d912d7daf632d5b8f35e628a9c70f5",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ]
+    FILES = {
+        "bench.jsonl": "0f56e67f1740fd558c6629665de96f24da665f80c3599fab1917e01efd1fef0f",
+        "bench.jsonl.summary.csv":
+            "2e2eda2bc3c8352254f0e52cfe30a574507b0d6a67671a543ba4561053545412",
+        "cex-input/cex-00000.json":
+            "7d9dc1b8ad89865a31e024a1aa2e08c781435a38b394890cb1fd41b72572104c",
+        "cex-perm/cex-00000.json":
+            "c3eefbe15cc319a621797bf15b0fcfbde36e8e05cf5d15f5928177dc1a03fba1",
+        "enum.jsonl": "d5bbfd512e5cd8e3c715bc28b13e49140e73d5803e1f43d690fe213d2df81354",
+        "enum.jsonl.summary.csv":
+            "9facb58e1458944945faeb4bb6576133975ce303dba4fed1b536158b8426f511",
+        "fuzz-input.jsonl": "398ee97184284d43663e3af239b00d2b1ffac1a4672134b2bd4877abd40f18ea",
+        "fuzz-input.jsonl.summary.csv":
+            "dea849968636e650df2a063c1dba95c4216b32bbf70f1e9452209f7aa0a945e4",
+        "fuzz-perm.jsonl": "067cf1ef3da5e30bf347092d9d81aeb487465e9b2f0827318cc962e930248512",
+        "fuzz-perm.jsonl.summary.csv":
+            "dea849968636e650df2a063c1dba95c4216b32bbf70f1e9452209f7aa0a945e4",
+        "min.json": "12928e40fc52f74b7ac30b2617eabaaa0911e4f02653760a760a4d4183f8d7be",
+    }
+
+    def test_default_reports_keep_their_bytes(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("UNDERSTANDING_SAT_SEED", raising=False)
+        stdout = []
+        for argv in self.RUNS:
+            assert cli.main(argv) == 0, argv
+            stdout.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+        assert stdout == self.STDOUT
+        files = {
+            path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(tmp_path.rglob("*"))
+            if path.is_file()
+        }
+        assert files == self.FILES
 
 
 class TestErrors:
@@ -377,6 +439,19 @@ class TestErrors:
             ({"dimacs": "p cnf 3 1\n1 2 3 0\n", "config": {}, "solver_outcome": {},
               "oracle_verdict": {}, "kind": "FalseUnsat", "minimized": "no"},
              "'minimized' must be true or false, not str 'no'"),
+            # A valid record whose instance no longer adjudicates as its kind.
+            ({"dimacs": "p cnf 3 1\n1 2 3 0\n", "config": {}, "solver_outcome": {},
+              "oracle_verdict": {}, "kind": "FalseUnsat"},
+             "adjudicates as AgreeSat, not as its kind FalseUnsat"),
+            ({"dimacs": "p cnf 3 1\n1 2 3 0\n", "config": {}, "solver_outcome": {},
+              "oracle_verdict": {}, "kind": "FalseUnsat", "note": "x"},
+             "'note' is not a CounterexampleRecord field"),
+            ({"dimacs": "p cnf 3 1\n1 2 3 0\n", "config": [], "solver_outcome": {},
+              "oracle_verdict": {}, "kind": "FalseUnsat"},
+             "'config' must be dict, not list"),
+            ({"dimacs": 3, "config": {}, "solver_outcome": {},
+              "oracle_verdict": {}, "kind": "FalseUnsat"},
+             "'dimacs' must be str, not int"),
             # Raw file text: JSON nested deeper than the decoder can recurse.
             pytest.param("[" * 100000 + "]" * 100000, "too deeply", id="deeply-nested"),
         ],
@@ -392,6 +467,29 @@ class TestErrors:
         assert err.count("\n") == 1
         assert fragment in err
         assert "Traceback" not in err
+        assert cli.main(["minimize", str(path), "--out", str(tmp_path / "min.json")]) == 1
+        assert capsys.readouterr().err == err
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("cmd", ["fuzz", "enumerate", "bench", "minimize"])
+    def test_out_that_cannot_be_opened(self, tmp_path, capsys, cmd):
+        record = next(adjudicate([(None, order_trap_instance())])).record()
+        record_path = tmp_path / "record.json"
+        record_path.write_text(json.dumps(record.as_dict()), encoding="utf-8")
+        argv = {
+            "fuzz": TestCorpusCommands.FUZZ,
+            "enumerate": ["enumerate", "--max-n", "2", "--max-m", "2"],
+            "bench": ["bench", "--pairs", "4:8,5:15,6:24,7:35,8:48", "--reps", "1"],
+            "minimize": ["minimize", str(record_path)],
+        }[cmd]
+        out_path = tmp_path / "missing" / "r.jsonl"
+        assert cli.main(argv + ["--out", str(out_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert repr(str(out_path)) in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [record_path]
 
     @pytest.mark.parametrize(
         "argv,option",

@@ -143,6 +143,13 @@ class TestDiffRun:
         assert again == rec
         assert report.summary()["clean"] is False
 
+    def test_record_without_minimized_key_loads_unminimized(self):
+        rec = diff_run([order_trap_instance()]).counterexamples[0]
+        data = rec.as_dict()
+        del data["minimized"]
+        assert rec.minimized is False
+        assert CounterexampleRecord.from_dict(data) == rec
+
 
 class TestMinimize:
     @staticmethod

@@ -145,6 +145,63 @@ def _lowest_recursion_limit() -> int:
     return lo
 
 
+def _frames_that_fit(limit: int) -> int:
+    """How many frames below the caller's a chain of plain calls reaches
+    under recursion limit ``limit``; that is, the depth of the deepest
+    frame that a call made from the caller can run."""
+    deepest = 0
+
+    def dive(depth):
+        nonlocal deepest
+        deepest = depth
+        dive(depth + 1)
+
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        dive(2)
+    except RecursionError:
+        pass
+    finally:
+        sys.setrecursionlimit(old)
+    return deepest
+
+
+def _first_call_depths(code, fn, *args) -> tuple[int, int]:
+    """Call ``fn(*args)`` and return the depth of the first frame of
+    ``code`` and of the deepest frame entered while that first frame
+    runs.  Depths count as if the caller had called ``fn`` itself:
+    ``fn``'s own frame is at depth 1."""
+    top = sys._getframe()
+    seen = {}
+
+    def depth(frame):
+        n = 0
+        while frame is not top:
+            frame, n = frame.f_back, n + 1
+        return n
+
+    def hook(frame, event, arg):
+        if "done" in seen:
+            return
+        if event == "call":
+            if "frame" in seen:
+                seen["deepest"] = max(seen["deepest"], depth(frame))
+            elif frame.f_code is code:
+                seen["frame"] = frame
+                seen["depth"] = seen["deepest"] = depth(frame)
+        elif event == "return" and frame is seen.get("frame"):
+            seen["done"] = True
+
+    old = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(old)
+    return seen["depth"], seen["deepest"]
+
+
 class TestAnomalies:
     def test_depth_guard_zero_trips_on_repair_recursion(self):
         out = solve(order_trap_instance(), SolveConfig(depth_guard_factor=0))
@@ -177,13 +234,10 @@ class TestAnomalies:
 
     @pytest.mark.parametrize("levels", [1, 2, 3, 4])
     def test_python_recursion_limit_trip_ends_as_a_stateless_depth_guard_anomaly(self, levels):
-        # With Python's limit 1 or 2 levels above this test the limit
-        # trips as the first clause is read, and the outcome must still
-        # be built one frame below ``solve``.  At 3 or 4 levels it trips
-        # while the first clause's first concept is indexed (``_index``),
-        # with no repair begun, alone or after the rest of this file.  A
-        # trip can stop midway through an update, so the outcome must not
-        # carry the state.
+        # With Python's limit a few levels above this test the limit
+        # trips early in the run, and the outcome must still be built one
+        # frame below ``solve``.  A trip can stop midway through an
+        # update, so the outcome must not carry the state.
         inst = gen_random(GenSpec(n=20, m=80, seed=17))
         assert solve(inst).kind == "unsat"
         old = sys.getrecursionlimit()
@@ -197,10 +251,43 @@ class TestAnomalies:
         assert out.anomaly == ANOMALY_GUARD
         assert out.state is None
         assert out.trace[-1]["kind"] == "VERDICT"
-        if levels >= 3:
+
+    def test_python_recursion_limit_trip_while_indexing_the_first_concept(self):
+        # The levels are measured, not fixed: each limit lets every frame
+        # down to the first ``insert_concept`` run, but not the deepest
+        # frame that call enters, so the limit must trip inside it (in
+        # ``_own_index`` or ``_index``), whatever frames a refactor adds
+        # or removes on that path.  The trip comes before the concept's
+        # ADD_CONCEPT event and before any repair.
+        inst = gen_random(GenSpec(n=20, m=80, seed=17))
+        assert solve(inst).kind == "unsat"
+        depth, deepest = _first_call_depths(
+            EngineState.insert_concept.__code__, solve, inst, SolveConfig(trace=True)
+        )
+        lowest = _lowest_recursion_limit()
+        chosen = []
+        for levels in range(1, deepest + 1):
+            # Called from this frame, not from a comprehension's own.
+            if depth <= _frames_that_fit(lowest + levels) < deepest:
+                chosen.append(levels)
+        assert chosen, (depth, deepest)
+        for levels in chosen:
+            old = sys.getrecursionlimit()
+            sys.setrecursionlimit(lowest + levels)
+            try:
+                out = solve(inst, SolveConfig(trace=True))
+            finally:
+                sys.setrecursionlimit(old)
+            assert sys.getrecursionlimit() == old
+            assert out.kind == "anomaly"
+            assert out.anomaly == ANOMALY_GUARD
+            assert out.state is None
+            assert out.trace[-1]["kind"] == "VERDICT"
             assert out.guard_trips == 1
             assert out.failing_clause == 0
             assert not any(e["kind"] == "D_ENTER" for e in out.trace)
+            # The first concept's pick is the last step before the verdict.
+            assert [e["kind"] for e in out.trace[-2:]] == ["U3_PICK", "VERDICT"], levels
 
     def test_concept_admission_contradiction_is_an_anomaly(self, monkeypatch):
         monkeypatch.setattr(
