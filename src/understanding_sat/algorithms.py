@@ -6,16 +6,13 @@ rewritten so a currently false literal becomes free, recursively freeing
 companion literals where needed.  Both work on forks and never mutate
 their input; ``algorithm_d`` returns the rewritten fork on success.
 
-``algorithm_d`` asks the same freeing check many times in one run: about
-70% of its checks on random instances repeat a (companion, restricted
-view) pair already answered.  ``_freeing_check`` runs each distinct check
-once per concept index and stores its answer, ``ops`` and events with
-the index (``EngineState.checks``); a repeat replays them.  The store
-belongs to the index, so the key reads no concepts; a repeat on another
-index whose concepts match runs again, which costs time and never a
-wrong answer.  A replayed check is indistinguishable from a fresh one:
-same answer, same ``ops``, same events at the same steps and counters.
-A check that trips a guard is not stored.
+``algorithm_d`` repeats most of its trials: about 70% on random instances
+pin the same companion on the same state as one already run.
+``_freeing_trial`` runs each distinct trial (check, pin and fixpoint) once
+per concept index, stores its result, ``ops`` and events in
+``EngineState.checks`` and replays them on a repeat.  The key reads no
+concepts, so a repeat on another index with equal concepts runs again:
+time lost, never a wrong answer.  A guard trip stores nothing.
 """
 
 from __future__ import annotations
@@ -62,21 +59,20 @@ def algorithm_g(state: EngineState, literal: int) -> bool:
     return False
 
 
-def _freeing_check(state: EngineState, literal: int) -> bool:
-    """``algorithm_g(state.restrict_to(literal), literal)``, run at most
-    once per concept index for each distinct key.
+def _freeing_trial(state: EngineState, literal: int) -> EngineState | None:
+    """The trial ``algorithm_d`` adopts for ``literal``, or None: if
+    ``algorithm_g(state.restrict_to(literal), literal)`` approves, a fork
+    of ``state`` with the literal pinned true and the fixpoint run, unless
+    the pin clashes or the fixpoint contradicts.
 
-    The key is ``state.view_key(literal)``: the literal, the values and
-    the pins, so equal keys in one index's store mean equal views.  On a
-    miss the view is built, the check runs and its answer, ``ops`` and
-    events go into ``state.checks``; on a hit each stored event is
-    emitted again at the counter it had relative to the check's start,
-    and the stored ``ops`` are added.  On an untraced
-    log no events are gathered, so a hit emits none; that is exact
-    because ``enabled`` is fixed for a log's life and a state moves to
-    another log only with a fresh store.
-    ``GuardExceeded`` propagates and stores nothing, so a repeat trips the
-    guard again.
+    Keyed by ``state.view_key(literal)`` (literal, values, pins), which
+    with the shared index fixes view and trial.  A miss stores copies of
+    the trial's ``values``, ``pins`` and ``unmet`` (None without one), the
+    ``ops`` added and the events; a hit emits each event again at its
+    counter relative to the start, adds the ``ops`` and returns a fork
+    holding copies of the lists.  An untraced log stores no events: exact,
+    as ``enabled`` is fixed for a log's life and a state changes log only
+    with a fresh store.  ``GuardExceeded`` propagates and stores nothing.
     """
     log = state.log
     key = state.view_key(literal)
@@ -84,21 +80,29 @@ def _freeing_check(state: EngineState, literal: int) -> bool:
     stored = state.checks.get(key)
     if stored is None:
         step = len(log.events)
-        answer = algorithm_g(state.restrict_to(literal), literal)
+        trial = lists = None
+        if algorithm_g(state.restrict_to(literal), literal):
+            fork = state.fork()
+            if fork.pin_literal(literal, TRUE) and fork.compute_fixpoint([literal]) is None:
+                trial, lists = fork, (fork.values[:], fork.pins[:], fork.unmet[:])
         events = ()
         if log.enabled:
             events = tuple(
                 (e["kind"], e["literal"], e["old"], e["new"], e["clause"], e["counter"] - start)
                 for e in log.events[step:]
             )
-        state.checks[key] = (answer, log.ops - start, events)
-        return answer
-    answer, ops, events = stored
+        state.checks[key] = (lists, log.ops - start, events)
+        return trial
+    lists, ops, events = stored
     for kind, lit, old, new, clause, counter in events:
         log.ops = start + counter
         log.emit(kind, lit, old, new, clause)
     log.ops = start + ops
-    return answer
+    if lists is None:
+        return None
+    trial = state.fork()
+    trial.values, trial.pins, trial.unmet = (x[:] for x in lists)
+    return trial
 
 
 def algorithm_d(
@@ -118,9 +122,9 @@ def algorithm_d(
     ``algorithm_g`` on the state restricted to the clauses that contain
     it, then pinned true with the fixpoint recomputed.  Companions in
     ``history`` are skipped.  A concept none of whose companions works
-    fails the whole call.  The check goes through ``_freeing_check``,
-    which answers a repeat of an earlier check on the same index from the
-    index's store: ``ops`` and the trace come out as if every check ran.
+    fails the whole call.  Check and trial go through ``_freeing_trial``,
+    which replays a repeat on the same index from the index's store:
+    ``ops`` and the trace come out as if every trial ran.
 
     Returns the rewritten fork (with the literal free) or None.  The
     caller's state is never touched.  ``depth_guard`` caps recursion depth
@@ -184,12 +188,8 @@ def algorithm_d(
                 # Companions of a C+ concept are free or false; a false
                 # one was just freed above, so this cannot trigger.
                 continue
-            if not _freeing_check(basis, companion):
-                continue
-            trial = basis if basis is not work else basis.fork()
-            if not trial.pin_literal(companion, TRUE):
-                continue
-            if trial.compute_fixpoint([companion]) is not None:
+            trial = _freeing_trial(basis, companion)
+            if trial is None:
                 continue
             work = trial
             covered = True

@@ -136,9 +136,9 @@ def _cmd_oracle(args) -> int:
 def _run_corpus(args, items, cfg: SolveConfig) -> int:
     """Adjudicate ``(meta, instance)`` items, streaming one JSONL row each
     to ``--out``; then write the CSV summary, the counterexample records
-    and the one-line JSON summary.  A run that stops on an error removes
-    its partial ``--out`` file and writes nothing else, so no report
-    file is ever a truncated one."""
+    and the one-line JSON summary.  A run that stops on an error, while
+    it streams or while it writes a later file, removes every report file
+    it wrote, so none is ever left from a failed run."""
     report = DiffReport()
 
     def lines():
@@ -154,18 +154,28 @@ def _run_corpus(args, items, cfg: SolveConfig) -> int:
                 )
             )
 
-    if args.out:
-        _write_lines(args.out, lines())
-        rows = [("kind", "count"), *sorted(report.counts.items()), ("total", report.total)]
-        _write_csv(args.out + ".summary.csv", rows)
-    else:
-        for _ in lines():
-            pass
-    if args.cex_dir and report.counterexamples:
-        os.makedirs(args.cex_dir, exist_ok=True)
-        for i, record in enumerate(report.counterexamples):
-            path = os.path.join(args.cex_dir, f"cex-{i:05d}.json")
-            _write_lines(path, [_json_line(record.as_dict())])
+    written = []
+    try:
+        if args.out:
+            _write_lines(args.out, lines())
+            written.append(args.out)
+            rows = [("kind", "count"), *sorted(report.counts.items()), ("total", report.total)]
+            _write_csv(args.out + ".summary.csv", rows)
+            written.append(args.out + ".summary.csv")
+        else:
+            for _ in lines():
+                pass
+        if args.cex_dir and report.counterexamples:
+            os.makedirs(args.cex_dir, exist_ok=True)
+            for i, record in enumerate(report.counterexamples):
+                path = os.path.join(args.cex_dir, f"cex-{i:05d}.json")
+                _write_lines(path, [_json_line(record.as_dict())])
+                written.append(path)
+    except BaseException:
+        # A later write failed: the reports already written go with it.
+        for path in written:
+            os.remove(path)
+        raise
     print(_json_line(report.summary()))
     return EXIT_OK
 

@@ -30,6 +30,7 @@ from helpers import (
     random_instance,
     rebuilding_algorithm_d,
     reevaluate_literal,
+    scanning_unmet,
     snapshot,
     soundness_violations,
 )
@@ -119,9 +120,11 @@ class TestAssumptionCheck:
 
 
 def _counting(calls):
-    """Patches that count ``fork`` calls and record each fixpoint's
-    not-true argument, leaving both to run as they would."""
+    """Patches that count ``fork`` and ``pin_literal`` calls and record
+    each fixpoint's not-true argument, leaving all three to run as they
+    would."""
     real_fork, real_fixpoint = EngineState.fork, EngineState.compute_fixpoint
+    real_pin = EngineState.pin_literal
 
     def fork(self):
         calls["fork"] += 1
@@ -131,9 +134,14 @@ def _counting(calls):
         calls["not_true"].append(tuple(not_true))
         return real_fixpoint(self, seeds, not_true)
 
+    def pin_literal(self, literal, value):
+        calls["pin"] += 1
+        return real_pin(self, literal, value)
+
     return (
         mock.patch.object(EngineState, "fork", fork),
         mock.patch.object(EngineState, "compute_fixpoint", compute_fixpoint),
+        mock.patch.object(EngineState, "pin_literal", pin_literal),
     )
 
 
@@ -149,11 +157,11 @@ def test_freeing_check_forks_once_and_leaves_its_input():
         for lit in (l for v in range(1, inst.variable_count + 1) for l in (v, -v)):
             if st_.values[lit] != FREE:
                 continue
-            calls = {"fork": 0, "not_true": []}
-            fork_patch, fixpoint_patch = _counting(calls)
-            with fork_patch, fixpoint_patch:
+            calls = {"fork": 0, "not_true": [], "pin": 0}
+            fork_patch, fixpoint_patch, pin_patch = _counting(calls)
+            with fork_patch, fixpoint_patch, pin_patch:
                 algorithm_g(st_, lit)
-            assert calls["fork"] == 1
+            assert calls["fork"] == calls["pin"] == 1
             assert snapshot(st_) == before
             most = max(most, len(calls["not_true"]))
     assert most >= 3
@@ -169,11 +177,11 @@ def test_freeing_check_skips_an_attempt_with_a_companion_pinned_true():
     st_.insert_concept(inst.clauses[1], 1)
     assert st_.pin_literal(2, TRUE)
     assert st_.values[1] == FREE
-    calls = {"fork": 0, "not_true": []}
-    fork_patch, fixpoint_patch = _counting(calls)
-    with fork_patch, fixpoint_patch:
+    calls = {"fork": 0, "not_true": [], "pin": 0}
+    fork_patch, fixpoint_patch, pin_patch = _counting(calls)
+    with fork_patch, fixpoint_patch, pin_patch:
         assert algorithm_g(st_, 1) is True
-    assert calls == {"fork": 1, "not_true": [(4, 5)]}
+    assert calls == {"fork": 1, "not_true": [(4, 5)], "pin": 1}
     result = [e for e in st_.log.events if e["kind"] == "G_RESULT"]
     assert [(e["new"], e["clause"]) for e in result] == [("true", 1)]
 
@@ -300,13 +308,27 @@ def test_repair_matches_rebuilding_reference(seed):
         assert run(algorithm_d, lam, guard) == run(rebuilding_algorithm_d, lam, guard)
 
 
-def _direct_check(state, literal):
-    return algorithms.algorithm_g(state.restrict_to(literal), literal)
+def _direct_trial(state, literal):
+    """Storeless reference for ``_freeing_trial``: the check on the view,
+    then a fork pinned and propagated."""
+    if not algorithms.algorithm_g(state.restrict_to(literal), literal):
+        return None
+    trial = state.fork()
+    if trial.pin_literal(literal, TRUE) and trial.compute_fixpoint([literal]) is None:
+        return trial
+    return None
+
+
+def _final(state):
+    return None if state is None else (snapshot(state), tuple(state.unmet))
 
 
 def _run(inst, cfg):
     out = solve(inst, cfg)
-    return out.kind, out.ops, out.failing_clause, out.anomaly, out.guard_trips, out.gaps, out.trace
+    return (
+        out.kind, out.ops, out.failing_clause, out.anomaly, out.guard_trips, out.gaps,
+        out.trace, _final(out.state),
+    )
 
 
 @given(
@@ -315,21 +337,21 @@ def _run(inst, cfg):
     st.sampled_from(("input", "perm")),
 )
 def test_stored_checks_leave_every_run_as_it_was(n, seed, order):
-    # A check answered from its index's store must leave the run exactly as
-    # running it again does: verdict, ops, failing clause, guard trips,
-    # gaps and every event, steps and counters included.
+    # A trial answered from its index's store must leave the run exactly
+    # as running it again does: verdict, ops, failing clause, guard trips,
+    # gaps, every event (steps and counters included) and the final state.
     rng = random.Random(seed)
     inst = gen_random(GenSpec(n=n, m=rng.randint(3 * n, 5 * n), seed=seed))
     cfg = SolveConfig(clause_order=order, order_seed=seed, trace=True)
     stored = _run(inst, cfg)
-    with mock.patch.object(algorithms, "_freeing_check", _direct_check):
+    with mock.patch.object(algorithms, "_freeing_trial", _direct_trial):
         assert _run(inst, cfg) == stored
 
 
 def test_repeated_checks_are_replayed_not_run():
-    # On these draws most checks repeat one the run already asked, and
+    # On these draws most trials repeat one the run already asked, and
     # only the first of each runs ``algorithm_g``; a finished run keeps
-    # no stored checks.
+    # no stored trials.
     calls = 0
     real_g = algorithms.algorithm_g
 
@@ -340,7 +362,7 @@ def test_repeated_checks_are_replayed_not_run():
 
     insts = [gen_random(GenSpec(n=14, m=56, seed=seed)) for seed in range(6)]
     with mock.patch.object(algorithms, "algorithm_g", counting_g):
-        with mock.patch.object(algorithms, "_freeing_check", _direct_check):
+        with mock.patch.object(algorithms, "_freeing_trial", _direct_trial):
             for inst in insts:
                 solve(inst)
         asked, calls = calls, 0
@@ -349,30 +371,35 @@ def test_repeated_checks_are_replayed_not_run():
     assert 0 < 2 * calls < asked
 
 
-def _check_on_log(state, literal):
-    """Run the stored check on ``state``'s traced log; return its answer,
+def _trial_on_log(state, literal):
+    """Run the stored trial on ``state``'s traced log; return the trial,
     the ops it added and its events, each step and counter taken
     relative to the start."""
     log = state.log
     ops, step = log.ops, len(log.events)
-    answer = algorithms._freeing_check(state, literal)
+    trial = algorithms._freeing_trial(state, literal)
     events = [
         dict(e, step=e["step"] - step, counter=e["counter"] - ops) for e in log.events[step:]
     ]
-    return answer, log.ops - ops, events
+    return trial, log.ops - ops, events
+
+
+def _check_on_log(state, literal):
+    trial, ops, events = _trial_on_log(state, literal)
+    return _final(trial), ops, events
 
 
 def _fresh_check(state, literal):
-    view = state.restrict_to(literal)
-    view.log = RunLog(enabled=True)
-    answer = algorithm_g(view, literal)
-    return answer, view.log.ops, view.log.events
+    fork = state.fork()
+    fork.log, fork.checks = RunLog(enabled=True), {}
+    trial = _direct_trial(fork, literal)
+    return _final(trial), fork.log.ops, fork.log.events
 
 
 def test_stored_checks_tell_clause_ids_apart_by_their_literals():
     # Clause 0 holds other literals in the two instances; the concept
     # keys and the ``view_key``s of the views of -2 are the same, and the
-    # answers are not.  Each index keeps its answer in a store of its own.
+    # answers are not.  Each index keeps its trial in a store of its own.
     log = RunLog(enabled=True)
     states, answers = [], []
     for first in ((1, -1, -2), (-1, -2, 3)):
@@ -381,7 +408,9 @@ def test_stored_checks_tell_clause_ids_apart_by_their_literals():
         state.insert_concept(inst.clauses[0], -2)
         state.insert_concept(inst.clauses[1], 1)
         assert _check_on_log(state, -2) == _fresh_check(state, -2)
-        answers.append(_check_on_log(state, -2)[0])
+        replayed = _check_on_log(state, -2)
+        assert replayed == _fresh_check(state, -2)
+        answers.append(replayed[0] is not None)
         states.append(state)
     assert answers == [False, True]
     a, b = states
@@ -393,7 +422,7 @@ def test_stored_checks_tell_clause_ids_apart_by_their_literals():
 @given(st.integers(min_value=0, max_value=100_000))
 def test_instances_sharing_a_log_never_share_a_wrong_check(seed):
     # As in the a4 sweep, one log spans instances whose clause ids hold
-    # other literals: every check, stored or replayed, must equal a
+    # other literals: every trial, stored or replayed, must equal a
     # fresh run of it.
     rng = random.Random(seed)
     n, m = rng.randint(3, 5), rng.randint(2, 8)
@@ -411,6 +440,23 @@ def test_instances_sharing_a_log_never_share_a_wrong_check(seed):
                     assert _check_on_log(state, lit) == _fresh_check(state, lit)
 
 
+def _tripping(state, literal):
+    """Ask the trial twice, each time expecting a guard trip; return what
+    each ask added to the log."""
+    log = state.log
+    tripped = []
+    for _ in range(2):
+        trips, ops, step = log.guard_trips, log.ops, len(log.events)
+        with pytest.raises(GuardExceeded):
+            algorithms._freeing_trial(state, literal)
+        events = [(e["kind"], e["literal"], e["new"], e["counter"] - ops) for e in log.events[step:]]
+        tripped.append((log.guard_trips - trips, log.ops - ops, events))
+        assert state.checks == {}
+    assert tripped[0] == tripped[1]
+    assert tripped[0][0] == 1 and tripped[0][1] > 0
+    return tripped[0][2]
+
+
 def test_guard_tripping_check_is_not_stored():
     # The step cap lets the first attempt's fixpoint make one step, then
     # trips; the trip is counted and nothing is stored, so the repeat
@@ -419,21 +465,87 @@ def test_guard_tripping_check_is_not_stored():
     state = EngineState(inst, RunLog(enabled=True))
     state.insert_concept(inst.clauses[0], 1)
     state.insert_concept(inst.clauses[1], 2)
-    log = state.log
-    tripped = []
     with mock.patch.object(EngineState, "_step_cap", lambda self: 1):
-        for _ in range(2):
-            trips, ops, step = log.guard_trips, log.ops, len(log.events)
-            with pytest.raises(GuardExceeded):
-                algorithms._freeing_check(state, 1)
-            events = [(e["kind"], e["literal"], e["counter"] - ops) for e in log.events[step:]]
-            tripped.append((log.guard_trips - trips, log.ops - ops, events))
-            assert state.checks == {}
-    assert tripped[0] == tripped[1]
-    assert tripped[0][0] == 1 and tripped[0][1] > 0
+        _tripping(state, 1)
     # Without the patched cap the same check completes and is stored.
     assert _check_on_log(state, 1) == _fresh_check(state, 1)
     assert len(state.checks) == 1
+
+
+def test_guard_tripping_trial_after_an_approved_check_is_not_stored():
+    # The check runs on its view at the usual cap and approves; only the
+    # trial's fixpoint, on the state's own index, gets one step.  Nothing
+    # is stored, and the repeat trips in the same place.
+    _, state = admitted_state(build_instance(3, [(1, 2, 3)]))
+    state.log, state.checks = RunLog(enabled=True), {}
+    assert state.values[2] == FREE
+    real_cap = EngineState._step_cap
+
+    def cap(self):
+        return 1 if self.concepts is state.concepts else real_cap(self)
+
+    with mock.patch.object(EngineState, "_step_cap", cap):
+        events = _tripping(state, 2)
+    assert ("G_RESULT", 2, "true") in [e[:3] for e in events]
+    assert events[-1][:3] == ("SET", 2, TRUE)
+    assert _check_on_log(state, 2) == _fresh_check(state, 2)
+    assert _check_on_log(state, 2)[0] is not None
+    assert len(state.checks) == 1
+
+
+def _approved(seeds):
+    """(state, literal) for each approved trial on admitted random states,
+    each state on a fresh traced log and store."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        inst = random_instance(rng, rng.randint(3, 5), rng.randint(2, 7))
+        _, state = admitted_state(inst)
+        state.log, state.checks = RunLog(enabled=True), {}
+        for lit in (l for v in range(1, inst.variable_count + 1) for l in (v, -v)):
+            if state.values[lit] == FREE and _fresh_check(state, lit)[0] is not None:
+                yield state, lit
+
+
+def _unmet_rescanned(state):
+    n = state.inst.variable_count
+    lits = [l for v in range(1, n + 1) for l in (v, -v)]
+    return [state.unmet[l] for l in lits] == [scanning_unmet(state, l) for l in lits]
+
+
+def test_repeated_trial_runs_no_pin_and_no_fixpoint():
+    # An approved trial asked again is replayed: one fork, no pin and no
+    # fixpoint, and the fork equals a fresh trial, ``unmet`` included.
+    replayed = 0
+    for state, lit in _approved(range(120)):
+        first = _check_on_log(state, lit)
+        calls = {"fork": 0, "not_true": [], "pin": 0}
+        fork_patch, fixpoint_patch, pin_patch = _counting(calls)
+        with fork_patch, fixpoint_patch, pin_patch:
+            trial, ops, events = _trial_on_log(state, lit)
+        assert calls == {"fork": 1, "not_true": [], "pin": 0}
+        assert (_final(trial), ops, events) == first == _fresh_check(state, lit)
+        assert _unmet_rescanned(trial)
+        replayed += 1
+    assert replayed >= 100
+
+
+def test_changing_a_returned_trial_leaves_the_store_as_it_was():
+    # Each returned trial, stored or replayed, is the caller's to change:
+    # pin a free literal on it and propagate, and the next ask still
+    # equals a fresh trial.
+    changed = 0
+    for state, lit in _approved(range(120)):
+        fresh = _fresh_check(state, lit)
+        for _ in range(3):
+            trial, ops, events = _trial_on_log(state, lit)
+            assert (_final(trial), ops, events) == fresh
+            assert _unmet_rescanned(trial)
+            before = _final(trial)
+            free = [l for l in range(1, state.inst.variable_count + 1) if trial.values[l] == FREE]
+            if free and trial.pin_literal(free[0], TRUE):
+                trial.compute_fixpoint([free[0]])
+            changed += _final(trial) != before
+    assert changed >= 100
 
 
 def test_conditions_miss_support_retraction_cascades():

@@ -492,6 +492,25 @@ class TestErrors:
         assert list(tmp_path.iterdir()) == [record_path]
 
     @pytest.mark.parametrize(
+        "argv",
+        [TestCorpusCommands.FUZZ, ["enumerate", "--max-n", "3", "--max-m", "4"]],
+        ids=["fuzz", "enumerate"],
+    )
+    def test_cex_dir_that_cannot_be_made(self, tmp_path, capsys, argv):
+        # The records are written after the JSONL and its CSV summary; a
+        # ``--cex-dir`` that is a plain file fails there, and takes the
+        # reports already written with it.
+        cex_file = tmp_path / "cexfile"
+        cex_file.write_text("", encoding="utf-8")
+        out_path = tmp_path / "r.jsonl"
+        assert cli.main(argv + ["--out", str(out_path), "--cex-dir", str(cex_file)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [cex_file]
+
+    @pytest.mark.parametrize(
         "argv,option",
         [
             (["fuzz", "--n", "5", "--count", "-1"], "--count"),
