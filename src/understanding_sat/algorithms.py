@@ -46,7 +46,7 @@ def algorithm_g(state: EngineState, literal: int) -> bool:
     if traced:
         log.emit("G_PIN", literal=literal, new=TRUE)
     pins = base.pins
-    for key in base.concepts_focused(literal):
+    for key in base.by_focus[literal]:
         m1, m2 = base.concepts[key]
         if pins[m1] == TRUE or pins[m2] == TRUE:
             continue
@@ -146,10 +146,10 @@ def algorithm_d(
     # ``work`` is read, never changed, until it is replaced by a trial,
     # which is always a private fork; until then it may be ``state``.
     work = state
-    # Repair pins and propagates but never inserts, so the keys are fixed;
-    # their types are not.  A concept passed over as C* can turn C+ once a
-    # trial is adopted, so every turn scans again from the first key.
-    keys = state.concepts_focused(-literal)
+    # A focus tuple never changes and repair never inserts, so the keys
+    # are fixed; their types are not.  A concept passed over as C* can
+    # turn C+ once a trial is adopted, so every turn rescans from the first.
+    keys = state.by_focus[-literal]
     concepts = state.concepts
     considered: set = set()
     deeper = None  # ``history | {literal}``, built at the first recursion

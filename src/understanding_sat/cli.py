@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -75,9 +76,12 @@ def _write_csv(path: str, rows) -> None:
 
 def _effective_seed(seed: int | None) -> int | None:
     env = os.environ.get("UNDERSTANDING_SAT_SEED")
-    if env is not None:
+    if env is None:
+        return seed
+    try:
         return int(env)
-    return seed
+    except ValueError:
+        raise ValueError(f"UNDERSTANDING_SAT_SEED must be an integer, not {env!r}") from None
 
 
 def _read_instance(path: str):
@@ -190,6 +194,8 @@ def _reject_negative(args, *names: str) -> None:
 
 
 def _cmd_fuzz(args) -> int:
+    if not math.isfinite(args.ratio):
+        raise ValueError(f"--ratio must be finite, not {args.ratio}")
     _reject_negative(args, "count", "ratio")
     seed = _effective_seed(args.seed)
     if args.m is not None:
@@ -251,6 +257,7 @@ def _parse_pairs(spec: str):
 
 def _cmd_bench(args) -> int:
     """Fit first, so that a failed fit (ValueError) writes no file."""
+    _reject_negative(args, "reps")
     samples = bench_samples(_parse_pairs(args.pairs), args.reps, _effective_seed(args.seed))
     fit = asdict(fit_complexity(samples))
     if args.out:

@@ -32,7 +32,7 @@ state is rolled back to what it was on entry.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect
 from collections import deque
 from dataclasses import dataclass
 
@@ -80,7 +80,7 @@ class RunLog:
     a saved state continues on it.
 
     Every call site checks ``enabled`` before it calls ``emit`` (a stored
-    freeing check holds events to replay only on a traced log), so an
+    freeing trial holds events to replay only on a traced log), so an
     untraced run never calls it and builds no event arguments.
     """
 
@@ -128,31 +128,32 @@ class EngineState:
     unpinned; it stands unless the computed value directly opposes it, so
     the effective value is ``pins[lit] or values[lit]``.
 
-    The concept index (``concepts``, ``by_focus`` and ``by_member``) is
-    copy-on-write.  Each ``by_focus`` list is kept in ascending key order,
-    that is by origin clause, as ``_index`` inserts into it: an insert in
-    input order appends, any other goes to its place.  ``fork`` hands the
-    child the parent's index and marks both states as sharing it;
-    whichever of them next inserts a concept copies the index first and
-    owns its copy from then on, so neither ever sees the other's later
-    inserts.  (A concept is removed only to undo its insert on the same
-    state, which already owns its index by then.)  Values and assumptions
-    are copied on every fork; ``restrict_to`` builds a view with an index
-    of its own, inserting in key order.  Code outside this class reads
-    the index and never changes it.
+    The concept index is ``concepts`` (key to companions) and two lists
+    indexed by literal like ``values``: ``by_focus[lit]``, the keys
+    focused on ``lit`` in ascending key order (by origin clause), and
+    ``by_member[lit]``, the keys holding ``lit`` as a companion, each a
+    tuple that is replaced, never changed.  It is copy-on-write: ``fork``
+    hands the child the parent's index and marks both states as sharing
+    it; whichever of them next inserts a concept copies the dict and the
+    two lists first and owns its copy from then on, so neither ever sees
+    the other's later inserts.  (A concept is removed only to undo its
+    insert on the same state, which already owns its index by then.)
+    Values and assumptions are copied on every fork; ``restrict_to``
+    builds a view with an index of its own, inserting in key order.  Code
+    outside this class reads the index and never changes it.
 
-    ``checks`` stores the freeing checks already run on this index: it
-    maps ``view_key(literal)`` to what
-    ``algorithm_g(state.restrict_to(literal), literal)`` did the first
-    time it was asked, its answer, the ``ops`` it added and the events it
-    emitted (each ``counter`` relative to the check's start).  ``fork``
-    shares the dict along with the index; ``__init__``, ``restrict_to``
-    and ``insert_concept`` give the state a fresh one, which an insert
-    undone by a contradiction leaves in place.  States that share a store
-    therefore share an index, and the key need only name the rest of the
-    view.  A stored event list replays what the state's log recorded, so
-    a state is moved to another log only with a fresh store, as ``solve``
-    does when it resumes a run.
+    ``checks`` stores the freeing trials already run on this index: it
+    maps ``view_key(literal)`` to what ``algorithms._freeing_trial`` did
+    the first time it was asked: copies of the adopted trial's
+    ``values``, ``pins`` and ``unmet`` (None when there is none), the
+    ``ops`` it added and the events it emitted (each ``counter`` relative
+    to the trial's start).  ``fork`` shares the dict along with the
+    index; ``__init__``, ``restrict_to`` and ``insert_concept`` give the
+    state a fresh one, which an insert undone by a contradiction leaves
+    in place.  States that share a store therefore share an index, and
+    the key need only name the rest of the view.  A stored event list
+    replays what the state's log recorded, so a state is moved to another
+    log only with a fresh store, as ``solve`` does when it resumes a run.
 
     ``unmet[lit]`` is the number of concepts focused on ``lit`` whose two
     companions are both not true, reading each companion's effective
@@ -184,34 +185,17 @@ class EngineState:
     )
 
     def __init__(self, inst: Instance, log: RunLog | None = None):
+        size = 2 * inst.variable_count + 1
         self.inst = inst
-        self.values: list[TruthValue] = [FREE] * (2 * inst.variable_count + 1)
+        self.values: list[TruthValue] = [FREE] * size
         self.concepts: dict[ConceptKey, tuple[int, int]] = {}
-        self.by_focus: dict[int, list[ConceptKey]] = {}
-        self.by_member: dict[int, list[ConceptKey]] = {}
-        self.pins: list[TruthValue] = [""] * (2 * inst.variable_count + 1)
-        self.unmet: list[int] = [0] * (2 * inst.variable_count + 1)
+        self.by_focus: list[tuple[ConceptKey, ...]] = [()] * size
+        self.by_member: list[tuple[ConceptKey, ...]] = [()] * size
+        self.pins: list[TruthValue] = [""] * size
+        self.unmet: list[int] = [0] * size
         self.log = log if log is not None else RunLog()
         self._shared = False  # the index may be another state's too
         self.checks: dict = {}
-
-    # -- reads ---------------------------------------------------------
-
-    def value(self, literal: int) -> TruthValue:
-        return self.values[literal]
-
-    def effective_value(self, literal: int) -> TruthValue:
-        """Stored value with the pin, if any, taking precedence."""
-        return self.pins[literal] or self.values[literal]
-
-    def concepts_focused(self, literal: int) -> list[ConceptKey]:
-        """Concept keys focused on ``literal``, ascending by origin clause.
-
-        This is the index's own list, already in that order: read it and
-        never change it.  It holds until this state next inserts or
-        removes a concept.
-        """
-        return self.by_focus.get(literal) or []
 
     # -- assumptions ---------------------------------------------------
 
@@ -225,7 +209,7 @@ class EngineState:
             if pins[lit] and pins[lit] != v:
                 return False
         for lit, v in ((literal, value), (-literal, flip(value))):
-            was_true = self.effective_value(lit) == TRUE
+            was_true = (pins[lit] or self.values[lit]) == TRUE
             pins[lit] = v
             if was_true != (v == TRUE):
                 self._retally(lit, 1 if was_true else -1)
@@ -249,7 +233,7 @@ class EngineState:
         pins = self.pins
         concepts = self.concepts
         unmet = self.unmet
-        for key in self.by_member.get(literal, ()):
+        for key in self.by_member[literal]:
             m1, m2 = concepts[key]
             other = m2 if m1 == literal else m1
             if (pins[other] or values[other]) != TRUE:
@@ -341,7 +325,7 @@ class EngineState:
                 saved = values[:], unmet[:]
             deps = set()
             for lit, v in ((var, new), (neg, _FLIP[new])):
-                keys = by_member.get(lit, ())
+                keys = by_member[lit]
                 was_true = values[lit] == TRUE
                 values[lit] = v
                 if was_true != (v == TRUE) and not pins[lit]:
@@ -387,13 +371,15 @@ class EngineState:
     def _index(self, key: ConceptKey, members: tuple[int, int]) -> None:
         self.concepts[key] = members
         focus = key[1]
-        focused = self.by_focus.setdefault(focus, [])
+        focused = self.by_focus[focus]
         if not focused or focused[-1] < key:
-            focused.append(key)
+            self.by_focus[focus] = focused + (key,)
         else:
-            insort(focused, key)
-        for m in members:
-            self.by_member.setdefault(m, []).append(key)
+            i = bisect(focused, key)
+            self.by_focus[focus] = focused[:i] + (key,) + focused[i:]
+        m1, m2 = members
+        self.by_member[m1] += (key,)
+        self.by_member[m2] += (key,)
         if not self._covered(members):
             self.unmet[focus] += 1
 
@@ -401,8 +387,8 @@ class EngineState:
         """Copy a shared concept index before changing it."""
         if self._shared:
             self.concepts = dict(self.concepts)
-            self.by_focus = {k: list(v) for k, v in self.by_focus.items()}
-            self.by_member = {k: list(v) for k, v in self.by_member.items()}
+            self.by_focus = self.by_focus[:]
+            self.by_member = self.by_member[:]
             self._shared = False
 
     def _remove_concept(self, key: ConceptKey) -> None:
@@ -413,13 +399,9 @@ class EngineState:
         focus = key[1]
         if not self._covered(members):
             self.unmet[focus] -= 1
-        self.by_focus[focus].remove(key)
-        if not self.by_focus[focus]:
-            del self.by_focus[focus]
-        for m in members:
-            self.by_member[m].remove(key)
-            if not self.by_member[m]:
-                del self.by_member[m]
+        m1, m2 = members
+        for table, lit in ((self.by_focus, focus), (self.by_member, m1), (self.by_member, m2)):
+            table[lit] = tuple(k for k in table[lit] if k != key)
 
     def add_concept(self, clause: Clause, focus: int) -> Contradiction | None:
         """Admit one concept and propagate; atomic on contradiction."""
@@ -441,9 +423,9 @@ class EngineState:
         """Observationally independent copy sharing the run log.
 
         Only the values, the assumptions and ``unmet`` are copied.  The
-        concept index and its stored checks are shared with this state
-        until either of the two inserts a concept, which copies the index
-        first (see the class docstring).
+        concept index and its stored trials are shared with this state
+        until either of the two inserts a concept, which copies the dict
+        and the two lists first (see the class docstring).
         """
         self._shared = True
         n = object.__new__(EngineState)
@@ -462,18 +444,18 @@ class EngineState:
     def restrict_to(self, literal: int) -> "EngineState":
         """Copy restricted to the admitted clauses that contain the
         literal or its negation; values and assumptions carry over
-        unchanged.  The view owns its index and an empty store of checks.
+        unchanged.  The view owns its index and an empty store of trials.
 
         Every concept of a clause holds all three of the clause's
         literals, as focus or companion, so the kept concepts are exactly
-        those indexed under ``literal`` and ``-literal`` in ``by_focus``
-        and ``by_member``; the rest of the store is never scanned.  They
-        are indexed in sorted key order.
+        those in the ``by_focus`` and ``by_member`` slots of ``literal``
+        and ``-literal``; the rest of the store is never scanned.  They
+        are indexed in sorted key order, so each tuple is appended to.
         """
         keys = set()
         for lit in (literal, -literal):
-            keys.update(self.by_focus.get(lit, ()))
-            keys.update(self.by_member.get(lit, ()))
+            keys.update(self.by_focus[lit])
+            keys.update(self.by_member[lit])
         n = object.__new__(EngineState)
         n.inst = self.inst
         n.values = values = self.values[:]
@@ -483,16 +465,16 @@ class EngineState:
         n._shared = False
         n.checks = {}
         n.concepts = concepts = {}
-        n.by_focus = by_focus = {}
-        n.by_member = by_member = {}
+        n.by_focus = by_focus = [()] * len(values)
+        n.by_member = by_member = [()] * len(values)
         # ``_index`` written out, in the same order.
         source = self.concepts
         for key in sorted(keys):
             concepts[key] = m1, m2 = source[key]
             focus = key[1]
-            by_focus.setdefault(focus, []).append(key)
-            by_member.setdefault(m1, []).append(key)
-            by_member.setdefault(m2, []).append(key)
+            by_focus[focus] += (key,)
+            by_member[m1] += (key,)
+            by_member[m2] += (key,)
             if (pins[m1] or values[m1]) != TRUE and (pins[m2] or values[m2]) != TRUE:
                 unmet[focus] += 1
         return n

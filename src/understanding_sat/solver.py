@@ -54,8 +54,9 @@ class SolveConfig:
     ``default_free`` fills variables the final map leaves free;
     ``depth_guard_factor`` scales the recursion guard, which is
     factor * (number of literals) + 1.  Building a config with another
-    ``clause_order`` or ``default_free``, or ``perm`` without a seed,
-    raises ValueError.
+    ``clause_order`` or ``default_free``, a negative
+    ``depth_guard_factor``, or ``perm`` without a seed, raises
+    ValueError.
     """
 
     clause_order: str = "input"
@@ -67,6 +68,10 @@ class SolveConfig:
     def __post_init__(self):
         if self.default_free not in (0, 1):
             raise ValueError(f"config key 'default_free' must be 0 or 1, not {self.default_free!r}")
+        if self.depth_guard_factor < 0:  # a guard below 1 trips every repair
+            raise ValueError(
+                f"config key 'depth_guard_factor' must be non-negative, not {self.depth_guard_factor!r}"
+            )
         if self.clause_order not in ("input", "perm"):
             raise ValueError(
                 f"config key 'clause_order' must be 'input' or 'perm', not {self.clause_order!r}"

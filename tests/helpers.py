@@ -100,7 +100,8 @@ def concept_type(state: EngineState, key) -> str:
     """Type of the state's concept ``key``, reading each companion's
     effective value."""
     m1, m2 = state.concepts[key]
-    return concept_type_of(state.effective_value(m1), state.effective_value(m2))
+    pins, values = state.pins, state.values
+    return concept_type_of(pins[m1] or values[m1], pins[m2] or values[m2])
 
 
 def coupling_violations(state: EngineState) -> list[int]:
@@ -141,13 +142,13 @@ def lemma_g_conditions(state: EngineState, literal: int) -> bool:
     approves, is the claim the a4 acceptance verdict tests on every small
     reachable state, and it fails: the conditions over-approve.
     """
-    if state.value(literal) != FREE:
+    if state.values[literal] != FREE:
         raise ValueError("lemma_g_conditions requires a free literal")
     opposing = [
-        frozenset(state.concepts[k]) for k in state.by_focus.get(-literal, ())
+        frozenset(state.concepts[k]) for k in state.by_focus[-literal]
     ]
     opposing_sets = set(opposing)
-    for key in state.concepts_focused(literal):
+    for key in state.by_focus[literal]:
         m1, m2 = state.concepts[key]
         if frozenset((m1, m2)) in opposing_sets:
             continue
@@ -254,7 +255,7 @@ def sweep_assumption_check(
             stats["nodes"] += 1
             for var in range(1, n + 1):
                 for lit in (var, -var):
-                    if state.value(lit) != FREE:
+                    if state.values[lit] != FREE:
                         continue
                     key = view_memo_key(state, lit)
                     if key in memo:
@@ -333,8 +334,8 @@ def view_memo_key(state: EngineState, literal: int) -> tuple:
     as focus or companion."""
     keys = set()
     for lit in (literal, -literal):
-        keys.update(state.by_focus.get(lit, ()))
-        keys.update(state.by_member.get(lit, ()))
+        keys.update(state.by_focus[lit])
+        keys.update(state.by_member[lit])
     n = state.inst.variable_count
     values = state.values
     pins = state.pins
@@ -369,21 +370,20 @@ def scanning_restrict_to(state: EngineState, literal: int) -> EngineState:
         (state.by_focus, view.by_focus),
         (state.by_member, view.by_member),
     ):
-        for lit, keys in index.items():
-            kept = [k for k in keys if k[0] in keep]
-            if kept:
-                out[lit] = kept
+        for lit, keys in enumerate(index):
+            out[lit] = tuple(k for k in keys if k[0] in keep)
     view.pins = state.pins[:]
     return view
 
 
 def index_of(state: EngineState):
-    """The whole concept index in canonical form, lookup lists included
-    (``snapshot`` leaves those out)."""
+    """The whole concept index in canonical form, both lookup tables
+    included (``snapshot`` leaves those out): each slot's keys as a
+    sorted list, in slot order."""
     return (
         snapshot(state),
-        sorted((lit, sorted(keys)) for lit, keys in state.by_focus.items()),
-        sorted((lit, sorted(keys)) for lit, keys in state.by_member.items()),
+        [sorted(keys) for keys in state.by_focus],
+        [sorted(keys) for keys in state.by_member],
     )
 
 
@@ -410,7 +410,7 @@ def scanning_unmet(state: EngineState, literal: int) -> int:
     values = state.values
     pins = state.pins
     count = 0
-    for key in state.by_focus.get(literal, ()):
+    for key in state.by_focus[literal]:
         m1, m2 = state.concepts[key]
         v1 = pins[m1] or values[m1]
         v2 = pins[m2] or values[m2]
@@ -429,7 +429,7 @@ def rebuilding_algorithm_d(
     """Reference for ``algorithm_d``: the same repair, but every turn of
     its loop re-sorts the concepts focused on the negation and re-types
     each one not yet considered, then takes the first C+ key."""
-    if state.value(literal) != FALSE:
+    if state.values[literal] != FALSE:
         raise ValueError("algorithm_d requires a false literal")
     if len(history) >= depth_guard:
         state.log.guard_trips += 1
@@ -443,7 +443,7 @@ def rebuilding_algorithm_d(
     while True:
         pending = [
             key
-            for key in work.concepts_focused(-literal)
+            for key in work.by_focus[-literal]
             if key not in considered and concept_type(work, key) == CPLUS
         ]
         if not pending:
@@ -455,9 +455,9 @@ def rebuilding_algorithm_d(
         for companion in work.concepts[key]:
             if companion in history:
                 continue
-            log.emit("D_MEMBER", literal=companion, old=work.value(companion), clause=key[0])
+            log.emit("D_MEMBER", literal=companion, old=work.values[companion], clause=key[0])
             candidate = None
-            if work.value(companion) == FALSE:
+            if work.values[companion] == FALSE:
                 log.emit("D_RECURSE", literal=companion)
                 candidate = rebuilding_algorithm_d(
                     work, companion, history | {literal}, depth_guard=depth_guard
@@ -465,7 +465,7 @@ def rebuilding_algorithm_d(
                 if candidate is None:
                     continue
             basis = candidate if candidate is not None else work
-            if basis.value(companion) != FREE:
+            if basis.values[companion] != FREE:
                 continue
             if not algorithm_g(basis.restrict_to(companion), companion):
                 continue
@@ -483,7 +483,7 @@ def rebuilding_algorithm_d(
     if work is state:
         work = state.fork()
     res = work.compute_fixpoint([literal])
-    if res is not None or work.value(literal) != FREE:
+    if res is not None or work.values[literal] != FREE:
         work.log.paper_gaps += 1
         log.emit("D_RESULT", literal=literal, new="gap")
         return None
@@ -532,7 +532,7 @@ def dependents(state: EngineState, literal: int) -> list[int]:
     concepts contain either polarity of the literal."""
     out = set()
     for lit in (literal, -literal):
-        for key in state.by_member.get(lit, ()):
+        for key in state.by_member[lit]:
             out.add(abs(key[1]))
     return sorted(out)
 
@@ -609,7 +609,7 @@ def pairwise_compute_fixpoint(state: EngineState, seeds, not_true=()):
             return r_neg
         if r_neg != flip(r_pos):
             raise AssertionError(f"coupling broke during recomputation of variable {var}")
-        old = state.value(var)
+        old = state.values[var]
         if r_pos != old:
             undo.append((var, old))
             write_pair(state, var, r_pos)

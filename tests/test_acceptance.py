@@ -138,7 +138,7 @@ def audit() -> CorpusAudit:
                 state = outcome.state
                 for clause in inst.clauses:
                     if not any(
-                        state.value(lit) == TRUE for lit in clause.literals
+                        state.values[lit] == TRUE for lit in clause.literals
                     ):
                         a.witness_gaps.append(f"{tag} clause {clause.id}")
                         break
@@ -400,13 +400,13 @@ def test_a7_reruns_are_byte_identical_and_failure_paths_roll_back(
             for v in range(1, inst.variable_count + 1)
             for l in (v, -v)
         ]
-        free = [l for l in lits if state.value(l) == FREE]
+        free = [l for l in lits if state.values[l] == FREE]
         if free:
             exercised["check"] += 1
             algorithm_g(state, rng.choice(free))
             if snapshot(state) != snap:
                 violations.append((seed, "check"))
-        false = [l for l in lits if state.value(l) == FALSE]
+        false = [l for l in lits if state.values[l] == FALSE]
         if false:
             exercised["repair"] += 1
             try:

@@ -81,7 +81,7 @@ class TestAssumptionCheck:
         st_ = EngineState(inst, log=RunLog(enabled=True))
         for cid, focus in [(3, 2), (0, 1), (1, -1), (2, 4), (2, 1)]:
             assert st_.add_concept(inst.clauses[cid], focus) is None
-        assert st_.value(1) == FREE
+        assert st_.values[1] == FREE
         assert soundness_violations(st_) == []
         assert lemma_g_conditions(st_, 1) is True
         assert algorithm_g(st_, 1) is True
@@ -91,7 +91,7 @@ class TestAssumptionCheck:
     def test_precondition_requires_free_literal(self):
         status, st_ = admitted_state(build_instance(3, [(1, 2, 3)]))
         assert status == "ok"
-        assert st_.value(1) == TRUE
+        assert st_.values[1] == TRUE
         with pytest.raises(ValueError):
             algorithm_g(st_, 1)
         with pytest.raises(ValueError):
@@ -111,7 +111,7 @@ class TestAssumptionCheck:
         inst = build_instance(4, [(2, 3, 4), (1, 2, 3)])
         status, st_ = admitted_state(inst)
         assert status == "ok"
-        assert st_.value(2) == TRUE and st_.value(1) == FREE
+        assert st_.values[2] == TRUE and st_.values[1] == FREE
         assert algorithm_g(st_, 1) is False
         assert lemma_g_conditions(st_, 1) is True
         view = st_.restrict_to(1)
@@ -195,11 +195,11 @@ class TestRepair:
     def test_frees_literal_by_pinning_companion(self):
         status, st_ = admitted_state(build_instance(3, [(1, 2, 3)]))
         assert status == "ok"
-        assert st_.value(-1) == FALSE
+        assert st_.values[-1] == FALSE
         before = snapshot(st_)
         result = algorithm_d(st_, -1, depth_guard=default_depth_guard(st_))
         assert result is not None
-        assert result.value(-1) == FREE
+        assert result.values[-1] == FREE
         assert reevaluate_literal(result, -1) == FREE
         assert result.pins[2] == TRUE
         assert coupling_violations(result) == []
@@ -230,7 +230,7 @@ class TestRepair:
         for clause in inst.clauses:
             status, st_ = _admit_clause(st_, clause, cfg)
             assert status == "ok"
-        assert st_.value(-1) == FALSE
+        assert st_.values[-1] == FALSE
         result = algorithm_d(st_, -1, depth_guard=default_depth_guard(st_))
         assert result is not None
         visits = [e for e in st_.log.events if e["kind"] == "D_CONCEPT"]
@@ -241,7 +241,7 @@ class TestRepair:
         assert status == "ok"
         before = snapshot(st_)
         for lam in (-1, -2, -3):
-            assert st_.value(lam) == FALSE
+            assert st_.values[lam] == FALSE
             assert algorithm_d(st_, lam, depth_guard=default_depth_guard(st_)) is None
         assert snapshot(st_) == before
 
@@ -257,14 +257,14 @@ def test_repair_postcondition_on_random_states(seed):
         lit
         for var in range(1, inst.variable_count + 1)
         for lit in (var, -var)
-        if st_.value(lit) == FALSE
+        if st_.values[lit] == FALSE
     ]
     before = snapshot(st_)
     for lam in false_literals[:2]:
         result = algorithm_d(st_, lam, depth_guard=default_depth_guard(st_))
         assert snapshot(st_) == before
         if result is not None:
-            assert result.value(lam) == FREE
+            assert result.values[lam] == FREE
             assert coupling_violations(result) == []
             assert soundness_violations(result) == []
 
@@ -287,7 +287,7 @@ def test_repair_matches_rebuilding_reference(seed):
         lit
         for var in range(1, inst.variable_count + 1)
         for lit in (var, -var)
-        if st_.value(lit) == FALSE
+        if st_.values[lit] == FALSE
     ]
 
     def run(repair, lam, guard):
@@ -436,7 +436,7 @@ def test_instances_sharing_a_log_never_share_a_wrong_check(seed):
     for _ in range(2):
         for state in states:
             for lit in (l for v in range(1, n + 1) for l in (v, -v)):
-                if state.value(lit) == FREE:
+                if state.values[lit] == FREE:
                     assert _check_on_log(state, lit) == _fresh_check(state, lit)
 
 
@@ -561,7 +561,7 @@ def test_conditions_miss_support_retraction_cascades():
     st_ = EngineState(inst)
     for cid, focus in [(2, 4), (2, 1), (0, 2), (0, 1), (1, -1)]:
         assert st_.add_concept(inst.clauses[cid], focus) is None
-    assert st_.value(1) == FREE
+    assert st_.values[1] == FREE
     assert soundness_violations(st_) == []
     assert coupling_violations(st_) == []
     assert lemma_g_conditions(st_, 1) is True
@@ -583,7 +583,7 @@ def test_assumption_check_success_implies_conditions_hold(seed):
         return
     for var in range(1, inst.variable_count + 1):
         for lit in (var, -var):
-            if st_.value(lit) != FREE:
+            if st_.values[lit] != FREE:
                 continue
             view = st_.restrict_to(lit)
             if algorithm_g(view, lit):
@@ -619,7 +619,7 @@ def test_shared_prefix_sweep_matches_per_sequence_enumeration():
     def record(st_, clauses):
         for var in (1, 2):
             for lit in (var, -var):
-                if st_.value(lit) != FREE:
+                if st_.values[lit] != FREE:
                     continue
                 view = st_.restrict_to(lit)
                 naive[

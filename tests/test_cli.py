@@ -454,6 +454,9 @@ class TestErrors:
              "'dimacs' must be str, not int"),
             # Raw file text: JSON nested deeper than the decoder can recurse.
             pytest.param("[" * 100000 + "]" * 100000, "too deeply", id="deeply-nested"),
+            ({"dimacs": "p cnf 3 1\n1 2 3 0\n", "config": {"depth_guard_factor": -5},
+              "solver_outcome": {}, "oracle_verdict": {}, "kind": "FalseUnsat"},
+             "'depth_guard_factor' must be non-negative, not -5"),
         ],
     )
     def test_malformed_record(self, tmp_path, capsys, record, fragment):
@@ -518,6 +521,7 @@ class TestErrors:
             (["fuzz", "--n", "5", "--ratio", "-0.5", "--count", "0"], "--ratio"),
             (["enumerate", "--max-n", "-1", "--max-m", "2"], "--max-n"),
             (["enumerate", "--max-n", "2", "--max-m", "-1"], "--max-m"),
+            (["bench", "--pairs", "4:8,5:15,6:24,7:35,8:48", "--reps", "-1"], "--reps"),
         ],
     )
     def test_negative_sizes_are_usage_errors(self, tmp_path, capsys, argv, option):
@@ -528,6 +532,29 @@ class TestErrors:
         assert err.startswith(f"error: {option} must be non-negative")
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("ratio", ["inf", "-inf", "nan"])
+    def test_ratio_that_is_not_finite_is_a_usage_error(self, tmp_path, capsys, ratio):
+        # ``round`` raises OverflowError on an infinity and a ValueError
+        # that names no option on NaN.
+        out_path = tmp_path / "r.jsonl"
+        assert cli.main(["fuzz", "--n", "5", f"--ratio={ratio}", "--out", str(out_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --ratio must be finite, not {float(ratio)}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["fuzz", "--n", "5", "--count", "1"], ["bench", "--pairs", "4:8", "--reps", "1"]],
+        ids=["fuzz", "bench"],
+    )
+    def test_seed_env_that_is_not_an_integer(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("UNDERSTANDING_SAT_SEED", "abc")
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: UNDERSTANDING_SAT_SEED must be an integer, not 'abc'\n"
 
     def test_zero_sizes_still_run(self, capsys):
         assert cli.main(["fuzz", "--n", "5", "--count", "0"]) == 0

@@ -68,26 +68,26 @@ class TestValueRule:
         inst = build_instance(3, [(1, 2, 3)])
         st_ = fresh_state(inst)
         assert st_.add_concept(inst.clauses[0], 1) is None
-        assert st_.value(1) == TRUE
-        assert st_.value(-1) == FALSE
-        assert st_.value(2) == FREE
+        assert st_.values[1] == TRUE
+        assert st_.values[-1] == FALSE
+        assert st_.values[2] == FREE
 
     def test_opposed_literal_becomes_false(self):
         # a concept on -1 with free companions marks 1 false
         inst = build_instance(3, [(-1, 2, 3)])
         st_ = fresh_state(inst)
         assert st_.add_concept(inst.clauses[0], -1) is None
-        assert st_.value(1) == FALSE
-        assert st_.value(-1) == TRUE
+        assert st_.values[1] == FALSE
+        assert st_.values[-1] == TRUE
 
     def test_covered_concept_keeps_focus_free(self):
         # companion already true -> concept is C*, focus stays free
         inst = build_instance(5, [(2, 4, 5), (1, 2, 3)])
         st_ = fresh_state(inst)
         assert st_.add_concept(inst.clauses[0], 2) is None
-        assert st_.value(2) == TRUE
+        assert st_.values[2] == TRUE
         assert st_.add_concept(inst.clauses[1], 1) is None
-        assert st_.value(1) == FREE
+        assert st_.values[1] == FREE
 
     def test_needed_and_opposed_contradicts_and_rolls_back(self):
         inst = build_instance(3, [(1, 2, 3), (-1, 2, 3)])
@@ -117,20 +117,20 @@ class TestPins:
         st_ = fresh_state(inst)
         assert st_.add_concept(inst.clauses[0], -3) is None
         assert st_.add_concept(inst.clauses[1], 1) is None
-        assert st_.value(1) == TRUE  # companions of (1): {e, f}
+        assert st_.values[1] == TRUE  # companions of (1): {e, f}
         assert st_.pin_literal(2, TRUE)
-        assert st_.value(2) == FREE  # lazy until the next recomputation
-        assert st_.effective_value(2) == TRUE
+        assert st_.values[2] == FREE  # lazy until the next recomputation
+        assert st_.pins[2] == TRUE  # the effective value, ``pins[2] or values[2]``
         assert st_.compute_fixpoint([2]) is None
-        assert st_.value(2) == TRUE
-        assert st_.value(1) == FREE  # concept became C*, need lifted
+        assert st_.values[2] == TRUE
+        assert st_.values[1] == FREE  # concept became C*, need lifted
         assert soundness_violations(st_) == []
 
     def test_pin_couples_both_polarities(self):
         inst = build_instance(3, [(1, 2, 3)])
         st_ = fresh_state(inst)
         assert st_.pin_literal(-2, FALSE)
-        assert st_.effective_value(2) == TRUE
+        assert st_.pins[2] == TRUE and st_.pins[-2] == FALSE
         assert not st_.pin_literal(2, FALSE)  # clashes with existing pin
 
     def test_pin_conflict_contradiction(self):
@@ -140,7 +140,7 @@ class TestPins:
         res = st_.add_concept(inst.clauses[0], 1)  # computes t, pin says f
         assert isinstance(res, Contradiction)
         assert res.reason == "pin-conflict"
-        assert st_.value(1) == FREE
+        assert st_.values[1] == FREE
         assert (0, 1) not in st_.concepts
 
     def test_not_true_forced_contradiction(self):
@@ -150,10 +150,10 @@ class TestPins:
         res = st_.compute_fixpoint([1], (1,))
         assert isinstance(res, Contradiction)
         assert (res.witness, res.reason) == (1, "not-true-forced")
-        assert st_.value(1) == FREE
+        assert st_.values[1] == FREE
         # The constraint belongs to that one call.
         assert st_.compute_fixpoint([1]) is None
-        assert st_.value(1) == TRUE
+        assert st_.values[1] == TRUE
 
     def test_free_pin_on_opposed_literal_survives(self):
         # epsilon never contradicts a pin; only direct opposition does
@@ -161,7 +161,7 @@ class TestPins:
         st_ = fresh_state(inst)
         assert st_.pin_literal(1, FALSE)
         assert st_.add_concept(inst.clauses[0], -1) is None
-        assert st_.value(1) == FALSE
+        assert st_.values[1] == FALSE
 
 
 class TestFixpointMechanics:
@@ -213,12 +213,12 @@ class TestViews:
         inst = build_instance(3, [(1, 2, 3), (-1, -2, 3)])
         status, st_ = admitted_state(inst, upto=1)
         assert status == "ok"
-        parent_value = st_.value(3)
+        parent_value = st_.values[3]
         child = st_.fork()
         child.add_concept(inst.clauses[1], 3)
         assert (1, 3) in child.concepts
         assert (1, 3) not in st_.concepts
-        assert st_.value(3) == parent_value
+        assert st_.values[3] == parent_value
         assert child.log is st_.log  # accounting is shared by design
 
     def test_restrict_to_filters_clauses(self):
@@ -229,7 +229,7 @@ class TestViews:
         assert {key[0] for key in view.concepts} == {0, 2}
         # values carry over untouched
         for lit in (1, -1, 2, -2, 3, -3, 4, -4):
-            assert view.value(lit) == st_.value(lit)
+            assert view.values[lit] == st_.values[lit]
 
     def test_restrict_keeps_member_order_and_pins(self):
         inst = build_instance(3, [(1, 2, 3)])
@@ -241,19 +241,36 @@ class TestViews:
         assert view.pins[2] == TRUE
 
 
+def _owned_fork(state):
+    child = state.fork()
+    child._own_index()
+    return child
+
+
 @pytest.mark.parametrize(
     "build",
-    [EngineState.fork, lambda state: state.restrict_to(1), lambda state: state.log.copy()],
-    ids=["fork", "restrict_to", "RunLog.copy"],
+    [
+        lambda state: EngineState(state.inst),
+        EngineState.fork,
+        lambda state: state.restrict_to(1),
+        _owned_fork,
+        lambda state: state.log.copy(),
+    ],
+    ids=["__init__", "fork", "restrict_to", "_own_index", "RunLog.copy"],
 )
 def test_copies_set_every_slot(build):
-    # ``fork`` fills a bare object slot by slot; the others go through
-    # ``__init__``.  A slot left unset would fail only on a later read.
+    # ``fork`` and ``restrict_to`` fill a bare object slot by slot.  A
+    # slot left unset would fail only on a later read, and a lookup table
+    # of the wrong shape only on a later index.
     inst = build_instance(4, [(1, 2, 3), (-1, -2, 3), (2, -3, 4)])
     status, st_ = admitted_state(inst)
     assert status == "ok"
     built = build(st_)
     assert [slot for slot in type(built).__slots__ if not hasattr(built, slot)] == []
+    if isinstance(built, EngineState):
+        for table in (built.by_focus, built.by_member):
+            assert type(table) is list and len(table) == 2 * 4 + 1
+            assert all(type(keys) is tuple for keys in table)
 
 
 class TestCopyIsolation:
@@ -524,15 +541,15 @@ def _unmet_mismatches(state):
 
 
 def _focus_order_mismatches(state):
-    # Each ``by_focus`` list in ascending key order, and what
-    # ``concepts_focused`` hands out equal to a sorted scan of the store.
+    # Each ``by_focus`` slot equal to a sorted scan of the store (as a
+    # list: a tuple never equals one).
     n = state.inst.variable_count
-    bad = [lit for lit, keys in state.by_focus.items() if keys != sorted(keys)]
-    for v in range(1, n + 1):
-        for lit in (v, -v):
-            if state.concepts_focused(lit) != sorted(k for k in state.concepts if k[1] == lit):
-                bad.append(lit)
-    return bad
+    return [
+        lit
+        for v in range(1, n + 1)
+        for lit in (v, -v)
+        if list(state.by_focus[lit]) != sorted(k for k in state.concepts if k[1] == lit)
+    ]
 
 
 @given(admission_scripts())
@@ -602,19 +619,19 @@ def test_focus_lists_stay_in_key_order():
     st_ = fresh_state(inst)
     st_.insert_concept(c2, 1)
     st_.insert_concept(c0, 1)
-    assert st_.concepts_focused(1) == [(0, 1), (2, 1)]
+    assert st_.by_focus[1] == ((0, 1), (2, 1))
     st_.insert_concept(c3, -1)
     child = st_.fork()
     # (1, 1) goes between the two, and 1 is then needed and opposed.
     assert isinstance(st_.add_concept(c1, 1), Contradiction)
-    assert st_.concepts_focused(1) == [(0, 1), (2, 1)]
+    assert st_.by_focus[1] == ((0, 1), (2, 1))
     child.insert_concept(c1, 1)
-    assert child.concepts_focused(1) == [(0, 1), (1, 1), (2, 1)]
-    assert st_.concepts_focused(1) == [(0, 1), (2, 1)]
+    assert child.by_focus[1] == ((0, 1), (1, 1), (2, 1))
+    assert st_.by_focus[1] == ((0, 1), (2, 1))
     view = st_.restrict_to(2)
     view.insert_concept(c1, 1)
-    assert view.concepts_focused(1) == [(0, 1), (1, 1), (2, 1)]
-    assert view.concepts_focused(3) == [] and st_.concepts_focused(-2) == []
+    assert view.by_focus[1] == ((0, 1), (1, 1), (2, 1))
+    assert view.by_focus[3] == () and st_.by_focus[-2] == ()
     for state in (st_, child, view, child.restrict_to(-3)):
         assert _focus_order_mismatches(state) == []
 

@@ -97,6 +97,15 @@ class TestVerdicts:
         with pytest.raises(ValueError, match="'default_free' must be 0 or 1, not 2"):
             SolveConfig(default_free=2)
 
+    def test_negative_depth_guard_factor_raises_when_the_config_is_built(self):
+        # The guard would be at most 0, so every repair would trip as it
+        # starts; factor 0 stays legal (a guard of 1).
+        with pytest.raises(
+            ValueError, match="'depth_guard_factor' must be non-negative, not -1"
+        ):
+            SolveConfig(depth_guard_factor=-1)
+        assert SolveConfig(depth_guard_factor=0).depth_guard_factor == 0
+
     def test_ops_total_on_exhaustive_corpus_is_frozen(self):
         # ``ops`` is the paper's count of basic operations; an engine
         # change that keeps the procedure must keep every count.
@@ -317,7 +326,7 @@ class TestAnomalies:
         assert out.kind == "sat"
         state = out.state
         for clause in state.inst.clauses:
-            assert any(state.value(l) == "t" for l in clause.literals)
+            assert any(state.values[l] == "t" for l in clause.literals)
 
 
 class TestAssignmentExtraction:
