@@ -70,9 +70,10 @@ def _freeing_trial(state: EngineState, literal: int) -> EngineState | None:
     the trial's ``values``, ``pins`` and ``unmet`` (None without one), the
     ``ops`` added and the events; a hit emits each event again at its
     counter relative to the start, adds the ``ops`` and returns a fork
-    holding copies of the lists.  An untraced log stores no events: exact,
-    as ``enabled`` is fixed for a log's life and a state changes log only
-    with a fresh store.  ``GuardExceeded`` propagates and stores nothing.
+    built from one copy of each stored list.  An untraced log stores no
+    events: exact, as ``enabled`` is fixed for a log's life and a state
+    changes log only with a fresh store.  ``GuardExceeded`` propagates
+    and stores nothing.
     """
     log = state.log
     key = state.view_key(literal)
@@ -98,11 +99,7 @@ def _freeing_trial(state: EngineState, literal: int) -> EngineState | None:
         log.ops = start + counter
         log.emit(kind, lit, old, new, clause)
     log.ops = start + ops
-    if lists is None:
-        return None
-    trial = state.fork()
-    trial.values, trial.pins, trial.unmet = (x[:] for x in lists)
-    return trial
+    return None if lists is None else state.fork(lists)
 
 
 def algorithm_d(

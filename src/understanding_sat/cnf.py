@@ -118,29 +118,31 @@ def parse_dimacs(text: str) -> Instance:
     declared clause count ``m`` must be a non-negative integer but is
     otherwise not enforced: the clause lines that follow decide how many
     clauses the instance has.  Each clause line is whitespace separated
-    nonzero integers terminated by ``0``; duplicate literals in a clause
-    collapse, and after collapsing exactly three distinct literals must
-    remain.  Each clause is checked here once.  Duplicate clauses are
-    dropped (counted in ``dedup_count``).
+    nonzero integers terminated by ``0``, an integer being an optional
+    ``-`` and ASCII digits; duplicate literals in a clause collapse, and
+    after collapsing exactly three distinct literals must remain.  Each
+    clause is checked here once.  Duplicate clauses are dropped (counted
+    in ``dedup_count``).
     """
     variable_count = None
     raw_clauses: list[tuple[int, ...]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "c":
             continue
-        if line.startswith("p"):
+        # int() would also take "+1", "1_0" and non-ASCII digits.
+        plain = "+" not in raw and "_" not in raw and (raw.isascii() or "".join(tokens).isascii())
+        if tokens[0][0] == "p":
             if variable_count is not None:
                 raise DimacsError(f"line {lineno}: duplicate header")
-            parts = line.split()
-            if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
-                raise DimacsError(f"line {lineno}: malformed header {line!r}")
+            if len(tokens) != 4 or tokens[0] != "p" or tokens[1] != "cnf" or not plain:
+                raise DimacsError(f"line {lineno}: malformed header {raw.strip()!r}")
             try:
-                variable_count, declared = int(parts[2]), int(parts[3])
+                variable_count, declared = int(tokens[2]), int(tokens[3])
             except ValueError:
-                raise DimacsError(f"line {lineno}: malformed header {line!r}") from None
+                raise DimacsError(f"line {lineno}: malformed header {raw.strip()!r}") from None
             if variable_count < 0 or declared < 0:
-                raise DimacsError(f"line {lineno}: malformed header {line!r}")
+                raise DimacsError(f"line {lineno}: malformed header {raw.strip()!r}")
             if variable_count > _MAX_VARIABLES:
                 raise DimacsError(
                     f"line {lineno}: variable count {variable_count} is too large to index"
@@ -148,29 +150,29 @@ def parse_dimacs(text: str) -> Instance:
             continue
         if variable_count is None:
             raise DimacsError(f"line {lineno}: clause before header")
+        if not plain:
+            raise DimacsError(f"line {lineno}: non-integer token")
         try:
-            tokens = [int(tok) for tok in line.split()]
+            values = list(map(int, tokens))
         except ValueError:
             raise DimacsError(f"line {lineno}: non-integer token") from None
-        if not tokens or tokens[-1] != 0:
+        if values.pop() != 0:
             raise DimacsError(f"line {lineno}: clause line must end with 0")
-        if 0 in tokens[:-1]:
+        if 0 in values:
             raise DimacsError(f"line {lineno}: stray 0 inside clause line")
-        lits: list[int] = []
-        for lit in tokens[:-1]:
-            if abs(lit) > variable_count:
+        for lit in values:
+            if lit > variable_count or -lit > variable_count:
                 raise DimacsError(
                     f"line {lineno}: variable {abs(lit)} exceeds declared {variable_count}"
                 )
-            if lit not in lits:
-                lits.append(lit)
+        lits = tuple(dict.fromkeys(values))
         if len(lits) == 0:
             raise DimacsError(f"line {lineno}: empty clause")
         if len(lits) != 3:
             raise DimacsError(
                 f"line {lineno}: clause has {len(lits)} distinct literals, need 3"
             )
-        raw_clauses.append(tuple(lits))
+        raw_clauses.append(lits)
     if variable_count is None:
         raise DimacsError("missing header")
     return _assemble(variable_count, raw_clauses)
@@ -193,10 +195,6 @@ class Assignment:
     values: dict[int, int] = field(default_factory=dict)
     default_free: int = 0
 
-    def literal_true(self, literal: int) -> bool:
-        bit = self.values.get(abs(literal), self.default_free)
-        return bit == 1 if literal > 0 else bit == 0
-
     def as_signed_literals(self, variable_count: int) -> list[int]:
         out = []
         for var in range(1, variable_count + 1):
@@ -207,13 +205,21 @@ class Assignment:
 
 def evaluate(inst: Instance, assignment: Assignment) -> list[int]:
     """Ids of clauses the assignment falsifies; empty means satisfied."""
-    for var, bit in assignment.values.items():
+    values = assignment.values
+    for var, bit in values.items():
         if var < 1 or var > inst.variable_count:
             raise ValueError(f"assignment references unknown variable {var}")
         if bit not in (0, 1):
             raise ValueError(f"assignment value for {var} must be 0 or 1")
+    default = assignment.default_free
     falsified = []
     for clause in inst.clauses:
-        if not any(assignment.literal_true(lit) for lit in clause.literals):
+        for lit in clause.literals:
+            if lit > 0:
+                if (values[lit] if lit in values else default) == 1:
+                    break
+            elif (values[-lit] if -lit in values else default) == 0:
+                break
+        else:
             falsified.append(clause.id)
     return falsified

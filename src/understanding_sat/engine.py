@@ -33,7 +33,6 @@ state is rolled back to what it was on entry.
 from __future__ import annotations
 
 from bisect import bisect
-from collections import deque
 from dataclasses import dataclass
 
 from .cnf import Clause, Instance
@@ -162,13 +161,13 @@ class EngineState:
     instead of rescanning the concepts.  Three places step it, each only
     when a literal's effective truth actually changes or a concept enters
     or leaves the index: ``_index`` and ``_remove_concept`` (a concept's
-    own contribution), ``compute_fixpoint``'s value writes (a pinned
-    polarity is skipped, its effective value does not move) and
-    ``pin_literal``.  A fixpoint that fails writes back the copies of
-    ``values`` and ``unmet`` it took before its first write, so the two
-    stay equal.  ``fork`` copies it with the values; ``restrict_to`` sets
-    the values and assumptions before indexing, so its view's count comes
-    out right by construction.
+    own contribution, each testing the cover inline),
+    ``compute_fixpoint``'s value writes (a pinned polarity is skipped, its
+    effective value does not move) and ``pin_literal``.  A fixpoint that
+    fails writes back the copies of ``values`` and ``unmet`` it took at
+    its first write, so the two stay equal.  ``fork`` copies it with the
+    values; ``restrict_to`` sets the values and assumptions before
+    indexing, so its view's count comes out right by construction.
     """
 
     __slots__ = (
@@ -187,12 +186,15 @@ class EngineState:
     def __init__(self, inst: Instance, log: RunLog | None = None):
         size = 2 * inst.variable_count + 1
         self.inst = inst
-        self.values: list[TruthValue] = [FREE] * size
+        try:  # one step per table, so a size too large fails at once
+            self.values: list[TruthValue] = [FREE] * size
+            self.by_focus: list[tuple[ConceptKey, ...]] = [()] * size
+            self.by_member: list[tuple[ConceptKey, ...]] = [()] * size
+            self.pins: list[TruthValue] = [""] * size
+            self.unmet: list[int] = [0] * size
+        except MemoryError:
+            raise ValueError(f"variable count {size // 2} is too large to allocate") from None
         self.concepts: dict[ConceptKey, tuple[int, int]] = {}
-        self.by_focus: list[tuple[ConceptKey, ...]] = [()] * size
-        self.by_member: list[tuple[ConceptKey, ...]] = [()] * size
-        self.pins: list[TruthValue] = [""] * size
-        self.unmet: list[int] = [0] * size
         self.log = log if log is not None else RunLog()
         self._shared = False  # the index may be another state's too
         self.checks: dict = {}
@@ -216,13 +218,6 @@ class EngineState:
         return True
 
     # -- mutations -----------------------------------------------------
-
-    def _covered(self, members: tuple[int, int]) -> bool:
-        # Some companion is effectively true: the concept is C*.
-        values = self.values
-        pins = self.pins
-        m1, m2 = members
-        return (pins[m1] or values[m1]) == TRUE or (pins[m2] or values[m2]) == TRUE
 
     def _retally(self, literal: int, step: int) -> None:
         # The literal's effective truth just changed: it stopped being
@@ -257,45 +252,41 @@ class EngineState:
         variable takes its pin and is never forced).  A value change
         writes ``var`` then ``-var``, stepping ``unmet`` after each, and
         re-enqueues, in index order, every variable whose focused concepts
-        mention the changed pair.  Before its first change the call copies
-        ``values`` and ``unmet``; on contradiction, or when the step guard
-        trips, it writes the copies back into the same two lists, so the
-        state is as it was on entry.
+        mention the changed pair.  Only at its first change, which most
+        calls never make, does the call copy ``values`` and ``unmet`` and
+        build the set of queued variables (the queue's unread tail).  On
+        contradiction, or when the step guard trips, it writes the copies
+        back into the same two lists, so the state is as it was on entry.
 
-        The step is written out in the loop, with no call per step, because
-        it is the engine's innermost work.
+        The step is written out in the loop, with no call per step, and
+        ``ops`` kept in a local (written back at every exit and before
+        every traced event), because it is the engine's innermost work.
         """
-        if len(seeds) == 1:
-            # Nearly every call has one seed: admission, repair's pin.
-            var = abs(seeds[0])
-            queue = deque((var,))
-            queued = {var}
-        else:
-            ordered = sorted({abs(s) for s in seeds})
-            queue = deque(ordered)
-            queued = set(ordered)
-        saved = None
+        queue = [abs(seeds[0])] if len(seeds) == 1 else sorted(set(map(abs, seeds)))
+        head = 0
+        queued = saved = None
         values = self.values
         pins = self.pins
         unmet = self.unmet
         by_member = self.by_member
         concepts = self.concepts
         log = self.log
+        ops = log.ops
         traced = log.enabled
-        steps = 0
         cap = self._step_cap()
-        while queue:
-            steps += 1
-            if steps > cap:
+        while head < len(queue):
+            if head >= cap:
                 witness = None
                 break
-            var = queue.popleft()
-            queued.discard(var)
+            var = queue[head]
+            head += 1
+            if queued is not None:
+                queued.discard(var)
             neg = -var
-            log.ops += 2
+            ops += 2
             if unmet[var] > 0:
                 if unmet[neg] > 0:
-                    log.ops -= 1
+                    ops -= 1
                     witness, reason = var, "needed-and-opposed"
                     break
                 new = TRUE
@@ -304,15 +295,16 @@ class EngineState:
             pin = pins[var]
             if pin:
                 if new != FREE and new != pin:
-                    log.ops -= 1
+                    ops -= 1
                     witness, reason = var, "pin-conflict"
                     break
                 if pins[neg] != _FLIP[pin]:
+                    log.ops = ops
                     raise AssertionError(f"coupling broke during recomputation of variable {var}")
                 new = pin
             elif new == TRUE:
                 if var in not_true:
-                    log.ops -= 1
+                    ops -= 1
                     witness, reason = var, "not-true-forced"
                     break
             elif new == FALSE and neg in not_true:
@@ -323,6 +315,7 @@ class EngineState:
                 continue
             if saved is None:
                 saved = values[:], unmet[:]
+                queued = set(queue[head:])
             deps = set()
             for lit, v in ((var, new), (neg, _FLIP[new])):
                 keys = by_member[lit]
@@ -338,13 +331,16 @@ class EngineState:
                 for key in keys:
                     deps.add(abs(key[1]))
             if traced:
+                log.ops = ops
                 log.emit("SET", literal=var, old=old, new=new)
             for dep in sorted(deps):
                 if dep not in queued:
                     queue.append(dep)
                     queued.add(dep)
         else:
+            log.ops = ops
             return None
+        log.ops = ops
         if saved is not None:
             values[:], unmet[:] = saved
         if witness is None:
@@ -360,11 +356,18 @@ class EngineState:
         key = (clause.id, focus)
         if key in self.concepts:
             raise ValueError(f"concept {key} already present")
-        if focus not in clause.literals:
-            raise ValueError(f"focus {focus} not in clause {clause.id}")
         a, b, c = clause.literals
-        self._own_index()
-        self._index(key, (b, c) if focus == a else (a, c) if focus == b else (a, b))
+        if focus == a:
+            members = b, c
+        elif focus == b:
+            members = a, c
+        elif focus == c:
+            members = a, b
+        else:
+            raise ValueError(f"focus {focus} not in clause {clause.id}")
+        if self._shared:
+            self._own_index()
+        self._index(key, members)
         self.checks = {}
         return key
 
@@ -380,16 +383,16 @@ class EngineState:
         m1, m2 = members
         self.by_member[m1] += (key,)
         self.by_member[m2] += (key,)
-        if not self._covered(members):
+        pins, values = self.pins, self.values
+        if (pins[m1] or values[m1]) != TRUE and (pins[m2] or values[m2]) != TRUE:
             self.unmet[focus] += 1
 
     def _own_index(self) -> None:
         """Copy a shared concept index before changing it."""
-        if self._shared:
-            self.concepts = dict(self.concepts)
-            self.by_focus = self.by_focus[:]
-            self.by_member = self.by_member[:]
-            self._shared = False
+        self.concepts = dict(self.concepts)
+        self.by_focus = self.by_focus[:]
+        self.by_member = self.by_member[:]
+        self._shared = False
 
     def _remove_concept(self, key: ConceptKey) -> None:
         # Only ever undoes an insert_concept on this same state, so the
@@ -397,9 +400,10 @@ class EngineState:
         # one the insert gave it.
         members = self.concepts.pop(key)
         focus = key[1]
-        if not self._covered(members):
-            self.unmet[focus] -= 1
         m1, m2 = members
+        pins, values = self.pins, self.values
+        if (pins[m1] or values[m1]) != TRUE and (pins[m2] or values[m2]) != TRUE:
+            self.unmet[focus] -= 1
         for table, lit in ((self.by_focus, focus), (self.by_member, m1), (self.by_member, m2)):
             table[lit] = tuple(k for k in table[lit] if k != key)
 
@@ -419,23 +423,25 @@ class EngineState:
 
     # -- copies --------------------------------------------------------
 
-    def fork(self) -> "EngineState":
+    def fork(self, lists=None) -> "EngineState":
         """Observationally independent copy sharing the run log.
 
-        Only the values, the assumptions and ``unmet`` are copied.  The
+        Only the values, the assumptions and ``unmet`` are copied, or the
+        ``(values, pins, unmet)`` triple ``lists`` in their place.  The
         concept index and its stored trials are shared with this state
         until either of the two inserts a concept, which copies the dict
         and the two lists first (see the class docstring).
         """
+        values, pins, unmet = lists or (self.values, self.pins, self.unmet)
         self._shared = True
         n = object.__new__(EngineState)
         n.inst = self.inst
-        n.values = self.values[:]
+        n.values = values[:]
         n.concepts = self.concepts
         n.by_focus = self.by_focus
         n.by_member = self.by_member
-        n.pins = self.pins[:]
-        n.unmet = self.unmet[:]
+        n.pins = pins[:]
+        n.unmet = unmet[:]
         n.log = self.log
         n._shared = True
         n.checks = self.checks
@@ -467,7 +473,7 @@ class EngineState:
         n.concepts = concepts = {}
         n.by_focus = by_focus = [()] * len(values)
         n.by_member = by_member = [()] * len(values)
-        # ``_index`` written out, in the same order.
+        # ``_index``'s steps, in the same order, with appends only.
         source = self.concepts
         for key in sorted(keys):
             concepts[key] = m1, m2 = source[key]

@@ -87,12 +87,15 @@ def dpll(inst: Instance) -> OracleVerdict:
     search that copies the assignment at every node.
     """
     n = inst.variable_count
-    occurs: list[list[tuple[int, int]]] = [[] for _ in range(2 * n + 1)]
+    try:  # one step per table, so a size too large fails at once
+        occurs: list[tuple[tuple[int, int], ...]] = [()] * (2 * n + 1)
+        value = [0] * (2 * n + 1)
+    except MemoryError:
+        raise ValueError(f"variable count {n} is too large to allocate") from None
     for a, b, c in (clause.literals for clause in inst.clauses):
-        occurs[a].append((b, c))
-        occurs[b].append((a, c))
-        occurs[c].append((a, b))
-    value = [0] * (2 * n + 1)
+        occurs[a] += ((b, c),)
+        occurs[b] += ((a, c),)
+        occurs[c] += ((a, b),)
     trail: list[int] = []
     decisions: list[tuple[int, int, bool]] = []
     nodes = 1

@@ -282,11 +282,13 @@ def _finalize(state: EngineState, inst: Instance, cfg: SolveConfig) -> SolverOut
     except ValueError:
         assignment = None
     verified = assignment is not None and not evaluate(inst, assignment)
-    each_clause_witnessed = all(
-        values[a] == TRUE or values[b] == TRUE or values[c] == TRUE
-        for a, b, c in (clause.literals for clause in inst.clauses)
-    )
-    if not verified or not each_clause_witnessed:
+    if verified:  # and each clause has a literal the map holds true
+        for clause in inst.clauses:
+            a, b, c = clause.literals
+            if values[a] != TRUE and values[b] != TRUE and values[c] != TRUE:
+                verified = False
+                break
+    if not verified:
         return _outcome(
             state, cfg, "anomaly", anomaly=ANOMALY_UNVERIFIED, understanding=understanding
         )

@@ -307,6 +307,25 @@ def sweep_assumption_check(
     return stats
 
 
+class RecordingList(list):
+    """A list that records the index of every write and counts the
+    slices (copies) taken of it."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.writes = []
+        self.slices = 0
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            self.slices += 1
+        return super().__getitem__(index)
+
+    def __setitem__(self, index, value):
+        self.writes.append(index)
+        super().__setitem__(index, value)
+
+
 def snapshot(state: EngineState):
     """Canonical immutable view of the semantic state (run log and
     accounting excluded); it lists only the literals that are not free."""

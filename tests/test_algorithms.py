@@ -21,6 +21,7 @@ from understanding_sat.harness import GenSpec, gen_random
 from understanding_sat.solver import SolveConfig, solve
 
 from helpers import (
+    RecordingList,
     admitted_state,
     coupling_violations,
     default_depth_guard,
@@ -126,9 +127,9 @@ def _counting(calls):
     real_fork, real_fixpoint = EngineState.fork, EngineState.compute_fixpoint
     real_pin = EngineState.pin_literal
 
-    def fork(self):
+    def fork(self, lists=None):
         calls["fork"] += 1
-        return real_fork(self)
+        return real_fork(self, lists)
 
     def compute_fixpoint(self, seeds, not_true=()):
         calls["not_true"].append(tuple(not_true))
@@ -546,6 +547,33 @@ def test_changing_a_returned_trial_leaves_the_store_as_it_was():
                 trial.compute_fixpoint([free[0]])
             changed += _final(trial) != before
     assert changed >= 100
+
+
+def test_replayed_trial_copies_each_stored_list_once():
+    # A replay builds its trial from one copy of each stored list and
+    # copies none of the lists of the state it forks.  Writing over every
+    # slot of a replayed trial then leaves the next replay as it was.
+    replayed = 0
+    for state, lit in _approved(range(60)):
+        fresh = _fresh_check(state, lit)
+        _trial_on_log(state, lit)
+        key = state.view_key(lit)
+        lists, ops, events = state.checks[key]
+        stored = tuple(RecordingList(x) for x in lists)
+        state.checks[key] = (stored, ops, events)
+        own = tuple(RecordingList(x) for x in (state.values, state.pins, state.unmet))
+        state.values, state.pins, state.unmet = own
+        for _ in range(2):
+            trial, ops_added, events_emitted = _trial_on_log(state, lit)
+            assert (_final(trial), ops_added, events_emitted) == fresh
+            assert [x.slices for x in stored] == [1, 1, 1]
+            assert [x.slices for x in own] == [0, 0, 0]
+            for x in stored:
+                x.slices = 0
+            for mine, fill in zip((trial.values, trial.pins, trial.unmet), (TRUE, FALSE, 9)):
+                mine[1:] = [fill] * (len(mine) - 1)
+        replayed += 1
+    assert replayed >= 50
 
 
 def test_conditions_miss_support_retraction_cascades():

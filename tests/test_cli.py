@@ -390,6 +390,19 @@ class TestErrors:
         assert cli.main(["prove"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv", [["solve"], ["oracle"], ["oracle", "--method", "dpll"]], ids=["solve", "auto", "dpll"]
+    )
+    def test_variable_count_too_large_to_allocate(self, argv, tmp_path, capsys):
+        # The count parses (its 2n + 1 is sys.maxsize), and each literal
+        # table it sizes fails at once: one error line, no traceback.
+        n = (sys.maxsize - 1) // 2
+        path = tmp_path / "huge.cnf"
+        path.write_text(f"p cnf {n} 1\n1 2 3 0\n", encoding="utf-8")
+        assert cli.main([argv[0], str(path), *argv[1:]]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: variable count {n} is too large to allocate\n")
+
     def test_missing_file(self, tmp_path, capsys):
         assert cli.main(["solve", str(tmp_path / "nope.cnf")]) == 1
         _, err = capsys.readouterr()

@@ -107,6 +107,69 @@ class TestParseDimacs:
         assert fragment in str(err.value)
 
 
+_LARGEST = (sys.maxsize - 1) // 2
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("p cnf 3 1\np cnf 3 1\n1 2 3 0\n", "line 2: duplicate header"),
+        ("p cnf 3\n", "line 1: malformed header 'p cnf 3'"),
+        ("p dnf 3 1\n", "line 1: malformed header 'p dnf 3 1'"),
+        ("pcnf 3 1\n", "line 1: malformed header 'pcnf 3 1'"),
+        ("  p cnf x 1  \n", "line 1: malformed header 'p cnf x 1'"),
+        ("p cnf -1 1\n", "line 1: malformed header 'p cnf -1 1'"),
+        ("p cnf 3 -1\n", "line 1: malformed header 'p cnf 3 -1'"),
+        (
+            f"c\np cnf {_LARGEST + 1} 1\n1 2 3 0\n",
+            f"line 2: variable count {_LARGEST + 1} is too large to index",
+        ),
+        ("1 2 3 0\n", "line 1: clause before header"),
+        ("p cnf 3 1\n1 two 3 0\n", "line 2: non-integer token"),
+        ("p cnf 3 1\n1 2 3\n", "line 2: clause line must end with 0"),
+        ("p cnf 3 1\n1 0 3 0\n", "line 2: stray 0 inside clause line"),
+        ("p cnf 3 1\n1 0 4 x\n", "line 2: non-integer token"),
+        ("p cnf 3 1\n1 2 4 0\n", "line 2: variable 4 exceeds declared 3"),
+        ("p cnf 3 1\n-5 2 0 0\n", "line 2: stray 0 inside clause line"),
+        ("p cnf 3 1\n1 -7 9 0\n", "line 2: variable 7 exceeds declared 3"),
+        ("p cnf 3 1\n0\n", "line 2: empty clause"),
+        ("p cnf 3 1\n1 1 0\n", "line 2: clause has 1 distinct literals, need 3"),
+        ("p cnf 3 1\n1 2 3 -1 0\n", "line 2: clause has 4 distinct literals, need 3"),
+        ("", "missing header"),
+        ("c only a comment\n", "missing header"),
+        # An integer is an optional minus sign and ASCII digits: int()
+        # alone would read 1_0 as 10 and take a plus sign and the digits
+        # of other scripts.
+        ("p cnf 3 1\n1_0 2 3 0\n", "line 2: non-integer token"),
+        ("p cnf 3 1\n+1 2 3 0\n", "line 2: non-integer token"),
+        ("p cnf 3 1\n\u0661 2 3 0\n", "line 2: non-integer token"),
+        ("p cnf 3 1\n1 2 3 0_0\n", "line 2: non-integer token"),
+        ("p cnf 0_3 1\n1 2 3 0\n", "line 1: malformed header 'p cnf 0_3 1'"),
+        ("p cnf +3 1\n1 2 3 0\n", "line 1: malformed header 'p cnf +3 1'"),
+        ("p cnf 3 \u0661\n1 2 3 0\n", "line 1: malformed header 'p cnf 3 \u0661'"),
+        ("p cnf \uff13 1\n1 2 3 0\n", "line 1: malformed header 'p cnf \uff13 1'"),
+    ],
+)
+def test_every_error_message(text, message):
+    with pytest.raises(DimacsError) as err:
+        parse_dimacs(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text,n,clauses",
+    [
+        ("p cnf 3 1\n001 -02 3 -0\n", 3, [(1, -2, 3)]),
+        ("p cnf 3 1\n1\u00a02\u30003 0\n", 3, [(1, 2, 3)]),
+        ("p cnf -0 0\n", 0, []),
+        ("\t p  cnf 3 1 \n c x\n cnf\n1 2 3 0 \n\n", 3, [(1, 2, 3)]),
+    ],
+)
+def test_plain_integers_and_other_whitespace_still_parse(text, n, clauses):
+    inst = parse_dimacs(text)
+    assert (inst.variable_count, [c.literals for c in inst.clauses]) == (n, clauses)
+
+
 def test_emit_golden():
     inst = build_instance(3, [(1, -2, 3), (-1, 2, -3)])
     assert emit_dimacs(inst) == "p cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n"
@@ -151,8 +214,9 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(inst, Assignment(values={1: 2, 2: 0, 3: 0}))
 
-    def test_literal_true_and_signed_view(self):
+    def test_literal_truth_and_signed_view(self):
+        # 1 and -2 are true by assignment, -3 by default; -1, 2, 3 false.
         a = Assignment(values={1: 1, 2: 0})
-        assert a.literal_true(1) and a.literal_true(-2)
-        assert not a.literal_true(-1)
+        inst = build_instance(3, [(-1, 2, 3), (1, 2, 3), (-1, -2, 3), (-1, 2, -3)])
+        assert evaluate(inst, a) == [0]
         assert a.as_signed_literals(3) == [1, -2, -3]

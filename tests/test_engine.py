@@ -3,6 +3,7 @@
 import contextlib
 import itertools
 import random
+import sys
 from unittest import mock
 
 import pytest
@@ -24,6 +25,7 @@ from understanding_sat.solver import solve
 from helpers import (
     CPLUS,
     CSTAR,
+    RecordingList,
     admitted_state,
     concept_type,
     concept_type_of,
@@ -759,3 +761,133 @@ def test_uncoupled_pin_trips_the_coupling_guard(negation_pin):
         st_.pins[-2] = negation_pin
     with pytest.raises(AssertionError, match="coupling broke"):
         st_.compute_fixpoint([2])
+    assert st_.log.ops == 2  # the step it stops in is counted
+
+
+# Fixed states on one instance: (concepts inserted, pins, seeds, not-true
+# literals, step cap), and what ``compute_fixpoint`` leaves behind: its
+# result, ``ops``, guard trips, the literals that are not free, ``unmet``
+# and every event as (kind, literal, old, new, counter).  The figures are
+# frozen: a change to how the worklist is kept must reproduce them.
+_BOOKKEEPING_INST = build_instance(6, [(1, 2, 3), (2, 5, 6), (4, 1, 5), (4, 2, 3), (-4, 2, 5)])
+_CHAIN = [(0, 1), (1, 2), (2, 4)]
+_UNMET_CHAIN = (0, 1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0)
+_BOOKKEEPING = {
+    "cap-0": (
+        (_CHAIN, [], [1, 2, 4], (), 0),
+        ("guard", 0, 1, (), _UNMET_CHAIN, []),
+    ),
+    "cap-1": (
+        (_CHAIN, [], [1, 2, 4], (), 1),
+        ("guard", 2, 1, (), _UNMET_CHAIN, [("SET", 1, FREE, TRUE, 2)]),
+    ),
+    "cap-2": (
+        (_CHAIN, [], [1, 2, 4], (), 2),
+        ("guard", 4, 1, (), _UNMET_CHAIN, [("SET", 1, FREE, TRUE, 2), ("SET", 2, FREE, TRUE, 4)]),
+    ),
+    "cap-3": (
+        (_CHAIN, [], [1, 2, 4], (), 3),
+        ("guard", 6, 1, (), _UNMET_CHAIN, [("SET", 1, FREE, TRUE, 2), ("SET", 2, FREE, TRUE, 4)]),
+    ),
+    "uncapped": (
+        (_CHAIN, [], [1, 2, 4], (), None),
+        (
+            None, 10, 0, ((-4, FALSE), (-2, FALSE), (2, TRUE), (4, TRUE)),
+            (0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0),
+            [("SET", 1, FREE, TRUE, 2), ("SET", 2, FREE, TRUE, 4), ("SET", 1, TRUE, FREE, 8),
+             ("SET", 4, FREE, TRUE, 10)],
+        ),
+    ),
+    "needed-and-opposed": (
+        ([(0, 1), (3, 4), (4, -4)], [], [1, 4], (), None),
+        (
+            (4, "needed-and-opposed"), 3, 0, (), (0, 1, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0),
+            [("SET", 1, FREE, TRUE, 2), ("CONTRADICTION", 4, None, "needed-and-opposed", 3)],
+        ),
+    ),
+    "pin-conflict": (
+        ([(0, 1), (3, 4)], [(4, FALSE)], [1, 4], (), None),
+        (
+            (4, "pin-conflict"), 3, 0, (), (0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0),
+            [("SET", 1, FREE, TRUE, 2), ("CONTRADICTION", 4, None, "pin-conflict", 3)],
+        ),
+    ),
+    "not-true-forced-on-var": (
+        ([(0, 1), (3, 4)], [], [1, 4], (4,), None),
+        (
+            (4, "not-true-forced"), 3, 0, (), (0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0),
+            [("SET", 1, FREE, TRUE, 2), ("CONTRADICTION", 4, None, "not-true-forced", 3)],
+        ),
+    ),
+    "not-true-forced-on-negation": (
+        ([(0, 1), (4, -4)], [], [1, 4], (-4,), None),
+        (
+            (-4, "not-true-forced"), 4, 0, (), (0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0),
+            [("SET", 1, FREE, TRUE, 2), ("CONTRADICTION", -4, None, "not-true-forced", 4)],
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_BOOKKEEPING))
+def test_fixpoint_bookkeeping_is_frozen(name):
+    (concepts, pins, seeds, not_true, cap), expected = _BOOKKEEPING[name]
+    inst = _BOOKKEEPING_INST
+    st_ = fresh_state(inst, trace=True)
+    for cid, focus in concepts:
+        st_.insert_concept(inst.clauses[cid], focus)
+    for lit, value in pins:
+        assert st_.pin_literal(lit, value)
+    before = snapshot(st_)
+    guard = (
+        contextlib.nullcontext()
+        if cap is None
+        else mock.patch.object(EngineState, "_step_cap", lambda self: cap)
+    )
+    with guard:
+        try:
+            res = st_.compute_fixpoint(seeds, not_true)
+        except GuardExceeded:
+            res = "guard"
+    if isinstance(res, Contradiction):
+        res = (res.witness, res.reason)
+    lits = [lit for lit in range(-6, 7) if lit and st_.values[lit] != FREE]
+    events = [(e["kind"], e["literal"], e["old"], e["new"], e["counter"]) for e in st_.log.events]
+    got = (
+        res,
+        st_.log.ops,
+        st_.log.guard_trips,
+        tuple((lit, st_.values[lit]) for lit in lits),
+        tuple(st_.unmet),
+        events,
+    )
+    assert got == expected
+    if res is not None:
+        assert snapshot(st_) == before
+
+
+@pytest.mark.parametrize("seed_lit", [1, -1, 4, 5])
+def test_fixpoint_that_changes_nothing_writes_and_copies_nothing(seed_lit):
+    # A settled state: reevaluating one variable is its two basic
+    # operations and nothing else, no SET, no write and no copy.
+    inst = _BOOKKEEPING_INST
+    st_ = fresh_state(inst, trace=True)
+    for cid, focus in _CHAIN:
+        assert st_.add_concept(inst.clauses[cid], focus) is None
+    before = snapshot(st_), list(st_.unmet)
+    ops, events = st_.log.ops, len(st_.log.events)
+    st_.values, st_.unmet = RecordingList(st_.values), RecordingList(st_.unmet)
+    assert st_.compute_fixpoint([seed_lit]) is None
+    assert st_.log.ops == ops + 2
+    assert st_.log.events[events:] == []
+    for lst in (st_.values, st_.unmet):
+        assert (lst.writes, lst.slices) == ([], 0)
+    assert (snapshot(st_), list(st_.unmet)) == before
+
+
+def test_variable_count_too_large_to_allocate_is_an_input_error():
+    # 2n + 1 is sys.maxsize, so each literal table fails before a slot is
+    # filled; the count is otherwise legal.
+    n = (sys.maxsize - 1) // 2
+    with pytest.raises(ValueError, match=f"^variable count {n} is too large to allocate$"):
+        EngineState(build_instance(n, []))

@@ -1,6 +1,7 @@
 """Reference deciders: frozen counts, agreement, and model validity."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -61,6 +62,13 @@ class TestDpll:
         v = dpll(build_instance(5, [(1, 2, 3)]))
         assert v.sat is True
         assert set(v.model.values) == {1, 2, 3, 4, 5}
+
+    def test_variable_count_too_large_to_allocate_is_an_input_error(self):
+        # 2n + 1 is sys.maxsize: the occurrence table is one allocation
+        # that fails at once, not 2n + 1 lists built until memory runs out.
+        n = (sys.maxsize - 1) // 2
+        with pytest.raises(ValueError, match=f"^variable count {n} is too large to allocate$"):
+            dpll(build_instance(n, [(1, 2, 3)]))
 
     def test_chain_far_past_the_recursion_limit(self):
         # One decision per variable and no backtracking: n + 1 nodes.
