@@ -20,6 +20,7 @@ from .cnf import (
 from .engine import (
     FALSE,
     FREE,
+    TRACE_FIELDS,
     TRUE,
     Contradiction,
     EngineState,
@@ -61,6 +62,7 @@ __all__ = [
     "RunLog",
     "SolveConfig",
     "SolverOutcome",
+    "TRACE_FIELDS",
     "TRUE",
     "adjudicate",
     "algorithm_d",

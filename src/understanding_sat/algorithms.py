@@ -68,8 +68,9 @@ def _freeing_trial(state: EngineState, literal: int) -> EngineState | None:
     Keyed by ``state.view_key(literal)`` (literal, values, pins), which
     with the shared index fixes view and trial.  A miss stores copies of
     the trial's ``values``, ``pins`` and ``unmet`` (None without one), the
-    ``ops`` added and the events; a hit emits each event again at its
-    counter relative to the start, adds the ``ops`` and returns a fork
+    ``ops`` added and the slice of the log it appended, each ``counter``
+    made relative to the start; a hit extends the log with that slice
+    rebased on the current ``ops``, adds the ``ops`` and returns a fork
     built from one copy of each stored list.  An untraced log stores no
     events: exact, as ``enabled`` is fixed for a log's life and a state
     changes log only with a fresh store.  ``GuardExceeded`` propagates
@@ -88,16 +89,12 @@ def _freeing_trial(state: EngineState, literal: int) -> EngineState | None:
                 trial, lists = fork, (fork.values[:], fork.pins[:], fork.unmet[:])
         events = ()
         if log.enabled:
-            events = tuple(
-                (e["kind"], e["literal"], e["old"], e["new"], e["clause"], e["counter"] - start)
-                for e in log.events[step:]
-            )
+            events = [(k, lit, o, n, c, t - start) for k, lit, o, n, c, t in log.events[step:]]
         state.checks[key] = (lists, log.ops - start, events)
         return trial
     lists, ops, events = stored
-    for kind, lit, old, new, clause, counter in events:
-        log.ops = start + counter
-        log.emit(kind, lit, old, new, clause)
+    if events:
+        log.events.extend([(k, lit, o, n, c, start + t) for k, lit, o, n, c, t in events])
     log.ops = start + ops
     return None if lists is None else state.fork(lists)
 

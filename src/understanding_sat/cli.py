@@ -29,6 +29,7 @@ import sys
 from dataclasses import asdict
 
 from .cnf import parse_dimacs
+from .engine import TRACE_FIELDS
 from .harness import (
     CounterexampleRecord,
     DiffReport,
@@ -109,8 +110,8 @@ def _cmd_solve(args) -> int:
     outcome = solve(inst, cfg)
     print(f"c ops {outcome.ops}", file=sys.stderr)
     if args.trace and outcome.trace is not None:
-        for event in outcome.trace:
-            print(_json_line(event), file=sys.stderr)
+        for step, event in enumerate(outcome.trace):
+            print(_json_line(dict(zip(TRACE_FIELDS, event), step=step)), file=sys.stderr)
     if outcome.kind == "sat":
         print("s SATISFIABLE")
         if not args.quiet:

@@ -66,28 +66,34 @@ class Contradiction:
     reason: str
 
 
+# The fields of a trace event, in tuple order.  An event's step is its
+# position in ``RunLog.events``.
+TRACE_FIELDS = ("kind", "literal", "old", "new", "clause", "counter")
+
+
 class RunLog:
     """Shared per-run accounting: the basic-operation counter, guard trip
-    counts and (when enabled) the append-only trace of events.
+    counts and (when enabled) the append-only trace of events, each a
+    tuple of ``TRACE_FIELDS`` whose ``counter`` is ``ops`` when it was
+    logged.
 
     Forked states and restricted views share the log of their parent, so
     work done on discarded branches still counts toward the run and stays
     visible in the trace.  ``enabled`` is fixed for the life of the log.
 
     ``copy`` carries ``ops``, the guard trips, the gaps and the events (a
-    new list of the same event dicts) into a new log; a run resumed from
+    new list of the same event tuples) into a new log; a run resumed from
     a saved state continues on it.
 
-    Every call site checks ``enabled`` before it calls ``emit`` (a stored
-    freeing trial holds events to replay only on a traced log), so an
-    untraced run never calls it and builds no event arguments.
+    Every call site checks ``enabled`` before it calls ``emit`` or
+    appends an event itself, so an untraced run never builds an event.
     """
 
     __slots__ = ("ops", "events", "enabled", "guard_trips", "paper_gaps")
 
     def __init__(self, enabled: bool = False):
         self.ops = 0
-        self.events: list[dict] = []
+        self.events: list[tuple] = []
         self.enabled = enabled
         self.guard_trips = 0
         self.paper_gaps = 0
@@ -101,18 +107,7 @@ class RunLog:
         return log
 
     def emit(self, kind: str, literal=None, old=None, new=None, clause=None):
-        if self.enabled:
-            self.events.append(
-                {
-                    "step": len(self.events),
-                    "kind": kind,
-                    "literal": literal,
-                    "old": old,
-                    "new": new,
-                    "clause": clause,
-                    "counter": self.ops,
-                }
-            )
+        self.events.append((kind, literal, old, new, clause, self.ops))
 
 
 class EngineState:
@@ -145,14 +140,15 @@ class EngineState:
     maps ``view_key(literal)`` to what ``algorithms._freeing_trial`` did
     the first time it was asked: copies of the adopted trial's
     ``values``, ``pins`` and ``unmet`` (None when there is none), the
-    ``ops`` it added and the events it emitted (each ``counter`` relative
-    to the trial's start).  ``fork`` shares the dict along with the
-    index; ``__init__``, ``restrict_to`` and ``insert_concept`` give the
-    state a fresh one, which an insert undone by a contradiction leaves
-    in place.  States that share a store therefore share an index, and
-    the key need only name the rest of the view.  A stored event list
-    replays what the state's log recorded, so a state is moved to another
-    log only with a fresh store, as ``solve`` does when it resumes a run.
+    ``ops`` it added and the slice of event tuples it logged (each
+    ``counter`` relative to the trial's start).  ``fork`` shares the dict
+    along with the index; ``__init__``, ``restrict_to`` and
+    ``insert_concept`` give the state a fresh one, which an insert undone
+    by a contradiction leaves in place.  States that share a store
+    therefore share an index, and the key need only name the rest of the
+    view.  A stored event list replays what the state's log recorded, so
+    a state is moved to another log only with a fresh store, as ``solve``
+    does when it resumes a run.
 
     ``unmet[lit]`` is the number of concepts focused on ``lit`` whose two
     companions are both not true, reading each companion's effective
@@ -259,8 +255,9 @@ class EngineState:
         back into the same two lists, so the state is as it was on entry.
 
         The step is written out in the loop, with no call per step, and
-        ``ops`` kept in a local (written back at every exit and before
-        every traced event), because it is the engine's innermost work.
+        ``ops`` kept in a local (written back at every exit; a traced
+        ``SET`` event is appended with the local count), because it is
+        the engine's innermost work.
         """
         queue = [abs(seeds[0])] if len(seeds) == 1 else sorted(set(map(abs, seeds)))
         head = 0
@@ -331,8 +328,7 @@ class EngineState:
                 for key in keys:
                     deps.add(abs(key[1]))
             if traced:
-                log.ops = ops
-                log.emit("SET", literal=var, old=old, new=new)
+                log.events.append(("SET", var, old, new, None, ops))
             for dep in sorted(deps):
                 if dep not in queued:
                     queue.append(dep)

@@ -92,7 +92,7 @@ class SolverOutcome:
     guard_trips: int = 0
     gaps: int = 0  # repairs that covered every C+ concept, yet left the literal unfreed
     state: EngineState | None = None
-    trace: list[dict] | None = None
+    trace: list[tuple] | None = None  # the run log's events, fields named by TRACE_FIELDS
 
     def as_dict(self) -> dict:
         model = None

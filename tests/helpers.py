@@ -12,6 +12,7 @@ from understanding_sat.cnf import Assignment, Clause, Instance, build_instance, 
 from understanding_sat.engine import (
     FALSE,
     FREE,
+    TRACE_FIELDS,
     TRUE,
     Contradiction,
     EngineState,
@@ -27,6 +28,11 @@ from understanding_sat.harness import (
 )
 from understanding_sat.oracle import OracleVerdict
 from understanding_sat.solver import SolveConfig, _admit_clause
+
+# Positions of the fields in a trace event tuple.
+KIND, LITERAL, OLD, NEW, CLAUSE, COUNTER = map(
+    TRACE_FIELDS.index, ("kind", "literal", "old", "new", "clause", "counter")
+)
 
 # Satisfiable by the all-false assignment, yet the main procedure answers
 # unsat under input clause order: each clause admitted in turn marks its

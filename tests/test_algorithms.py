@@ -16,11 +16,17 @@ from understanding_sat.engine import (
     EngineState,
     GuardExceeded,
     RunLog,
+    TRACE_FIELDS,
 )
 from understanding_sat.harness import GenSpec, gen_random
 from understanding_sat.solver import SolveConfig, solve
 
 from helpers import (
+    CLAUSE,
+    COUNTER,
+    KIND,
+    LITERAL,
+    NEW,
     RecordingList,
     admitted_state,
     coupling_violations,
@@ -86,8 +92,8 @@ class TestAssumptionCheck:
         assert soundness_violations(st_) == []
         assert lemma_g_conditions(st_, 1) is True
         assert algorithm_g(st_, 1) is True
-        wins = [e for e in st_.log.events if e["kind"] == "G_RESULT"]
-        assert wins[-1]["clause"] == 2
+        wins = [e for e in st_.log.events if e[KIND] == "G_RESULT"]
+        assert wins[-1][CLAUSE] == 2
 
     def test_precondition_requires_free_literal(self):
         status, st_ = admitted_state(build_instance(3, [(1, 2, 3)]))
@@ -183,8 +189,8 @@ def test_freeing_check_skips_an_attempt_with_a_companion_pinned_true():
     with fork_patch, fixpoint_patch, pin_patch:
         assert algorithm_g(st_, 1) is True
     assert calls == {"fork": 1, "not_true": [(4, 5)], "pin": 1}
-    result = [e for e in st_.log.events if e["kind"] == "G_RESULT"]
-    assert [(e["new"], e["clause"]) for e in result] == [("true", 1)]
+    result = [e for e in st_.log.events if e[KIND] == "G_RESULT"]
+    assert [(e[NEW], e[CLAUSE]) for e in result] == [("true", 1)]
 
 
 class TestRepair:
@@ -234,7 +240,7 @@ class TestRepair:
         assert st_.values[-1] == FALSE
         result = algorithm_d(st_, -1, depth_guard=default_depth_guard(st_))
         assert result is not None
-        visits = [e for e in st_.log.events if e["kind"] == "D_CONCEPT"]
+        visits = [e for e in st_.log.events if e[KIND] == "D_CONCEPT"]
         assert len(visits) == 1
 
     def test_unrepairable_state_returns_none(self):
@@ -372,6 +378,12 @@ def test_repeated_checks_are_replayed_not_run():
     assert 0 < 2 * calls < asked
 
 
+def _event_dicts(events, ops=0):
+    """Each event as a dict of every field, its counter taken relative to
+    ``ops``; its step is its position in the list."""
+    return [dict(zip(TRACE_FIELDS, e), counter=e[COUNTER] - ops) for e in events]
+
+
 def _trial_on_log(state, literal):
     """Run the stored trial on ``state``'s traced log; return the trial,
     the ops it added and its events, each step and counter taken
@@ -379,10 +391,7 @@ def _trial_on_log(state, literal):
     log = state.log
     ops, step = log.ops, len(log.events)
     trial = algorithms._freeing_trial(state, literal)
-    events = [
-        dict(e, step=e["step"] - step, counter=e["counter"] - ops) for e in log.events[step:]
-    ]
-    return trial, log.ops - ops, events
+    return trial, log.ops - ops, _event_dicts(log.events[step:], ops)
 
 
 def _check_on_log(state, literal):
@@ -394,7 +403,7 @@ def _fresh_check(state, literal):
     fork = state.fork()
     fork.log, fork.checks = RunLog(enabled=True), {}
     trial = _direct_trial(fork, literal)
-    return _final(trial), fork.log.ops, fork.log.events
+    return _final(trial), fork.log.ops, _event_dicts(fork.log.events)
 
 
 def test_stored_checks_tell_clause_ids_apart_by_their_literals():
@@ -450,7 +459,7 @@ def _tripping(state, literal):
         trips, ops, step = log.guard_trips, log.ops, len(log.events)
         with pytest.raises(GuardExceeded):
             algorithms._freeing_trial(state, literal)
-        events = [(e["kind"], e["literal"], e["new"], e["counter"] - ops) for e in log.events[step:]]
+        events = [(e[KIND], e[LITERAL], e[NEW], e[COUNTER] - ops) for e in log.events[step:]]
         tripped.append((log.guard_trips - trips, log.ops - ops, events))
         assert state.checks == {}
     assert tripped[0] == tripped[1]

@@ -14,7 +14,7 @@ import pytest
 import understanding_sat
 from understanding_sat import cli
 from understanding_sat.cnf import emit_dimacs
-from understanding_sat.harness import CounterexampleRecord, adjudicate, replay
+from understanding_sat.harness import CounterexampleRecord, GenSpec, adjudicate, gen_random, replay
 from understanding_sat.solver import SolverOutcome
 
 from helpers import full_sign_instance, order_trap_instance
@@ -379,6 +379,21 @@ class TestDefaultBytes:
             if path.is_file()
         }
         assert files == self.FILES
+
+    def test_solve_trace_keeps_its_bytes(self, tmp_path, capsys):
+        # A draw past the threshold: 926 events, among them 45 G_*
+        # events, the events of 13 replayed stored trials and three
+        # CONTRADICTIONs.  sha256 of stdout, then of stderr (the ops line
+        # and every trace line), recorded before events became tuples.
+        path = tmp_path / "draw.cnf"
+        path.write_text(emit_dimacs(gen_random(GenSpec(n=8, m=34, seed=0))), encoding="utf-8")
+        assert cli.main(["solve", str(path), "--trace"]) == 20
+        out, err = capsys.readouterr()
+        assert [hashlib.sha256(s.encode()).hexdigest() for s in (out, err)] == [
+            "97fd0c6917694763653dde1eeb8325c4e0c766287e52051a263dcd0fe7f6dd0b",
+            "02c0caf9eccccda2518fd170be81200f45a45fc657fa0ef69000b940dd93dd30",
+        ]
+        assert len(err.splitlines()) == 1 + 926
 
 
 class TestErrors:

@@ -17,14 +17,20 @@ from understanding_sat.engine import (
     FREE,
     GuardExceeded,
     RunLog,
+    TRACE_FIELDS,
     TRUE,
     flip,
 )
 from understanding_sat.solver import solve
 
 from helpers import (
+    COUNTER,
     CPLUS,
     CSTAR,
+    KIND,
+    LITERAL,
+    NEW,
+    OLD,
     RecordingList,
     admitted_state,
     concept_type,
@@ -197,9 +203,10 @@ class TestFixpointMechanics:
         st_ = fresh_state(inst, trace=True)
         st_.add_concept(inst.clauses[0], 1)
         assert st_.log.events, "tracing enabled must record events"
-        for event in st_.log.events:
-            assert set(event) == {"step", "kind", "literal", "old", "new", "clause", "counter"}
-        kinds = [e["kind"] for e in st_.log.events]
+        assert TRACE_FIELDS == ("kind", "literal", "old", "new", "clause", "counter")
+        for step, event in enumerate(st_.log.events):
+            assert type(event) is tuple and len(event) == len(TRACE_FIELDS), step
+        kinds = [e[KIND] for e in st_.log.events]
         assert "ADD_CONCEPT" in kinds and "SET" in kinds
 
     def test_disabled_log_records_no_events(self):
@@ -746,7 +753,7 @@ def test_failed_fixpoint_restores_the_same_lists(cap):
         except GuardExceeded:
             res = "guard"
     assert res == ("guard" if cap else Contradiction(2, "not-true-forced"))
-    assert [(e["literal"], e["new"]) for e in st_.log.events if e["kind"] == "SET"] == [(1, TRUE)]
+    assert [(e[LITERAL], e[NEW]) for e in st_.log.events if e[KIND] == "SET"] == [(1, TRUE)]
     for lst, was, now in zip(lists, before, (st_.values, st_.unmet, st_.pins)):
         assert now is lst and now == was
 
@@ -852,7 +859,7 @@ def test_fixpoint_bookkeeping_is_frozen(name):
     if isinstance(res, Contradiction):
         res = (res.witness, res.reason)
     lits = [lit for lit in range(-6, 7) if lit and st_.values[lit] != FREE]
-    events = [(e["kind"], e["literal"], e["old"], e["new"], e["counter"]) for e in st_.log.events]
+    events = [(e[KIND], e[LITERAL], e[OLD], e[NEW], e[COUNTER]) for e in st_.log.events]
     got = (
         res,
         st_.log.ops,

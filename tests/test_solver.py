@@ -1,6 +1,7 @@
 """End-to-end decision procedure: verdicts, anomalies, determinism."""
 
 import hashlib
+import itertools
 import json
 import random
 import sys
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from understanding_sat.cnf import Assignment, build_instance, evaluate
-from understanding_sat.engine import Contradiction, EngineState, RunLog
+from understanding_sat.engine import TRACE_FIELDS, Contradiction, EngineState, RunLog
 from understanding_sat.harness import GenSpec, adjudicate, enumerate_small, gen_random, minimize
 from understanding_sat.solver import (
     ANOMALY_GUARD,
@@ -24,7 +25,14 @@ from understanding_sat.solver import (
     solve,
 )
 
-from helpers import full_sign_instance, order_trap_instance, random_instance, snapshot
+from helpers import (
+    KIND,
+    ORDER_TRAP,
+    full_sign_instance,
+    order_trap_instance,
+    random_instance,
+    snapshot,
+)
 
 
 class TestVerdicts:
@@ -63,6 +71,25 @@ class TestVerdicts:
         )
         assert out.kind == "sat"
         assert out.assignment.as_signed_literals(3) == [-1, -2, -3]
+
+    def test_order_trap_is_unsat_only_in_its_input_order(self):
+        # Admitted in each of its 24 clause orders, the trap answers
+        # unsat in exactly one, the input order; every other order finds
+        # a verified model.  Seeded ``perm`` orders reach the input order
+        # for seeds 9, 11, 27, 75, 92 and 93 of 0-99.
+        kinds = {
+            order: solve(build_instance(3, [ORDER_TRAP[i] for i in order])).kind
+            for order in itertools.permutations(range(4))
+        }
+        assert [order for order, kind in kinds.items() if kind != "sat"] == [(0, 1, 2, 3)]
+        assert kinds[(0, 1, 2, 3)] == "unsat"
+        unsat_seeds = [
+            seed
+            for seed in range(100)
+            if solve(order_trap_instance(), SolveConfig(clause_order="perm", order_seed=seed)).kind
+            == "unsat"
+        ]
+        assert unsat_seeds == [9, 11, 27, 75, 92, 93]
 
     def test_full_sign_core_is_unsat_on_last_clause(self):
         out = solve(full_sign_instance())
@@ -128,8 +155,10 @@ class TestVerdicts:
                 traced = solve(inst, replace(cfg, trace=True))
                 assert traced.ops == plain.ops
                 total += plain.ops
-                for event in traced.trace:
-                    line = json.dumps(event, sort_keys=True, separators=(",", ":"))
+                for step, event in enumerate(traced.trace):
+                    # the line ``usat solve --trace`` prints for the event
+                    fields = dict(zip(TRACE_FIELDS, event), step=step)
+                    line = json.dumps(fields, sort_keys=True, separators=(",", ":"))
                     digest.update(line.encode() + b"\n")
         assert total == 185_542
         assert digest.hexdigest() == (
@@ -238,8 +267,8 @@ class TestAnomalies:
         assert out.anomaly == ANOMALY_GUARD
         assert out.guard_trips == 1
         assert out.failing_clause is not None
-        assert any(e["kind"] == "D_RECURSE" for e in out.trace)
-        assert out.trace[-1]["kind"] == "VERDICT"
+        assert any(e[KIND] == "D_RECURSE" for e in out.trace)
+        assert out.trace[-1][KIND] == "VERDICT"
 
     @pytest.mark.parametrize("levels", [1, 2, 3, 4])
     def test_python_recursion_limit_trip_ends_as_a_stateless_depth_guard_anomaly(self, levels):
@@ -259,7 +288,7 @@ class TestAnomalies:
         assert out.kind == "anomaly"
         assert out.anomaly == ANOMALY_GUARD
         assert out.state is None
-        assert out.trace[-1]["kind"] == "VERDICT"
+        assert out.trace[-1][KIND] == "VERDICT"
 
     def test_python_recursion_limit_trip_while_indexing_the_first_concept(self):
         # The levels are measured, not fixed: each limit lets every frame
@@ -291,12 +320,12 @@ class TestAnomalies:
             assert out.kind == "anomaly"
             assert out.anomaly == ANOMALY_GUARD
             assert out.state is None
-            assert out.trace[-1]["kind"] == "VERDICT"
+            assert out.trace[-1][KIND] == "VERDICT"
             assert out.guard_trips == 1
             assert out.failing_clause == 0
-            assert not any(e["kind"] == "D_ENTER" for e in out.trace)
+            assert not any(e[KIND] == "D_ENTER" for e in out.trace)
             # The first concept's pick is the last step before the verdict.
-            assert [e["kind"] for e in out.trace[-2:]] == ["U3_PICK", "VERDICT"], levels
+            assert [e[KIND] for e in out.trace[-2:]] == ["U3_PICK", "VERDICT"], levels
 
     def test_concept_admission_contradiction_is_an_anomaly(self, monkeypatch):
         monkeypatch.setattr(
@@ -357,7 +386,7 @@ class TestTrace:
 
     def test_trace_brackets_the_run(self):
         out = solve(build_instance(3, [(1, 2, 3)]), SolveConfig(trace=True))
-        kinds = [e["kind"] for e in out.trace]
+        kinds = [e[KIND] for e in out.trace]
         assert kinds[0] == "U1_CLAUSE"
         assert kinds[-1] == "VERDICT"
         assert kinds.count("U3_VALUE") == 3
@@ -365,8 +394,9 @@ class TestTrace:
 
     def test_untraced_runs_never_call_emit(self, monkeypatch):
         # Every call site checks ``enabled`` first, so an untraced run
-        # pays nothing for its events: admission, repair, freeing checks
-        # (run and replayed), contradictions, verdicts and minimize.
+        # pays nothing for its events and logs none: admission, repair,
+        # freeing checks (run and replayed), contradictions, verdicts and
+        # minimize.
         calls = []
         emit = RunLog.emit
 
@@ -382,6 +412,7 @@ class TestTrace:
             for order in ("input", "perm"):
                 out = solve(inst, SolveConfig(clause_order=order, order_seed=7))
                 kinds.add(out.kind)
+                assert out.state.log.events == []
         record = next(
             adjudicate([(None, gen_random(GenSpec(n=8, m=34, seed=0)))], SolveConfig(), "brute")
         ).record()
