@@ -145,11 +145,11 @@ def algorithm_d(
     # turn C+ once a trial is adopted, so every turn rescans from the first.
     keys = state.by_focus[-literal]
     concepts = state.concepts
-    considered: set = set()
+    considered = ()
     deeper = None  # ``history | {literal}``, built at the first recursion
+    values = state.values
+    pins = state.pins
     while True:
-        values = work.values
-        pins = work.pins
         for key in keys:
             if key in considered:
                 continue
@@ -158,10 +158,9 @@ def algorithm_d(
                 break
         else:
             break
-        considered.add(key)
+        considered += (key,)
         if traced:
             log.emit("D_CONCEPT", literal=literal, clause=key[0])
-        covered = False
         for companion in members:
             if companion in history:
                 continue
@@ -186,9 +185,10 @@ def algorithm_d(
             if trial is None:
                 continue
             work = trial
-            covered = True
+            values = work.values
+            pins = work.pins
             break
-        if not covered:
+        else:
             if traced:
                 log.emit("D_RESULT", literal=literal, new="none")
             return None

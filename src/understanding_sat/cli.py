@@ -5,7 +5,8 @@ Subcommands: ``solve`` and ``oracle`` decide a single DIMACS file;
 reports with a CSV summary next to them; ``minimize`` shrinks a stored
 counterexample record, and exits 1 when the record's instance no longer
 adjudicates as the record's kind; ``bench`` collects operation counts
-and fits a growth exponent, and writes nothing when the fit fails.
+and fits a growth exponent, and writes nothing when the fit or a
+write fails.
 
 Exit codes: 10 satisfiable, 20 unsatisfiable, 30 anomaly (also a run
 that exceeds Python's recursion limit), 0 for a harness command that ran
@@ -26,6 +27,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 
 from .cnf import parse_dimacs
@@ -55,23 +57,30 @@ def _json_line(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _write_lines(path: str, lines) -> None:
-    """Write each of ``lines`` to ``path`` with a ``\\n`` after it.  If
-    ``lines`` stops on an error, the half-written file is removed first;
-    a failed open has made no file and so removes none."""
-    fh = open(path, "w", encoding="utf-8", newline="\n")
+@contextmanager
+def _report_file(path: str, newline: str):
+    """Open ``path`` for writing; if the block stops on an error, the
+    half-written file is removed first.  A failed open has made no file
+    and so removes none."""
+    fh = open(path, "w", encoding="utf-8", newline=newline)
     try:
         with fh:
-            for line in lines:
-                fh.write(line + "\n")
+            yield fh
     except BaseException:
         # Interrupts too: a half-written report must not outlive the run.
         os.remove(path)
         raise
 
 
+def _write_lines(path: str, lines) -> None:
+    """Write each of ``lines`` to ``path`` with a ``\\n`` after it."""
+    with _report_file(path, "\n") as fh:
+        for line in lines:
+            fh.write(line + "\n")
+
+
 def _write_csv(path: str, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _report_file(path, "") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
@@ -257,14 +266,20 @@ def _parse_pairs(spec: str):
 
 
 def _cmd_bench(args) -> int:
-    """Fit first, so that a failed fit (ValueError) writes no file."""
+    """Fit first, so that a failed fit (ValueError) writes no file; a
+    summary that cannot be written removes the samples written before
+    it."""
     _reject_negative(args, "reps")
     samples = bench_samples(_parse_pairs(args.pairs), args.reps, _effective_seed(args.seed))
     fit = asdict(fit_complexity(samples))
     if args.out:
         _write_lines(args.out, [_json_line(asdict(s)) for s in samples])
         values = [f"{v:.6f}" if isinstance(v, float) else v for v in fit.values()]
-        _write_csv(args.out + ".summary.csv", [list(fit), values])
+        try:
+            _write_csv(args.out + ".summary.csv", [list(fit), values])
+        except BaseException:
+            os.remove(args.out)
+            raise
     del fit["intercept"]
     print(_json_line({k: round(v, 6) if isinstance(v, float) else v for k, v in fit.items()}))
     return EXIT_OK

@@ -132,8 +132,9 @@ class EngineState:
     two lists first and owns its copy from then on, so neither ever sees
     the other's later inserts.  (A concept is removed only to undo its
     insert on the same state, which already owns its index by then.)
-    Values and assumptions are copied on every fork; ``restrict_to``
-    builds a view with an index of its own, inserting in key order.  Code
+    Values and assumptions are copied on every fork.  A restricted view
+    shares an index from ``views`` (below) the same way, marked shared
+    from the start, so an insert into a view copies it first.  Code
     outside this class reads the index and never changes it.
 
     ``checks`` stores the freeing trials already run on this index: it
@@ -150,6 +151,15 @@ class EngineState:
     a state is moved to another log only with a fresh store, as ``solve``
     does when it resumes a run.
 
+    ``views`` stores the indexes of the restricted views already built on
+    this index: it maps a variable to the ``(concepts, by_focus,
+    by_member)`` of the view of either of its literals, which
+    ``restrict_to`` builds at the first request and hands, read-only, to
+    every later view of that variable.  It has the lifetime of
+    ``checks``: ``fork`` shares it, and ``__init__``, ``restrict_to`` and
+    ``insert_concept`` give the state a fresh one.  ``solve`` empties
+    both stores of an outcome's state and of a resumed prefix's fork.
+
     ``unmet[lit]`` is the number of concepts focused on ``lit`` whose two
     companions are both not true, reading each companion's effective
     value (a pin overrides the stored value): the concept is C+ exactly
@@ -162,8 +172,8 @@ class EngineState:
     effective value does not move) and ``pin_literal``.  A fixpoint that
     fails writes back the copies of ``values`` and ``unmet`` it took at
     its first write, so the two stay equal.  ``fork`` copies it with the
-    values; ``restrict_to`` sets the values and assumptions before
-    indexing, so its view's count comes out right by construction.
+    values; ``restrict_to`` counts it afresh for each view from the view's
+    concepts, values and assumptions.
     """
 
     __slots__ = (
@@ -177,6 +187,7 @@ class EngineState:
         "log",
         "_shared",
         "checks",
+        "views",
     )
 
     def __init__(self, inst: Instance, log: RunLog | None = None):
@@ -194,6 +205,7 @@ class EngineState:
         self.log = log if log is not None else RunLog()
         self._shared = False  # the index may be another state's too
         self.checks: dict = {}
+        self.views: dict = {}
 
     # -- assumptions ---------------------------------------------------
 
@@ -202,12 +214,13 @@ class EngineState:
         with an existing pin."""
         if value not in (TRUE, FALSE):
             raise ValueError("pins must be true or false")
+        other = FALSE if value == TRUE else TRUE
         pins = self.pins
-        for lit, v in ((literal, value), (-literal, flip(value))):
-            if pins[lit] and pins[lit] != v:
-                return False
-        for lit, v in ((literal, value), (-literal, flip(value))):
-            was_true = (pins[lit] or self.values[lit]) == TRUE
+        if (pins[literal] or value) != value or (pins[-literal] or other) != other:
+            return False
+        values = self.values
+        for lit, v in ((literal, value), (-literal, other)):
+            was_true = (pins[lit] or values[lit]) == TRUE
             pins[lit] = v
             if was_true != (v == TRUE):
                 self._retally(lit, 1 if was_true else -1)
@@ -365,6 +378,7 @@ class EngineState:
             self._own_index()
         self._index(key, members)
         self.checks = {}
+        self.views = {}
         return key
 
     def _index(self, key: ConceptKey, members: tuple[int, int]) -> None:
@@ -424,9 +438,9 @@ class EngineState:
 
         Only the values, the assumptions and ``unmet`` are copied, or the
         ``(values, pins, unmet)`` triple ``lists`` in their place.  The
-        concept index and its stored trials are shared with this state
-        until either of the two inserts a concept, which copies the dict
-        and the two lists first (see the class docstring).
+        concept index and its stored trials and views are shared with
+        this state until either of the two inserts a concept, which copies
+        the dict and the two lists first (see the class docstring).
         """
         values, pins, unmet = lists or (self.values, self.pins, self.unmet)
         self._shared = True
@@ -441,42 +455,52 @@ class EngineState:
         n.log = self.log
         n._shared = True
         n.checks = self.checks
+        n.views = self.views
         return n
 
     def restrict_to(self, literal: int) -> "EngineState":
         """Copy restricted to the admitted clauses that contain the
         literal or its negation; values and assumptions carry over
-        unchanged.  The view owns its index and an empty store of trials.
+        unchanged.  The view shares the index stored in ``views`` for the
+        literal's variable, built at the first request on this index, and
+        has empty stores of its own.
 
         Every concept of a clause holds all three of the clause's
         literals, as focus or companion, so the kept concepts are exactly
         those in the ``by_focus`` and ``by_member`` slots of ``literal``
         and ``-literal``; the rest of the store is never scanned.  They
         are indexed in sorted key order, so each tuple is appended to.
+        Only ``unmet`` is counted afresh for each view.
         """
-        keys = set()
-        for lit in (literal, -literal):
-            keys.update(self.by_focus[lit])
-            keys.update(self.by_member[lit])
+        var = abs(literal)
+        index = self.views.get(var)
+        if index is None:
+            keys = set()
+            for lit in (var, -var):
+                keys.update(self.by_focus[lit])
+                keys.update(self.by_member[lit])
+            concepts = {}
+            by_focus = [()] * len(self.values)
+            by_member = by_focus[:]
+            # ``_index``'s steps, in the same order, with appends only.
+            source = self.concepts
+            for key in sorted(keys):
+                concepts[key] = m1, m2 = source[key]
+                by_focus[key[1]] += (key,)
+                by_member[m1] += (key,)
+                by_member[m2] += (key,)
+            index = self.views[var] = concepts, by_focus, by_member
         n = object.__new__(EngineState)
         n.inst = self.inst
         n.values = values = self.values[:]
         n.pins = pins = self.pins[:]
         n.unmet = unmet = [0] * len(values)
         n.log = self.log
-        n._shared = False
+        n._shared = True
         n.checks = {}
-        n.concepts = concepts = {}
-        n.by_focus = by_focus = [()] * len(values)
-        n.by_member = by_member = [()] * len(values)
-        # ``_index``'s steps, in the same order, with appends only.
-        source = self.concepts
-        for key in sorted(keys):
-            concepts[key] = m1, m2 = source[key]
-            focus = key[1]
-            by_focus[focus] += (key,)
-            by_member[m1] += (key,)
-            by_member[m2] += (key,)
+        n.views = {}
+        n.concepts, n.by_focus, n.by_member = index
+        for (_, focus), (m1, m2) in n.concepts.items():
             if (pins[m1] or values[m1]) != TRUE and (pins[m2] or values[m2]) != TRUE:
                 unmet[focus] += 1
         return n

@@ -186,7 +186,8 @@ def _outcome(
     """Log the verdict and build the outcome; ``clause`` is the failing
     clause of a run that stopped early."""
     log = state.log
-    state.checks = {}  # the run asks no more checks; the outcome need not hold them
+    # The run asks no more checks; the outcome need not hold them.
+    state.checks, state.views = {}, {}
     failing = clause.id if clause is not None else None
     if log.enabled:
         log.emit("VERDICT", new=kind, clause=failing)
@@ -216,10 +217,11 @@ def solve(
     clauses first and the prefix holds what admitting them did, so the
     run reads the rest of ``inst`` exactly as a fresh one would: the
     outcome, ``ops``, guard trips, gaps and trace all match
-    ``solve(inst, cfg)``.  The prefix, its log and its stored checks are
-    not changed.  A plain run is this loop resumed from the empty state.
-    Under ``perm`` order the first ``k`` clauses admitted are not
-    ``inst``'s first ``k``, so a prefix raises ValueError.
+    ``solve(inst, cfg)``.  The prefix, its log, its stored checks and its
+    stored views are not changed.  A plain run is this loop resumed from
+    the empty state.  Under ``perm`` order the first ``k`` clauses
+    admitted are not ``inst``'s first ``k``, so a prefix raises
+    ValueError.
     """
     cfg = cfg if cfg is not None else SolveConfig()
     state = _resume(inst, cfg, prefix)
@@ -254,7 +256,8 @@ def _resume(inst: Instance, cfg: SolveConfig, prefix: EngineState | None) -> Eng
     state = prefix.fork()
     state.inst = inst
     state.log = prefix.log.copy()
-    state.checks = {}  # the resumed run never writes into the prefix's store
+    # The resumed run never writes into the prefix's stores.
+    state.checks, state.views = {}, {}
     return state
 
 

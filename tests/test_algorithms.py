@@ -374,7 +374,8 @@ def test_repeated_checks_are_replayed_not_run():
                 solve(inst)
         asked, calls = calls, 0
         for inst in insts:
-            assert solve(inst).state.checks == {}
+            state = solve(inst).state
+            assert state.checks == {} and state.views == {}
     assert 0 < 2 * calls < asked
 
 
@@ -454,7 +455,7 @@ def _tripping(state, literal):
     """Ask the trial twice, each time expecting a guard trip; return what
     each ask added to the log."""
     log = state.log
-    tripped = []
+    tripped, views = [], []
     for _ in range(2):
         trips, ops, step = log.guard_trips, log.ops, len(log.events)
         with pytest.raises(GuardExceeded):
@@ -462,6 +463,11 @@ def _tripping(state, literal):
         events = [(e[KIND], e[LITERAL], e[NEW], e[COUNTER] - ops) for e in log.events[step:]]
         tripped.append((log.guard_trips - trips, log.ops - ops, events))
         assert state.checks == {}
+        # The view was built before the trip and depends on the index
+        # alone: it stays stored, and the repeat reads it.
+        assert list(state.views) == [abs(literal)]
+        views.append(state.views[abs(literal)])
+    assert views[0] is views[1]
     assert tripped[0] == tripped[1]
     assert tripped[0][0] == 1 and tripped[0][1] > 0
     return tripped[0][2]

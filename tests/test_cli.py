@@ -323,6 +323,31 @@ class TestBenchCommand:
         assert err == "error: need at least 5 decided samples, got 1\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_unwritable_summary_removes_the_samples(self, tmp_path, capsys):
+        # A directory stands where the CSV summary goes: the samples file,
+        # already written, is removed and only the directory is left.
+        out = tmp_path / "r.jsonl"
+        blocker = tmp_path / "r.jsonl.summary.csv"
+        blocker.mkdir()
+        code = cli.main(["bench", "--pairs", "5:5,5:20", "--reps", "3", "--out", str(out)])
+        stdout, err = capsys.readouterr()
+        assert code == 1
+        assert stdout == "" and err.startswith("error:")
+        assert list(tmp_path.iterdir()) == [blocker]
+
+
+@pytest.mark.parametrize("writer", ["_write_lines", "_write_csv"])
+def test_report_writer_removes_its_half_written_file(tmp_path, writer):
+    # The rows stop on an error after one has been written.
+    def rows():
+        yield "first" if writer == "_write_lines" else ["first", 1]
+        raise OSError("No space left on device")
+
+    path = tmp_path / "report"
+    with pytest.raises(OSError, match="No space left"):
+        getattr(cli, writer)(str(path), rows())
+    assert list(tmp_path.iterdir()) == []
+
 
 class TestDefaultBytes:
     FUZZ = TestCorpusCommands.FUZZ

@@ -321,6 +321,22 @@ class TestCopyIsolation:
         assert (1, -1) in view.by_focus[-1]
         assert index_of(st_) == before
 
+    def test_view_insert_leaves_the_stored_view_unchanged(self):
+        # Views of either literal of 3 share the index stored for the
+        # variable; an insert into one copies it first.
+        inst, st_ = self._state()
+        view = st_.restrict_to(3)
+        stored = st_.views[3]
+        assert (view.concepts, view.by_focus, view.by_member) == stored
+        assert st_.restrict_to(-3).concepts is stored[0]
+        before = index_of(st_.restrict_to(3))
+        copies = dict(stored[0]), stored[1][:], stored[2][:]
+        view.insert_concept(inst.clauses[1], -1)
+        view.insert_concept(inst.clauses[2], 2)
+        assert (1, -1) in view.by_focus[-1] and (1, -1) not in stored[0]
+        assert st_.views[3] is stored and stored == copies
+        assert index_of(st_.restrict_to(3)) == before
+
     def test_rolled_back_add_concept_in_fork_leaves_parent_unchanged(self):
         inst = build_instance(3, [(1, 2, 3), (-1, 2, 3)])
         st_ = fresh_state(inst)
@@ -402,14 +418,44 @@ def staged_states(draw):
     return parent, child
 
 
-@given(staged_states())
-def test_restrict_to_matches_scanning_reference(states):
+def _view_mismatches(state):
+    """The literals whose view differs from the scanning reference's, in
+    its index or in its ``unmet`` counts."""
+    n = state.inst.variable_count
+    mismatches = []
+    for lit in (l for v in range(1, n + 1) for l in (v, -v)):
+        view = state.restrict_to(lit)
+        if index_of(view) != index_of(scanning_restrict_to(state, lit)) or _unmet_mismatches(view):
+            mismatches.append(lit)
+    return mismatches
+
+
+def _insert_one_missing(state, rng):
+    missing = [
+        (clause, focus)
+        for clause in state.inst.clauses
+        for focus in clause.literals
+        if (clause.id, focus) not in state.concepts
+    ]
+    if missing:
+        state.insert_concept(*rng.choice(missing))
+
+
+@given(staged_states(), st.integers(min_value=0, max_value=10_000))
+def test_restrict_to_matches_scanning_reference(states, seed):
+    # Each state is viewed twice, so the second view of each variable
+    # reads the stored index; then a fork sharing that store is viewed,
+    # and both again after an insert on the state and after one on the
+    # fork, each of which moves only its own side to a new index.
+    rng = random.Random(seed)
     for state in states:
-        n = state.inst.variable_count
-        for lit in (l for v in range(1, n + 1) for l in (v, -v)):
-            assert index_of(state.restrict_to(lit)) == index_of(
-                scanning_restrict_to(state, lit)
-            )
+        fork = state.fork()
+        for viewed in (state, state, fork):
+            assert _view_mismatches(viewed) == []
+        for side in (state, fork):
+            _insert_one_missing(side, rng)
+            assert _view_mismatches(state) == []
+            assert _view_mismatches(fork) == []
 
 
 @given(staged_states(), st.integers(min_value=0, max_value=10_000))

@@ -242,28 +242,32 @@ class TestMinimize:
         assert resumed_at == [0] + [min(i, k) for i in range(34)]
 
     def test_resumed_runs_leave_the_prefix_store_empty_and_its_own(self, monkeypatch):
-        # A run resumed from a prefix state stores its freeing checks
-        # apart from the prefix: after ``minimize`` and after resumed
-        # ``solve`` calls, each prefix state still holds the store it was
-        # built with, and it is empty.
+        # A run resumed from a prefix state stores its freeing checks and
+        # views apart from the prefix: after ``minimize`` and after
+        # resumed ``solve`` calls, each prefix state still holds the
+        # stores it was built with, and they are empty.
         prefixes = []
 
         def spying_advance(prefix, inst, cfg):
             state = advance(prefix, inst, cfg)
             if state is not None:
-                prefixes.append((state, state.checks, inst))
+                prefixes.append((state, (state.checks, state.views), inst))
             return state
+
+        def unchanged(state, stores):
+            checks, views = stores
+            return state.checks is checks and state.views is views and checks == views == {}
 
         monkeypatch.setattr(harness, "advance", spying_advance)
         for rec in self.wrong_unsat_records(SolveConfig(), 8, 34, 3):
             prefixes.clear()
             minimize(rec)
             assert prefixes
-            for state, store, _ in prefixes:
-                assert state.checks is store and store == {}
-            for state, store, inst in prefixes:
+            for state, stores, _ in prefixes:
+                assert unchanged(state, stores)
+            for state, stores, inst in prefixes:
                 assert solve(inst, prefix=state).ops == solve(inst).ops
-                assert state.checks is store and store == {}
+                assert unchanged(state, stores)
 
     def test_scan_ends_once_every_clause_is_rejected_in_a_row(self, monkeypatch):
         # The restarting scan runs one more pass after its last removal,
