@@ -120,6 +120,12 @@ def algorithm_d(
     which replays a repeat on the same index from the index's store:
     ``ops`` and the trace come out as if every trial ran.
 
+    The recursion shares one ``set`` as its history (another type, like
+    the default, is copied into one at the first recursion): a frame adds
+    its literal around each recursive call and removes it after unless
+    the set held it already, as a clause with both polarities can cause,
+    so each call sees what a new frozenset per level would hold.
+
     Returns the rewritten fork (with the literal free) or None.  The
     caller's state is never touched.  ``depth_guard`` caps recursion depth
     measured by ``len(history)``; tripping it raises GuardExceeded.  It has
@@ -146,7 +152,6 @@ def algorithm_d(
     keys = state.by_focus[-literal]
     concepts = state.concepts
     considered = ()
-    deeper = None  # ``history | {literal}``, built at the first recursion
     values = state.values
     pins = state.pins
     while True:
@@ -171,9 +176,13 @@ def algorithm_d(
             if value == FALSE:
                 if traced:
                     log.emit("D_RECURSE", literal=companion)
-                if deeper is None:
-                    deeper = history | {literal}
-                candidate = algorithm_d(work, companion, deeper, depth_guard=depth_guard)
+                if type(history) is not set:
+                    history = set(history)
+                fresh = literal not in history
+                history.add(literal)
+                candidate = algorithm_d(work, companion, history, depth_guard=depth_guard)
+                if fresh:
+                    history.discard(literal)
                 if candidate is None:
                     continue
             basis = candidate if candidate is not None else work

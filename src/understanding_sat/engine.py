@@ -263,9 +263,11 @@ class EngineState:
         re-enqueues, in index order, every variable whose focused concepts
         mention the changed pair.  Only at its first change, which most
         calls never make, does the call copy ``values`` and ``unmet`` and
-        build the set of queued variables (the queue's unread tail).  On
-        contradiction, or when the step guard trips, it writes the copies
-        back into the same two lists, so the state is as it was on entry.
+        flag the queued variables (the unread tail) in a ``bytearray``
+        indexed by literal, both polarities set, so a change appends its
+        unflagged dependents, sorted once.  On contradiction, or when the
+        step guard trips, it writes the copies back into the same two
+        lists, so the state is as it was on entry.
 
         The step is written out in the loop, with no call per step, and
         ``ops`` kept in a local (written back at every exit; a traced
@@ -290,9 +292,9 @@ class EngineState:
                 break
             var = queue[head]
             head += 1
-            if queued is not None:
-                queued.discard(var)
             neg = -var
+            if queued is not None:
+                queued[var] = queued[neg] = 0
             ops += 2
             if unmet[var] > 0:
                 if unmet[neg] > 0:
@@ -325,8 +327,10 @@ class EngineState:
                 continue
             if saved is None:
                 saved = values[:], unmet[:]
-                queued = set(queue[head:])
-            deps = set()
+                queued = bytearray(len(values))
+                for dep in queue[head:]:
+                    queued[dep] = queued[-dep] = 1
+            fresh = []
             for lit, v in ((var, new), (neg, _FLIP[new])):
                 keys = by_member[lit]
                 was_true = values[lit] == TRUE
@@ -338,14 +342,15 @@ class EngineState:
                         other = m2 if m1 == lit else m1
                         if (pins[other] or values[other]) != TRUE:
                             unmet[key[1]] += step
-                for key in keys:
-                    deps.add(abs(key[1]))
+                for _, dep in keys:
+                    if not queued[dep]:
+                        queued[dep] = queued[-dep] = 1
+                        fresh.append(dep if dep > 0 else -dep)
             if traced:
                 log.events.append(("SET", var, old, new, None, ops))
-            for dep in sorted(deps):
-                if dep not in queued:
-                    queue.append(dep)
-                    queued.add(dep)
+            if fresh:
+                fresh.sort()
+                queue += fresh
         else:
             log.ops = ops
             return None
@@ -468,27 +473,37 @@ class EngineState:
         Every concept of a clause holds all three of the clause's
         literals, as focus or companion, so the kept concepts are exactly
         those in the ``by_focus`` and ``by_member`` slots of ``literal``
-        and ``-literal``; the rest of the store is never scanned.  They
-        are indexed in sorted key order, so each tuple is appended to.
-        Only ``unmet`` is counted afresh for each view.
+        and ``-literal``; the rest of the store is never scanned.  The
+        view takes those four tuples as they are and fills every other
+        slot from their keys, the ``by_member`` ones sorted once, so each
+        ``by_focus`` tuple stays in key order.  A ``by_member`` tuple's
+        order may differ from the parent's; nothing relies on it.  Only
+        ``unmet`` is counted afresh for each view.
         """
         var = abs(literal)
         index = self.views.get(var)
         if index is None:
-            keys = set()
-            for lit in (var, -var):
-                keys.update(self.by_focus[lit])
-                keys.update(self.by_member[lit])
+            own = var, -var
+            parent_focus, parent_member, source = self.by_focus, self.by_member, self.concepts
             concepts = {}
             by_focus = [()] * len(self.values)
             by_member = by_focus[:]
-            # ``_index``'s steps, in the same order, with appends only.
-            source = self.concepts
-            for key in sorted(keys):
-                concepts[key] = m1, m2 = source[key]
+            for lit in own:
+                by_focus[lit] = parent_focus[lit]
+                by_member[lit] = parent_member[lit]
+                for key in parent_focus[lit]:
+                    concepts[key] = members = source[key]
+                    for m in members:
+                        if m not in own:
+                            by_member[m] += (key,)
+            for key in sorted(parent_member[var] + parent_member[-var]):
+                if key in concepts:
+                    continue
+                concepts[key] = members = source[key]
                 by_focus[key[1]] += (key,)
-                by_member[m1] += (key,)
-                by_member[m2] += (key,)
+                for m in members:
+                    if m not in own:
+                        by_member[m] += (key,)
             index = self.views[var] = concepts, by_focus, by_member
         n = object.__new__(EngineState)
         n.inst = self.inst

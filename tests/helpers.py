@@ -1,6 +1,7 @@
 """Shared fixtures-in-code: canonical instances, state builders, the
 structural freeing conditions, state audits and reference procedures."""
 
+import hashlib
 import itertools
 import random
 from collections import deque
@@ -27,7 +28,7 @@ from understanding_sat.harness import (
     adjudicate,
 )
 from understanding_sat.oracle import OracleVerdict
-from understanding_sat.solver import SolveConfig, _admit_clause
+from understanding_sat.solver import SolveConfig, _admit_clause, solve
 
 # Positions of the fields in a trace event tuple.
 KIND, LITERAL, OLD, NEW, CLAUSE, COUNTER = map(
@@ -173,6 +174,20 @@ def lemma_g_conditions(state: EngineState, literal: int) -> bool:
 def default_depth_guard(state: EngineState) -> int:
     """The repair depth guard ``solve`` passes under the default config."""
     return SolveConfig().depth_guard_factor * (2 * state.inst.variable_count) + 1
+
+
+def run_digest(instances, cfg: SolveConfig) -> str:
+    """sha256 over a traced run of each instance under ``cfg``: the
+    ``repr`` of its kind, ``ops``, failing clause, anomaly, guard trips,
+    gaps and events, in instance order.  A change that keeps the
+    procedure, as a performance change must, keeps the digest."""
+    digest = hashlib.sha256()
+    cfg = replace(cfg, trace=True)
+    for inst in instances:
+        out = solve(inst, cfg)
+        run = (out.kind, out.ops, out.failing_clause, out.anomaly, out.guard_trips, out.gaps, out.trace)
+        digest.update(repr(run).encode())
+    return digest.hexdigest()
 
 
 def fresh_state(inst: Instance, trace: bool = False) -> EngineState:

@@ -279,12 +279,13 @@ def test_a4_freeing_check_matches_structural_conditions_on_all_small_states():
     # admitting up to 4 clauses over up to 4 variables.  The agreement
     # does not hold, and this verdict records that finding rather than
     # weakening the demand: the conditions approve literals whose trial
-    # run actually hits a contradiction.  Mechanism: pinning the literal
-    # true can retype a clause-mate's supporting concept, retract the
-    # need that held that clause-mate true, and cascade into reviving a
-    # need for the literal's own negation — a dynamic the static
-    # conditions never examine.  The safe direction is intact: the
-    # check never approves where the conditions reject.
+    # run actually hits a contradiction.  Mechanism (ROADMAP, Baselines):
+    # the conditions read neither values nor pins, and in every divergent
+    # view each attempt tries a concept with a companion that was already
+    # true and needed before the pin, so constraining it not-true
+    # contradicts; in 48 views a companion pinned true skips every
+    # attempt.  The safe direction is intact: the check never approves
+    # where the conditions reject.
     stats = sweep_assumption_check(4, 4)
     assert stats["unsound"] == 0, (
         f"behavioral check approved where structural conditions reject: "

@@ -315,6 +315,41 @@ def test_repair_matches_rebuilding_reference(seed):
         assert run(algorithm_d, lam, guard) == run(rebuilding_algorithm_d, lam, guard)
 
 
+def test_repair_history_survives_a_frame_whose_literal_it_holds(monkeypatch):
+    # Clause 0 holds both 1 and -1, so repairing -1 recurses into a frame
+    # for -1 whose history already holds -1.  The frames share one
+    # history set: that inner frame must leave -1 in it for its caller,
+    # so every result, count and event equals the reference's, which
+    # builds a new frozenset per level.
+    inst = build_instance(3, [(1, -1, -2), (-1, 2, -2), (-1, -2, 3), (-1, -2, -3)])
+    status, st_ = admitted_state(inst, upto=3)
+    assert status == "ok"
+    frames = []
+    repair = algorithms.algorithm_d
+
+    def spy(state, literal, history=frozenset(), *, depth_guard):
+        frames.append((literal, literal in history))
+        return repair(state, literal, history, depth_guard=depth_guard)
+
+    monkeypatch.setattr(algorithms, "algorithm_d", spy)
+
+    def run(procedure, lam):
+        st_.log, st_.checks = RunLog(enabled=True), {}
+        try:
+            res = procedure(st_, lam, depth_guard=default_depth_guard(st_))
+        except GuardExceeded:
+            res = "guard"
+        else:
+            res = None if res is None else snapshot(res)
+        log = st_.log
+        return res, log.ops, log.guard_trips, log.paper_gaps, log.events
+
+    for lam in inst.clauses[3].literals:
+        assert st_.values[lam] == FALSE
+        assert run(spy, lam) == run(rebuilding_algorithm_d, lam)
+    assert (-1, True) in frames
+
+
 def _direct_trial(state, literal):
     """Storeless reference for ``_freeing_trial``: the check on the view,
     then a fork pinned and propagated."""

@@ -31,6 +31,7 @@ from helpers import (
     full_sign_instance,
     order_trap_instance,
     random_instance,
+    run_digest,
     snapshot,
 )
 
@@ -164,6 +165,24 @@ class TestVerdicts:
         assert digest.hexdigest() == (
             "06f5036a0b1b683501b3ee0e9cf1a0d0ac98b92bde8646a9955d1cef377d0e90"
         )
+
+
+@pytest.mark.parametrize(
+    "cfg, expected",
+    [
+        (SolveConfig(), "ae6789a2fe1cfd19ca97025d98793895b80691ca1542f92ecd6c5a38aebacc57"),
+        (
+            SolveConfig(clause_order="perm", order_seed=0),
+            "7fcb0489a045eabea2128e3baf824ba3c792d671149cec44fe39c2d93bca6964",
+        ),
+    ],
+    ids=["input", "perm"],
+)
+def test_run_digest_on_exhaustive_corpus_is_frozen(cfg, expected):
+    # One hash over every traced run of the exhaustive corpus: kind,
+    # ``ops``, failing clause, anomaly, guard trips, gaps and events.  A
+    # performance change must keep the procedure, so it keeps this.
+    assert run_digest(enumerate_small(3, 4), cfg) == expected
 
 
 def _lowest_recursion_limit() -> int:
