@@ -130,7 +130,8 @@ def algorithm_d(
     caller's state is never touched.  ``depth_guard`` caps recursion depth
     measured by ``len(history)``; tripping it raises GuardExceeded.  It has
     no default: ``solve`` derives it from its config, and every recursive
-    call passes it on unchanged.
+    call passes it on unchanged.  A history is a set of the 2n literals,
+    so the guard ``solve`` derives, factor * 2n + 1, trips only at factor 0.
     """
     if state.values[literal] != FALSE:
         raise ValueError("algorithm_d requires a false literal")
@@ -207,7 +208,7 @@ def algorithm_d(
     if res is not None or work.values[literal] != FREE:
         # The concepts forcing the literal false were all covered, yet the
         # literal did not come out free; surface as a gap, not a success.
-        log.paper_gaps += 1
+        log.gaps += 1
         if traced:
             log.emit("D_RESULT", literal=literal, new="gap")
         return None

@@ -208,10 +208,15 @@ def _cmd_fuzz(args) -> int:
         raise ValueError(f"--ratio must be finite, not {args.ratio}")
     _reject_negative(args, "count", "ratio")
     seed = _effective_seed(args.seed)
-    if args.m is not None:
-        m = args.m
-    else:
-        m = max(1, round(args.ratio * args.n))
+    m = args.m
+    if m is None:
+        # n first: a bounded n converts to float, and an infinite
+        # product is past any clause count ``validate`` allows.
+        GenSpec(n=args.n, m=0, seed=seed).validate()
+        product = args.ratio * args.n
+        if math.isinf(product):
+            raise ValueError(f"--ratio {args.ratio} times --n {args.n} is too many clauses to draw")
+        m = max(1, round(product))
     GenSpec(n=args.n, m=m, seed=seed).validate()
     cfg = SolveConfig(clause_order=args.order, order_seed=seed, default_free=args.default_free)
     specs = (GenSpec(n=args.n, m=m, seed=seed + i) for i in range(args.count))

@@ -89,21 +89,21 @@ class RunLog:
     appends an event itself, so an untraced run never builds an event.
     """
 
-    __slots__ = ("ops", "events", "enabled", "guard_trips", "paper_gaps")
+    __slots__ = ("ops", "events", "enabled", "guard_trips", "gaps")
 
     def __init__(self, enabled: bool = False):
         self.ops = 0
         self.events: list[tuple] = []
         self.enabled = enabled
         self.guard_trips = 0
-        self.paper_gaps = 0
+        self.gaps = 0
 
     def copy(self) -> "RunLog":
         log = RunLog(self.enabled)
         log.ops = self.ops
         log.events = self.events[:]
         log.guard_trips = self.guard_trips
-        log.paper_gaps = self.paper_gaps
+        log.gaps = self.gaps
         return log
 
     def emit(self, kind: str, literal=None, old=None, new=None, clause=None):

@@ -20,7 +20,7 @@ import random
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
-from .cnf import Instance, build_instance, emit_dimacs, parse_dimacs
+from .cnf import _MAX_VARIABLES, Instance, build_instance, emit_dimacs, parse_dimacs
 from .oracle import OracleVerdict, brute_force, dpll
 from .solver import SolveConfig, SolverOutcome, advance, solve
 
@@ -45,6 +45,8 @@ class GenSpec:
     def validate(self) -> None:
         if self.n < 0 or self.m < 0:
             raise ValueError("n and m must be non-negative")
+        if self.n > _MAX_VARIABLES:
+            raise ValueError(f"variable count {self.n} is too large to index")
         capacity = 8 * math.comb(self.n, 3)
         if self.m > capacity:
             raise ValueError(

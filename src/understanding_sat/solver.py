@@ -53,8 +53,9 @@ class SolveConfig:
     ``order_seed`` so that the run can be replayed;
     ``default_free`` fills variables the final map leaves free;
     ``depth_guard_factor`` scales the recursion guard, which is
-    factor * (number of literals) + 1.  Building a config with another
-    ``clause_order`` or ``default_free``, a negative
+    factor * (number of literals) + 1; a repair's history is a set of
+    those literals, so only factor 0 can trip it.  Building a config
+    with another ``clause_order`` or ``default_free``, a negative
     ``depth_guard_factor``, or ``perm`` without a seed, raises
     ValueError.
     """
@@ -196,7 +197,7 @@ def _outcome(
         failing_clause=failing,
         ops=log.ops,
         guard_trips=log.guard_trips,
-        gaps=log.paper_gaps,
+        gaps=log.gaps,
         state=state,
         trace=log.events if cfg.trace else None,
         **fields,

@@ -524,7 +524,7 @@ def rebuilding_algorithm_d(
         work = state.fork()
     res = work.compute_fixpoint([literal])
     if res is not None or work.values[literal] != FREE:
-        work.log.paper_gaps += 1
+        work.log.gaps += 1
         log.emit("D_RESULT", literal=literal, new="gap")
         return None
     log.emit("D_RESULT", literal=literal, new="ok")

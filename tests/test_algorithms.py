@@ -308,7 +308,7 @@ def test_repair_matches_rebuilding_reference(seed):
         else:
             res = None if res is None else snapshot(res)
         log = st_.log
-        return res, log.ops, log.guard_trips, log.paper_gaps, log.events
+        return res, log.ops, log.guard_trips, log.gaps, log.events
 
     for lam in false_literals:
         guard = rng.choice((default_depth_guard(st_), default_depth_guard(st_), 1, 2, 3))
@@ -342,7 +342,7 @@ def test_repair_history_survives_a_frame_whose_literal_it_holds(monkeypatch):
         else:
             res = None if res is None else snapshot(res)
         log = st_.log
-        return res, log.ops, log.guard_trips, log.paper_gaps, log.events
+        return res, log.ops, log.guard_trips, log.gaps, log.events
 
     for lam in inst.clauses[3].literals:
         assert st_.values[lam] == FALSE

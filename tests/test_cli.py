@@ -609,6 +609,26 @@ class TestErrors:
         assert out == ""
         assert err == "error: UNDERSTANDING_SAT_SEED must be an integer, not 'abc'\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fuzz", "--n", "3", "--ratio", "1e308", "--count", "1"],
+            ["fuzz", "--n", "1" + "0" * 400, "--count", "1"],
+            ["fuzz", "--n", str(10**30), "--m", "3", "--count", "1"],
+            ["bench", "--pairs", f"{10**30}:3", "--reps", "1"],
+        ],
+        ids=["ratio-times-n", "n-past-float", "fuzz-n-past-index", "bench-n-past-index"],
+    )
+    def test_sizes_past_any_draw_are_usage_errors(self, capsys, argv):
+        # Unchecked, each overflows: ``round`` of an infinite product, an
+        # int past a float's range, and ``random.sample`` over a range
+        # longer than ``sys.maxsize``.
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_zero_sizes_still_run(self, capsys):
         assert cli.main(["fuzz", "--n", "5", "--count", "0"]) == 0
         assert json.loads(capsys.readouterr().out)["total"] == 0

@@ -10,6 +10,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
+from understanding_sat import algorithms, solver
 from understanding_sat.cnf import Assignment, build_instance, evaluate
 from understanding_sat.engine import TRACE_FIELDS, Contradiction, EngineState, RunLog
 from understanding_sat.harness import GenSpec, adjudicate, enumerate_small, gen_random, minimize
@@ -266,6 +267,30 @@ class TestAnomalies:
         assert out.anomaly == ANOMALY_GUARD
         assert out.failing_clause == 3
         assert out.guard_trips == 1
+
+    def test_depth_guard_trips_only_at_factor_zero(self, monkeypatch):
+        # A repair's history is a set of the 2n literals, so factor 1's
+        # guard, 2n + 1, is out of reach: factor 1 runs as the default
+        # does.  On these draws no history reaches 2n either.
+        depths = []
+
+        def checked(state, literal, history=frozenset(), *, depth_guard):
+            assert len(history) <= 2 * state.inst.variable_count - 1
+            depths.append(len(history))
+            return repair(state, literal, history, depth_guard=depth_guard)
+
+        repair = algorithms.algorithm_d
+        monkeypatch.setattr(algorithms, "algorithm_d", checked)
+        monkeypatch.setattr(solver, "algorithm_d", checked)
+        draws = [
+            gen_random(GenSpec(n=n, m=round(4.27 * n), seed=seed))
+            for n in range(6, 21)
+            for seed in range(10)
+        ]
+        default = run_digest(draws, SolveConfig())
+        assert run_digest(draws, SolveConfig(depth_guard_factor=1)) == default
+        assert max(depths) > 2
+        assert run_digest(draws, SolveConfig(depth_guard_factor=0)) != default
 
     def test_python_recursion_limit_in_repair_is_a_depth_guard_anomaly(self):
         # Repair on this draw nests up to 19 levels deep, well inside the
