@@ -12,12 +12,13 @@ pin the same companion on the same state as one already run.
 per concept index, stores its result, ``ops`` and events in
 ``EngineState.checks`` and replays them on a repeat.  The key reads no
 concepts, so a repeat on another index with equal concepts runs again:
-time lost, never a wrong answer.  A guard trip stores nothing.
+time lost, never a wrong answer.  A trip of the fixpoint step guard
+stores nothing.
 """
 
 from __future__ import annotations
 
-from .engine import EngineState, FALSE, FREE, GuardExceeded, TRUE
+from .engine import EngineState, FALSE, FREE, TRUE
 
 
 def algorithm_g(state: EngineState, literal: int) -> bool:
@@ -103,8 +104,6 @@ def algorithm_d(
     state: EngineState,
     literal: int,
     history: frozenset[int] = frozenset(),
-    *,
-    depth_guard: int,
 ) -> EngineState | None:
     """Rewrite the map so ``literal`` (currently false) becomes free.
 
@@ -124,22 +123,16 @@ def algorithm_d(
     the default, is copied into one at the first recursion): a frame adds
     its literal around each recursive call and removes it after unless
     the set held it already, as a clause with both polarities can cause,
-    so each call sees what a new frozenset per level would hold.
+    so each call sees what a new frozenset per level would hold.  A call
+    recurses only on a companion not in its history, so down one chain of
+    calls the history grows at least every second level; it holds at most
+    the 2n literals, so the recursion is finite.
 
     Returns the rewritten fork (with the literal free) or None.  The
-    caller's state is never touched.  ``depth_guard`` caps recursion depth
-    measured by ``len(history)``; tripping it raises GuardExceeded.  It has
-    no default: ``solve`` derives it from its config, and every recursive
-    call passes it on unchanged.  A history is a set of the 2n literals,
-    so the guard ``solve`` derives, factor * 2n + 1, trips only at factor 0.
+    caller's state is never touched.
     """
     if state.values[literal] != FALSE:
         raise ValueError("algorithm_d requires a false literal")
-    if len(history) >= depth_guard:
-        state.log.guard_trips += 1
-        raise GuardExceeded(
-            f"recursion depth guard ({depth_guard}) exceeded freeing {literal}"
-        )
     log = state.log
     traced = log.enabled
     if traced:
@@ -181,7 +174,7 @@ def algorithm_d(
                     history = set(history)
                 fresh = literal not in history
                 history.add(literal)
-                candidate = algorithm_d(work, companion, history, depth_guard=depth_guard)
+                candidate = algorithm_d(work, companion, history)
                 if fresh:
                     history.discard(literal)
                 if candidate is None:

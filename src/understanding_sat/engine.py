@@ -54,7 +54,7 @@ def flip(value: TruthValue) -> TruthValue:
 
 
 class GuardExceeded(RuntimeError):
-    """A termination guard tripped (recursion depth or fixpoint steps)."""
+    """The fixpoint step guard tripped."""
 
 
 @dataclass

@@ -17,12 +17,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import typing
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .cnf import _MAX_VARIABLES, Instance, build_instance, emit_dimacs, parse_dimacs
 from .oracle import OracleVerdict, brute_force, dpll
-from .solver import SolveConfig, SolverOutcome, advance, solve
+from .solver import SolveConfig, SolverOutcome, _check_fields, advance, solve
 
 BINS = ("AgreeSat", "AgreeUnsat", "FalseSat", "FalseUnsat", "Anomaly")
 DISAGREEMENT_KINDS = ("FalseSat", "FalseUnsat", "Anomaly")
@@ -30,8 +29,6 @@ DISAGREEMENT_KINDS = ("FalseSat", "FalseUnsat", "Anomaly")
 # that ``fit_complexity`` fits a growth exponent to.
 FIT_MIN_SAMPLES = 5
 FIT_MIN_SPREAD = 4.0
-# How a record's type errors name the JSON types that are not Python's.
-_JSON_NAMES = {bool: "true or false", type(None): "null"}
 
 
 @dataclass
@@ -160,27 +157,6 @@ class CounterexampleRecord:
         SolveConfig(**data["config"])  # checks the values
         # Copy the nested objects, so that the record shares none with ``data``.
         return cls(**{k: dict(v) if isinstance(v, dict) else v for k, v in data.items()})
-
-
-def _check_fields(cls, data: dict, what: str) -> None:
-    """Raise ValueError unless ``data`` could be the fields of dataclass
-    ``cls``: no field without a default left out, no key that is not a
-    field, and each value of its field's type (``int | None`` admits int
-    and null; a bool is not an int).  ``what`` names ``data`` in the
-    message."""
-    for f in fields(cls):
-        if f.name not in data and f.default is MISSING and f.default_factory is MISSING:
-            raise ValueError(f"{what} has no {f.name!r} key")
-    types = typing.get_type_hints(cls)
-    for key, value in data.items():
-        if key not in types:
-            raise ValueError(f"{what} key {key!r} is not a {cls.__name__} field")
-        allowed = typing.get_args(types[key]) or (types[key],)
-        if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
-            names = " or ".join(_JSON_NAMES.get(t, t.__name__) for t in allowed)
-            raise ValueError(
-                f"{what} key {key!r} must be {names}, not {type(value).__name__} {value!r}"
-            )
 
 
 @dataclass

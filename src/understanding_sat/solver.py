@@ -16,8 +16,10 @@ fails verification each produce an ``anomaly`` outcome carrying the trace.
 
 from __future__ import annotations
 
+import functools
 import random
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .algorithms import algorithm_d
 from .cnf import Assignment, Clause, Instance, evaluate
@@ -45,34 +47,58 @@ _STOPS = {
 }
 
 
+# How a type error names the JSON types that are not Python's.
+_JSON_NAMES = {bool: "true or false", type(None): "null"}
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    """Each field of dataclass ``cls`` and the types its value may have."""
+    return {k: typing.get_args(t) or (t,) for k, t in typing.get_type_hints(cls).items()}
+
+
+def _check_fields(cls, data: dict, what: str) -> None:
+    """Raise ValueError unless ``data`` could be the fields of dataclass
+    ``cls``: no field without a default left out, no key that is not a
+    field, and each value of its field's type (``int | None`` admits int
+    and null; a bool is not an int).  ``what`` names ``data`` in the
+    message."""
+    for f in fields(cls):
+        if f.name not in data and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"{what} has no {f.name!r} key")
+    types = _field_types(cls)
+    for key, value in data.items():
+        if key not in types:
+            raise ValueError(f"{what} key {key!r} is not a {cls.__name__} field")
+        allowed = types[key]
+        if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+            names = " or ".join(_JSON_NAMES.get(t, t.__name__) for t in allowed)
+            raise ValueError(
+                f"{what} key {key!r} must be {names}, not {type(value).__name__} {value!r}"
+            )
+
+
 @dataclass
 class SolveConfig:
     """Run options.
 
     ``clause_order`` is ``input`` or ``perm``, which requires an
     ``order_seed`` so that the run can be replayed;
-    ``default_free`` fills variables the final map leaves free;
-    ``depth_guard_factor`` scales the recursion guard, which is
-    factor * (number of literals) + 1; a repair's history is a set of
-    those literals, so only factor 0 can trip it.  Building a config
-    with another ``clause_order`` or ``default_free``, a negative
-    ``depth_guard_factor``, or ``perm`` without a seed, raises
-    ValueError.
+    ``default_free`` fills variables the final map leaves free.
+    Building a config with a value not of its field's type (a bool is
+    not an int), another ``clause_order`` or ``default_free``, or
+    ``perm`` without a seed, raises ValueError.
     """
 
     clause_order: str = "input"
     order_seed: int | None = None
     default_free: int = 0
     trace: bool = False
-    depth_guard_factor: int = 2
 
     def __post_init__(self):
+        _check_fields(SolveConfig, vars(self), "config")
         if self.default_free not in (0, 1):
             raise ValueError(f"config key 'default_free' must be 0 or 1, not {self.default_free!r}")
-        if self.depth_guard_factor < 0:  # a guard below 1 trips every repair
-            raise ValueError(
-                f"config key 'depth_guard_factor' must be non-negative, not {self.depth_guard_factor!r}"
-            )
         if self.clause_order not in ("input", "perm"):
             raise ValueError(
                 f"config key 'clause_order' must be 'input' or 'perm', not {self.clause_order!r}"
@@ -80,6 +106,12 @@ class SolveConfig:
         if self.clause_order == "perm" and self.order_seed is None:
             # random.Random(None) would seed from OS entropy: no replay.
             raise ValueError("config key 'order_seed' must be an int when 'clause_order' is 'perm', not null")
+
+
+# ``solve``'s config when it is given none, built once rather than per
+# run, so small runs do not pay for checking its fields.  No run changes
+# a config.
+_DEFAULT_CONFIG = SolveConfig()
 
 
 @dataclass
@@ -142,10 +174,9 @@ def _admit_clause(state: EngineState, clause: Clause, cfg: SolveConfig):
     if values[a] == FALSE and values[b] == FALSE and values[c] == FALSE:
         if traced:
             log.emit("U2_ALLFALSE", clause=clause.id)
-        guard = cfg.depth_guard_factor * (2 * state.inst.variable_count) + 1
         adopted = None
         for lam in lits:
-            res = algorithm_d(state, lam, depth_guard=guard)
+            res = algorithm_d(state, lam)
             if res is not None:
                 adopted = res
                 break
@@ -224,7 +255,7 @@ def solve(
     admitted are not ``inst``'s first ``k``, so a prefix raises
     ValueError.
     """
-    cfg = cfg if cfg is not None else SolveConfig()
+    cfg = cfg if cfg is not None else _DEFAULT_CONFIG
     state = _resume(inst, cfg, prefix)
     for cid in _clause_order(inst, cfg)[len(state.concepts) // 3 :]:
         clause = inst.clauses[cid]

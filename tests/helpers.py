@@ -1,13 +1,16 @@
 """Shared fixtures-in-code: canonical instances, state builders, the
 structural freeing conditions, state audits and reference procedures."""
 
+import contextlib
 import hashlib
 import itertools
 import random
 from collections import deque
 from dataclasses import replace
 from functools import lru_cache
+from unittest import mock
 
+from understanding_sat import solver
 from understanding_sat.algorithms import algorithm_g
 from understanding_sat.cnf import Assignment, Clause, Instance, build_instance, parse_dimacs
 from understanding_sat.engine import (
@@ -171,9 +174,19 @@ def lemma_g_conditions(state: EngineState, literal: int) -> bool:
     return False
 
 
-def default_depth_guard(state: EngineState) -> int:
-    """The repair depth guard ``solve`` passes under the default config."""
-    return SolveConfig().depth_guard_factor * (2 * state.inst.variable_count) + 1
+@contextlib.contextmanager
+def capped_repairs(cap: int):
+    """Within it, ``solve`` runs each repair with the fixpoint step guard
+    capped at ``cap`` steps, so a repair whose fixpoints take more trips
+    it and the run ends as a ``DepthGuard`` anomaly at that clause."""
+    repair = solver.algorithm_d
+
+    def capped(state, literal, history=frozenset()):
+        with mock.patch.object(EngineState, "_step_cap", lambda self: cap):
+            return repair(state, literal, history)
+
+    with mock.patch.object(solver, "algorithm_d", capped):
+        yield
 
 
 def run_digest(instances, cfg: SolveConfig) -> str:
@@ -463,19 +476,12 @@ def rebuilding_algorithm_d(
     state: EngineState,
     literal: int,
     history: frozenset[int] = frozenset(),
-    *,
-    depth_guard: int,
 ) -> EngineState | None:
     """Reference for ``algorithm_d``: the same repair, but every turn of
     its loop re-sorts the concepts focused on the negation and re-types
     each one not yet considered, then takes the first C+ key."""
     if state.values[literal] != FALSE:
         raise ValueError("algorithm_d requires a false literal")
-    if len(history) >= depth_guard:
-        state.log.guard_trips += 1
-        raise GuardExceeded(
-            f"recursion depth guard ({depth_guard}) exceeded freeing {literal}"
-        )
     log = state.log
     log.emit("D_ENTER", literal=literal)
     work = state
@@ -499,9 +505,7 @@ def rebuilding_algorithm_d(
             candidate = None
             if work.values[companion] == FALSE:
                 log.emit("D_RECURSE", literal=companion)
-                candidate = rebuilding_algorithm_d(
-                    work, companion, history | {literal}, depth_guard=depth_guard
-                )
+                candidate = rebuilding_algorithm_d(work, companion, history | {literal})
                 if candidate is None:
                     continue
             basis = candidate if candidate is not None else work

@@ -51,7 +51,6 @@ from understanding_sat.solver import ANOMALY_UNVERIFIED, SolveConfig
 
 from helpers import (
     admitted_state,
-    default_depth_guard,
     fuzz_specs,
     random_instance,
     removable_clauses,
@@ -411,7 +410,7 @@ def test_a7_reruns_are_byte_identical_and_failure_paths_roll_back(
         if false:
             exercised["repair"] += 1
             try:
-                algorithm_d(state, rng.choice(false), depth_guard=default_depth_guard(state))
+                algorithm_d(state, rng.choice(false))
             except GuardExceeded:
                 pass
             if snapshot(state) != snap:

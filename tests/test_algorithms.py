@@ -1,5 +1,6 @@
 """Search procedures: assumption check (g) and false-literal repair (d)."""
 
+import contextlib
 import random
 from unittest import mock
 
@@ -30,7 +31,6 @@ from helpers import (
     RecordingList,
     admitted_state,
     coupling_violations,
-    default_depth_guard,
     fresh_state,
     lemma_g_conditions,
     order_trap_instance,
@@ -197,14 +197,14 @@ class TestRepair:
     def test_precondition_requires_false_literal(self):
         st_ = fresh_state(build_instance(3, [(1, 2, 3)]))
         with pytest.raises(ValueError):
-            algorithm_d(st_, 1, depth_guard=default_depth_guard(st_))
+            algorithm_d(st_, 1)
 
     def test_frees_literal_by_pinning_companion(self):
         status, st_ = admitted_state(build_instance(3, [(1, 2, 3)]))
         assert status == "ok"
         assert st_.values[-1] == FALSE
         before = snapshot(st_)
-        result = algorithm_d(st_, -1, depth_guard=default_depth_guard(st_))
+        result = algorithm_d(st_, -1)
         assert result is not None
         assert result.values[-1] == FREE
         assert reevaluate_literal(result, -1) == FREE
@@ -216,15 +216,8 @@ class TestRepair:
     def test_history_blocks_both_members(self):
         status, st_ = admitted_state(build_instance(3, [(1, 2, 3)]))
         before = snapshot(st_)
-        assert algorithm_d(st_, -1, history=frozenset({2, 3}), depth_guard=default_depth_guard(st_)) is None
+        assert algorithm_d(st_, -1, history=frozenset({2, 3})) is None
         assert snapshot(st_) == before
-
-    def test_depth_guard_raises(self):
-        status, st_ = admitted_state(build_instance(3, [(1, 2, 3)]))
-        trips_before = st_.log.guard_trips
-        with pytest.raises(GuardExceeded):
-            algorithm_d(st_, -1, depth_guard=0)
-        assert st_.log.guard_trips == trips_before + 1
 
     def test_one_pin_can_cover_remaining_concepts(self):
         # two needs share companion 2; pinning it lifts both, so only a
@@ -238,7 +231,7 @@ class TestRepair:
             status, st_ = _admit_clause(st_, clause, cfg)
             assert status == "ok"
         assert st_.values[-1] == FALSE
-        result = algorithm_d(st_, -1, depth_guard=default_depth_guard(st_))
+        result = algorithm_d(st_, -1)
         assert result is not None
         visits = [e for e in st_.log.events if e[KIND] == "D_CONCEPT"]
         assert len(visits) == 1
@@ -249,7 +242,7 @@ class TestRepair:
         before = snapshot(st_)
         for lam in (-1, -2, -3):
             assert st_.values[lam] == FALSE
-            assert algorithm_d(st_, lam, depth_guard=default_depth_guard(st_)) is None
+            assert algorithm_d(st_, lam) is None
         assert snapshot(st_) == before
 
 
@@ -268,7 +261,7 @@ def test_repair_postcondition_on_random_states(seed):
     ]
     before = snapshot(st_)
     for lam in false_literals[:2]:
-        result = algorithm_d(st_, lam, depth_guard=default_depth_guard(st_))
+        result = algorithm_d(st_, lam)
         assert snapshot(st_) == before
         if result is not None:
             assert result.values[lam] == FREE
@@ -282,6 +275,8 @@ def test_repair_matches_rebuilding_reference(seed):
     # would arrive) all false, sometimes with an extra pin propagated.
     # Each false literal is repaired by both loops on a fresh traced log:
     # result, ops, guard trips, gaps and the whole event stream must match.
+    # Some repairs run with the fixpoint step guard capped low, so a trip
+    # part-way through a repair is compared too.
     rng = random.Random(seed)
     inst = random_instance(rng, rng.randint(3, 6), rng.randint(4, 14))
     _, st_ = admitted_state(inst)
@@ -297,22 +292,28 @@ def test_repair_matches_rebuilding_reference(seed):
         if st_.values[lit] == FALSE
     ]
 
-    def run(repair, lam, guard):
+    def run(repair, lam, cap):
         # A stored check replays the events its own log recorded, so a
         # state moved to a new log starts a new store, as a resumed run does.
         st_.log, st_.checks = RunLog(enabled=True), {}
-        try:
-            res = repair(st_, lam, depth_guard=guard)
-        except GuardExceeded:
-            res = "guard"
-        else:
-            res = None if res is None else snapshot(res)
+        guard = (
+            contextlib.nullcontext()
+            if cap is None
+            else mock.patch.object(EngineState, "_step_cap", lambda self: cap)
+        )
+        with guard:
+            try:
+                res = repair(st_, lam)
+            except GuardExceeded:
+                res = "guard"
+            else:
+                res = None if res is None else snapshot(res)
         log = st_.log
         return res, log.ops, log.guard_trips, log.gaps, log.events
 
     for lam in false_literals:
-        guard = rng.choice((default_depth_guard(st_), default_depth_guard(st_), 1, 2, 3))
-        assert run(algorithm_d, lam, guard) == run(rebuilding_algorithm_d, lam, guard)
+        cap = rng.choice((None, None, rng.randint(0, 8)))
+        assert run(algorithm_d, lam, cap) == run(rebuilding_algorithm_d, lam, cap)
 
 
 def test_repair_history_survives_a_frame_whose_literal_it_holds(monkeypatch):
@@ -327,16 +328,16 @@ def test_repair_history_survives_a_frame_whose_literal_it_holds(monkeypatch):
     frames = []
     repair = algorithms.algorithm_d
 
-    def spy(state, literal, history=frozenset(), *, depth_guard):
+    def spy(state, literal, history=frozenset()):
         frames.append((literal, literal in history))
-        return repair(state, literal, history, depth_guard=depth_guard)
+        return repair(state, literal, history)
 
     monkeypatch.setattr(algorithms, "algorithm_d", spy)
 
     def run(procedure, lam):
         st_.log, st_.checks = RunLog(enabled=True), {}
         try:
-            res = procedure(st_, lam, depth_guard=default_depth_guard(st_))
+            res = procedure(st_, lam)
         except GuardExceeded:
             res = "guard"
         else:

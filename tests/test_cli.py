@@ -375,9 +375,9 @@ class TestDefaultBytes:
         "bench.jsonl.summary.csv":
             "2e2eda2bc3c8352254f0e52cfe30a574507b0d6a67671a543ba4561053545412",
         "cex-input/cex-00000.json":
-            "7d9dc1b8ad89865a31e024a1aa2e08c781435a38b394890cb1fd41b72572104c",
+            "440980ef344cfa34a6fe41c2d969bd9cf315e4724121838f1d2a37f7b717ce96",
         "cex-perm/cex-00000.json":
-            "c3eefbe15cc319a621797bf15b0fcfbde36e8e05cf5d15f5928177dc1a03fba1",
+            "e921500ab6cc52cfd4b03e92712145583ad71d8b9ae2b662f9a58fb2bd9d3af8",
         "enum.jsonl": "d5bbfd512e5cd8e3c715bc28b13e49140e73d5803e1f43d690fe213d2df81354",
         "enum.jsonl.summary.csv":
             "9facb58e1458944945faeb4bb6576133975ce303dba4fed1b536158b8426f511",
@@ -387,7 +387,7 @@ class TestDefaultBytes:
         "fuzz-perm.jsonl": "067cf1ef3da5e30bf347092d9d81aeb487465e9b2f0827318cc962e930248512",
         "fuzz-perm.jsonl.summary.csv":
             "dea849968636e650df2a063c1dba95c4216b32bbf70f1e9452209f7aa0a945e4",
-        "min.json": "12928e40fc52f74b7ac30b2617eabaaa0911e4f02653760a760a4d4183f8d7be",
+        "min.json": "9e88e42f19a929b56fabcf018e84fa3cde8a6b1f242c9ea75e3ecc1bcfa68be1",
     }
 
     def test_default_reports_keep_their_bytes(self, tmp_path, capsys, monkeypatch):
@@ -457,9 +457,9 @@ class TestErrors:
               "solver_outcome": {}, "oracle_verdict": {}, "kind": "FalseUnsat"},
              "'bogus' is not a SolveConfig field"),
             (["not", "a", "record"], "JSON object"),
-            ({"dimacs": "p cnf 3 1\n1 2 3 0\n", "config": {"depth_guard_factor": "2"},
+            ({"dimacs": "p cnf 3 1\n1 2 3 0\n", "config": {"default_free": "1"},
               "solver_outcome": {}, "oracle_verdict": {}, "kind": "FalseUnsat"},
-             "'depth_guard_factor' must be int, not str"),
+             "'default_free' must be int, not str"),
             ({"dimacs": "p cnf 3 1\n1 2 3 0\n", "config": {"clause_order": 3},
               "solver_outcome": {}, "oracle_verdict": {}, "kind": "FalseUnsat"},
              "'clause_order' must be str, not int"),
@@ -507,9 +507,13 @@ class TestErrors:
              "'dimacs' must be str, not int"),
             # Raw file text: JSON nested deeper than the decoder can recurse.
             pytest.param("[" * 100000 + "]" * 100000, "too deeply", id="deeply-nested"),
-            ({"dimacs": "p cnf 3 1\n1 2 3 0\n", "config": {"depth_guard_factor": -5},
+            # A record written while the config still had a repair depth
+            # guard factor.
+            ({"dimacs": "p cnf 3 1\n1 2 3 0\n",
+              "config": {"clause_order": "input", "order_seed": None, "default_free": 0,
+                         "trace": False, "depth_guard_factor": 2},
               "solver_outcome": {}, "oracle_verdict": {}, "kind": "FalseUnsat"},
-             "'depth_guard_factor' must be non-negative, not -5"),
+             "'depth_guard_factor' is not a SolveConfig field"),
         ],
     )
     def test_malformed_record(self, tmp_path, capsys, record, fragment):

@@ -1,5 +1,6 @@
 """Differential harness: generators, classification, records, fits."""
 
+import contextlib
 import itertools
 import math
 from dataclasses import replace
@@ -29,7 +30,13 @@ from understanding_sat.oracle import OracleVerdict
 from understanding_sat.solver import ANOMALY_GUARD, SolveConfig, SolverOutcome, advance, solve
 
 import helpers
-from helpers import fuzz_specs, order_trap_instance, removable_clauses, restarting_minimize
+from helpers import (
+    capped_repairs,
+    fuzz_specs,
+    order_trap_instance,
+    removable_clauses,
+    restarting_minimize,
+)
 
 
 class TestGenSpec:
@@ -203,8 +210,13 @@ class TestMinimize:
     def test_minimize_matches_the_restarting_reference(self, monkeypatch):
         wrong_unsat = self.wrong_unsat_records(SolveConfig(), 8, 34, 5)
         perm = self.wrong_unsat_records(SolveConfig(clause_order="perm", order_seed=1), 6, 26, 4)
-        guard = self.wrong_unsat_records(SolveConfig(depth_guard_factor=0), 8, 34, 2, "Anomaly")
+        # Guard anomalies: a step-guard trip inside a repair, each made and
+        # minimized under the same cap.  The eighth is on an unsatisfiable
+        # instance, where only the anomaly lets the cut be made.
+        with capped_repairs(0):
+            guard = self.wrong_unsat_records(SolveConfig(), 8, 34, 8, "Anomaly")
         assert all(rec.solver_outcome["anomaly"] == ANOMALY_GUARD for rec in guard)
+        assert [rec.oracle_verdict["sat"] for rec in guard] == [True] * 7 + [False]
         # Runs that stop before their last clause, which no cut removes:
         # an agreeing unsat answer, and a wrong-unsat record relabelled so
         # that no candidate keeps its bin.
@@ -228,7 +240,8 @@ class TestMinimize:
         for rec in wrong_unsat + perm + guard + stopping:
             advances.clear()
             resumed_at.clear()
-            assert minimize(rec).as_dict() == restarting_minimize(rec).as_dict()
+            with capped_repairs(0) if rec in guard else contextlib.nullcontext():
+                assert minimize(rec).as_dict() == restarting_minimize(rec).as_dict()
             # The prefix state is never asked to pass a clause where the
             # list's run stops, and under ``perm`` it is never built.
             assert None not in advances

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import sys
 from dataclasses import replace
 
@@ -13,7 +14,14 @@ from hypothesis import Phase, given, settings, strategies as st
 from understanding_sat import algorithms, solver
 from understanding_sat.cnf import Assignment, build_instance, evaluate
 from understanding_sat.engine import TRACE_FIELDS, Contradiction, EngineState, RunLog
-from understanding_sat.harness import GenSpec, adjudicate, enumerate_small, gen_random, minimize
+from understanding_sat.harness import (
+    CounterexampleRecord,
+    GenSpec,
+    adjudicate,
+    enumerate_small,
+    gen_random,
+    minimize,
+)
 from understanding_sat.solver import (
     ANOMALY_GUARD,
     ANOMALY_UNDEFINED,
@@ -29,6 +37,7 @@ from understanding_sat.solver import (
 from helpers import (
     KIND,
     ORDER_TRAP,
+    capped_repairs,
     full_sign_instance,
     order_trap_instance,
     random_instance,
@@ -126,14 +135,38 @@ class TestVerdicts:
         with pytest.raises(ValueError, match="'default_free' must be 0 or 1, not 2"):
             SolveConfig(default_free=2)
 
-    def test_negative_depth_guard_factor_raises_when_the_config_is_built(self):
-        # The guard would be at most 0, so every repair would trip as it
-        # starts; factor 0 stays legal (a guard of 1).
-        with pytest.raises(
-            ValueError, match="'depth_guard_factor' must be non-negative, not -1"
-        ):
-            SolveConfig(depth_guard_factor=-1)
-        assert SolveConfig(depth_guard_factor=0).depth_guard_factor == 0
+    def test_config_holds_each_field_to_its_type(self):
+        # A config the record of its own run would refuse does not build,
+        # with the record's message; a bool is not an int.  Every config
+        # that builds comes back from its record, through JSON, unchanged.
+        for bad, message in [
+            ({"default_free": True}, "'default_free' must be int, not bool True"),
+            ({"order_seed": True}, "'order_seed' must be int or null, not bool True"),
+            ({"default_free": 1.0}, "'default_free' must be int, not float 1.0"),
+            ({"trace": 1}, "'trace' must be true or false, not int 1"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(f"config key {message}")):
+                SolveConfig(**bad)
+        values = {
+            "clause_order": ("input", "perm", "dfs", 1),
+            "order_seed": (None, 0, 7, True, 2.0),
+            "default_free": (0, 1, 2, True, 1.0, "1"),
+            "trace": (False, True, 0, 1, None),
+        }
+        built = 0
+        for combo in itertools.product(*values.values()):
+            try:
+                cfg = SolveConfig(**dict(zip(values, combo)))
+            except ValueError:
+                continue
+            built += 1
+            rec = next(adjudicate([(None, order_trap_instance())], cfg, "brute")).record()
+            again = CounterexampleRecord.from_dict(json.loads(json.dumps(rec.as_dict())))
+            assert again == rec
+            assert SolveConfig(**again.config) == cfg
+        # input order with each seed, perm with each int seed; each
+        # default_free and trace
+        assert built == (3 + 2) * 2 * 2
 
     def test_ops_total_on_exhaustive_corpus_is_frozen(self):
         # ``ops`` is the paper's count of basic operations; an engine
@@ -261,23 +294,33 @@ def _first_call_depths(code, fn, *args) -> tuple[int, int]:
 
 
 class TestAnomalies:
-    def test_depth_guard_zero_trips_on_repair_recursion(self):
-        out = solve(order_trap_instance(), SolveConfig(depth_guard_factor=0))
+    def test_step_guard_trip_inside_a_repair_is_a_depth_guard_anomaly(self):
+        # The repair of this draw's clause 4 runs fixpoints; with the step
+        # guard capped at 0 inside repairs, the first of them trips.  The
+        # run ends as a guard anomaly at that clause and keeps the state
+        # the admission started from.  (ORDER_TRAP's repair cannot serve:
+        # it fails on its history alone and runs no fixpoint.)
+        inst = gen_random(GenSpec(n=4, m=5, seed=72))
+        assert solve(inst).kind == "sat"
+        with capped_repairs(0):
+            out = solve(inst)
         assert out.kind == "anomaly"
         assert out.anomaly == ANOMALY_GUARD
-        assert out.failing_clause == 3
+        assert out.failing_clause == 4
         assert out.guard_trips == 1
+        assert out.state is not None
+        assert len(out.state.concepts) == 4 * 3
 
-    def test_depth_guard_trips_only_at_factor_zero(self, monkeypatch):
-        # A repair's history is a set of the 2n literals, so factor 1's
-        # guard, 2n + 1, is out of reach: factor 1 runs as the default
-        # does.  On these draws no history reaches 2n either.
+    def test_repair_history_never_holds_every_literal(self, monkeypatch):
+        # A history is a set of the run's 2n literals that grows at least
+        # every second level down the recursion, which keeps it finite;
+        # on these draws no history holds more than 2n - 1 of them.
         depths = []
 
-        def checked(state, literal, history=frozenset(), *, depth_guard):
+        def checked(state, literal, history=frozenset()):
             assert len(history) <= 2 * state.inst.variable_count - 1
             depths.append(len(history))
-            return repair(state, literal, history, depth_guard=depth_guard)
+            return repair(state, literal, history)
 
         repair = algorithms.algorithm_d
         monkeypatch.setattr(algorithms, "algorithm_d", checked)
@@ -287,17 +330,16 @@ class TestAnomalies:
             for n in range(6, 21)
             for seed in range(10)
         ]
-        default = run_digest(draws, SolveConfig())
-        assert run_digest(draws, SolveConfig(depth_guard_factor=1)) == default
+        for inst in draws:
+            solve(inst)
         assert max(depths) > 2
-        assert run_digest(draws, SolveConfig(depth_guard_factor=0)) != default
 
     def test_python_recursion_limit_in_repair_is_a_depth_guard_anomaly(self):
-        # Repair on this draw nests up to 19 levels deep, well inside the
-        # depth guard (81).  With Python's limit 12 levels above this
-        # test, admission still fits (it needs 5) but the repair does not
-        # (it needs 20): the run must end as a guard anomaly, not raise
-        # RecursionError.
+        # Repair on this draw nests up to 19 levels deep, well short of
+        # the 2n = 40 literals a history can hold.  With Python's limit 12
+        # levels above this test, admission still fits (it needs 5) but the
+        # repair does not (it needs 20): the run must end as a guard
+        # anomaly, not raise RecursionError.
         inst = gen_random(GenSpec(n=20, m=80, seed=17))
         assert solve(inst).kind == "unsat"
         old = sys.getrecursionlimit()
@@ -319,13 +361,15 @@ class TestAnomalies:
         # With Python's limit a few levels above this test the limit
         # trips early in the run, and the outcome must still be built one
         # frame below ``solve``.  A trip can stop midway through an
-        # update, so the outcome must not carry the state.
+        # update, so the outcome must not carry the state.  The config is
+        # built before the limit is set: checking its fields takes frames.
         inst = gen_random(GenSpec(n=20, m=80, seed=17))
         assert solve(inst).kind == "unsat"
+        cfg = SolveConfig(trace=True)
         old = sys.getrecursionlimit()
         sys.setrecursionlimit(_lowest_recursion_limit() + levels)
         try:
-            out = solve(inst, SolveConfig(trace=True))
+            out = solve(inst, cfg)
         finally:
             sys.setrecursionlimit(old)
         assert sys.getrecursionlimit() == old
@@ -340,12 +384,12 @@ class TestAnomalies:
         # frame that call enters, so the limit must trip inside it (in
         # ``_own_index`` or ``_index``), whatever frames a refactor adds
         # or removes on that path.  The trip comes before the concept's
-        # ADD_CONCEPT event and before any repair.
+        # ADD_CONCEPT event and before any repair.  The config is built
+        # once, before any limit is set: checking its fields takes frames.
         inst = gen_random(GenSpec(n=20, m=80, seed=17))
         assert solve(inst).kind == "unsat"
-        depth, deepest = _first_call_depths(
-            EngineState.insert_concept.__code__, solve, inst, SolveConfig(trace=True)
-        )
+        cfg = SolveConfig(trace=True)
+        depth, deepest = _first_call_depths(EngineState.insert_concept.__code__, solve, inst, cfg)
         lowest = _lowest_recursion_limit()
         chosen = []
         for levels in range(1, deepest + 1):
@@ -357,7 +401,7 @@ class TestAnomalies:
             old = sys.getrecursionlimit()
             sys.setrecursionlimit(lowest + levels)
             try:
-                out = solve(inst, SolveConfig(trace=True))
+                out = solve(inst, cfg)
             finally:
                 sys.setrecursionlimit(old)
             assert sys.getrecursionlimit() == old
