@@ -24,7 +24,8 @@ from .engine import EngineState, FALSE, FREE, TRUE
 def algorithm_g(state: EngineState, literal: int) -> bool:
     """Can the map be rewritten so ``literal`` (currently free) is true?
 
-    Works on one fork of ``state``, on which the literal is pinned true.
+    Works on one fork of ``state``, on which ``pin_literal`` assumes the
+    literal true and its negation false; a clash with a pin answers no.
     Each concept focused on the literal is tried in ascending
     origin-clause order: the fixpoint is recomputed with both companions
     constrained not-true for that call.  An attempt whose companion is
@@ -40,7 +41,7 @@ def algorithm_g(state: EngineState, literal: int) -> bool:
     if traced:
         log.emit("G_ENTER", literal=literal)
     base = state.fork()
-    if not base.pin_literal(literal, TRUE):
+    if not base.pin_literal(literal):
         if traced:
             log.emit("G_RESULT", literal=literal, new="false")
         return False
@@ -86,7 +87,7 @@ def _freeing_trial(state: EngineState, literal: int) -> EngineState | None:
         trial = lists = None
         if algorithm_g(state.restrict_to(literal), literal):
             fork = state.fork()
-            if fork.pin_literal(literal, TRUE) and fork.compute_fixpoint([literal]) is None:
+            if fork.pin_literal(literal) and fork.compute_fixpoint([literal]) is None:
                 trial, lists = fork, (fork.values[:], fork.pins[:], fork.unmet[:])
         events = ()
         if log.enabled:

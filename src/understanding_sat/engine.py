@@ -119,8 +119,9 @@ class EngineState:
     read is one index and a copy one slice.  ``values`` stores ``FREE``
     too.
     ``pins[lit]`` is the value a literal is assumed to hold, ``""`` when
-    unpinned; it stands unless the computed value directly opposes it, so
-    the effective value is ``pins[lit] or values[lit]``.
+    unpinned; ``pin_literal`` pins a literal true and its negation false
+    together.  A pin stands unless the computed value directly opposes it,
+    so the effective value is ``pins[lit] or values[lit]``.
 
     The concept index is ``concepts`` (key to companions) and two lists
     indexed by literal like ``values``: ``by_focus[lit]``, the keys
@@ -209,17 +210,14 @@ class EngineState:
 
     # -- assumptions ---------------------------------------------------
 
-    def pin_literal(self, literal: int, value: TruthValue) -> bool:
-        """Record an assumption pin on the literal pair; False on clash
-        with an existing pin."""
-        if value not in (TRUE, FALSE):
-            raise ValueError("pins must be true or false")
-        other = FALSE if value == TRUE else TRUE
+    def pin_literal(self, literal: int) -> bool:
+        """Assume the literal true and its negation false (a false pin on
+        ``x`` is the pin on ``-x``); False on clash with an existing pin."""
         pins = self.pins
-        if (pins[literal] or value) != value or (pins[-literal] or other) != other:
+        if pins[literal] == FALSE or pins[-literal] == TRUE:
             return False
         values = self.values
-        for lit, v in ((literal, value), (-literal, other)):
+        for lit, v in ((literal, TRUE), (-literal, FALSE)):
             was_true = (pins[lit] or values[lit]) == TRUE
             pins[lit] = v
             if was_true != (v == TRUE):
@@ -474,36 +472,22 @@ class EngineState:
         literals, as focus or companion, so the kept concepts are exactly
         those in the ``by_focus`` and ``by_member`` slots of ``literal``
         and ``-literal``; the rest of the store is never scanned.  The
-        view takes those four tuples as they are and fills every other
-        slot from their keys, the ``by_member`` ones sorted once, so each
-        ``by_focus`` tuple stays in key order.  A ``by_member`` tuple's
-        order may differ from the parent's; nothing relies on it.  Only
-        ``unmet`` is counted afresh for each view.
+        view's index is built in one pass over those keys in key order,
+        each entered as ``_index`` enters it, so every slot's tuple is in
+        key order.  Only ``unmet`` is counted afresh for each view.
         """
         var = abs(literal)
         index = self.views.get(var)
         if index is None:
-            own = var, -var
-            parent_focus, parent_member, source = self.by_focus, self.by_member, self.concepts
+            source, focused, members = self.concepts, self.by_focus, self.by_member
             concepts = {}
             by_focus = [()] * len(self.values)
             by_member = by_focus[:]
-            for lit in own:
-                by_focus[lit] = parent_focus[lit]
-                by_member[lit] = parent_member[lit]
-                for key in parent_focus[lit]:
-                    concepts[key] = members = source[key]
-                    for m in members:
-                        if m not in own:
-                            by_member[m] += (key,)
-            for key in sorted(parent_member[var] + parent_member[-var]):
-                if key in concepts:
-                    continue
-                concepts[key] = members = source[key]
+            for key in sorted({*focused[var], *focused[-var], *members[var], *members[-var]}):
+                concepts[key] = m1, m2 = source[key]
                 by_focus[key[1]] += (key,)
-                for m in members:
-                    if m not in own:
-                        by_member[m] += (key,)
+                by_member[m1] += (key,)
+                by_member[m2] += (key,)
             index = self.views[var] = concepts, by_focus, by_member
         n = object.__new__(EngineState)
         n.inst = self.inst

@@ -142,26 +142,7 @@ class SolverOutcome:
         }
 
 
-def extract_assignment(
-    understanding: dict[int, str], inst: Instance, default_free: int = 0
-) -> Assignment:
-    """Read a total assignment off the map: true literal -> 1 for its
-    variable, false -> 0, both polarities free -> ``default_free``.
-    Raises if the map breaks negation coupling."""
-    values: dict[int, int] = {}
-    for var in range(1, inst.variable_count + 1):
-        pos = understanding.get(var, FREE)
-        neg = understanding.get(-var, FREE)
-        if neg != flip(pos):
-            raise ValueError(f"negation coupling violated for variable {var}")
-        if pos == FREE:
-            values[var] = default_free
-        else:
-            values[var] = 1 if pos == TRUE else 0
-    return Assignment(values=values, default_free=default_free)
-
-
-def _admit_clause(state: EngineState, clause: Clause, cfg: SolveConfig):
+def _admit_clause(state: EngineState, clause: Clause):
     """Admit one clause; returns (status, state) where status is ``ok``,
     ``unsat`` or ``anomaly`` and state may be a rewritten fork."""
     log = state.log
@@ -259,7 +240,7 @@ def solve(
     state = _resume(inst, cfg, prefix)
     for cid in _clause_order(inst, cfg)[len(state.concepts) // 3 :]:
         clause = inst.clauses[cid]
-        status, state = _admit(state, clause, cfg)
+        status, state = _admit(state, clause)
         if status != "ok":
             kind, anomaly = _STOPS[status]
             stopped = _outcome(state, cfg, kind, clause, anomaly=anomaly)
@@ -276,7 +257,7 @@ def advance(prefix: EngineState | None, inst: Instance, cfg: SolveConfig) -> Eng
     when a run stops at that clause.  Input clause order only; ``prefix``
     is not changed."""
     state = _resume(inst, cfg, prefix)
-    status, state = _admit(state, inst.clauses[len(state.concepts) // 3], cfg)
+    status, state = _admit(state, inst.clauses[len(state.concepts) // 3])
     return state if status == "ok" else None
 
 
@@ -293,12 +274,12 @@ def _resume(inst: Instance, cfg: SolveConfig, prefix: EngineState | None) -> Eng
     return state
 
 
-def _admit(state: EngineState, clause: Clause, cfg: SolveConfig):
+def _admit(state: EngineState, clause: Clause):
     """``_admit_clause`` with a trip turned into a status: ``guard`` for
     GuardExceeded, ``recursion`` for Python's recursion limit, each with
     the state the admission started from."""
     try:
-        return _admit_clause(state, clause, cfg)
+        return _admit_clause(state, clause)
     except GuardExceeded:
         return "guard", state
     except RecursionError:
@@ -307,16 +288,22 @@ def _admit(state: EngineState, clause: Clause, cfg: SolveConfig):
 
 
 def _finalize(state: EngineState, inst: Instance, cfg: SolveConfig) -> SolverOutcome:
+    """Outcome of a run that admitted every clause.  One pass reads the
+    map and the model off ``values``, a free variable taking
+    ``default_free``.  Sat needs coupled polarities, a model that satisfies
+    every clause and a literal the map holds true in each; otherwise the
+    run is an ``UnverifiedSat`` anomaly with no assignment."""
     values = state.values
     understanding = {}
+    model = {}
+    verified = True
     for var in range(1, inst.variable_count + 1):
-        understanding[var] = values[var]
-        understanding[-var] = values[-var]
-    try:
-        assignment = extract_assignment(understanding, inst, cfg.default_free)
-    except ValueError:
-        assignment = None
-    verified = assignment is not None and not evaluate(inst, assignment)
+        pos = understanding[var] = values[var]
+        neg = understanding[-var] = values[-var]
+        verified = verified and neg == flip(pos)
+        model[var] = cfg.default_free if pos == FREE else int(pos == TRUE)
+    assignment = Assignment(values=model, default_free=cfg.default_free)
+    verified = verified and not evaluate(inst, assignment)
     if verified:  # and each clause has a literal the map holds true
         for clause in inst.clauses:
             a, b, c = clause.literals

@@ -211,10 +211,9 @@ def admitted_state(inst: Instance, upto: int | None = None):
     """Run the clause-admission loop like the solver does, returning
     (status, state); ``upto`` admits only the first so-many clauses."""
     state = fresh_state(inst)
-    cfg = SolveConfig()
     stop = len(inst.clauses) if upto is None else upto
     for clause in inst.clauses[:stop]:
-        status, state = _admit_clause(state, clause, cfg)
+        status, state = _admit_clause(state, clause)
         if status != "ok":
             return status, state
     return "ok", state
@@ -252,7 +251,6 @@ def sweep_assumption_check(
     ``on_comparison(n, admitted_clauses, literal, check, conditions)``
     is called for every comparison when provided, cache hits included.
     """
-    cfg = SolveConfig()
     stats = {
         "nodes": 0,
         "dead": 0,
@@ -324,7 +322,7 @@ def sweep_assumption_check(
                 clause = Clause(id=depth, literals=lits)
                 child.inst = Instance(n, state.inst.clauses + [clause])
                 try:
-                    status, child = _admit_clause(child, clause, cfg)
+                    status, child = _admit_clause(child, clause)
                 except GuardExceeded:
                     status = "anomaly"
                 new_clauses = clauses + (lits,)
@@ -440,6 +438,15 @@ def index_of(state: EngineState):
     )
 
 
+def negate_variables(inst: Instance, flipped) -> Instance:
+    """``inst`` with each literal of a variable in ``flipped`` negated in
+    every clause; clause ids and literal positions are kept."""
+    return build_instance(
+        inst.variable_count,
+        [tuple(-lit if abs(lit) in flipped else lit for lit in c.literals) for c in inst.clauses],
+    )
+
+
 def random_instance(rng: random.Random, n: int, m: int) -> Instance:
     """Arbitrary well-formed instance; clauses may repeat a variable in
     both polarities (unlike the uniform generator)."""
@@ -514,7 +521,7 @@ def rebuilding_algorithm_d(
             if not algorithm_g(basis.restrict_to(companion), companion):
                 continue
             trial = basis if basis is not work else basis.fork()
-            if not trial.pin_literal(companion, TRUE):
+            if not trial.pin_literal(companion):
                 continue
             if trial.compute_fixpoint([companion]) is not None:
                 continue

@@ -141,9 +141,9 @@ def _counting(calls):
         calls["not_true"].append(tuple(not_true))
         return real_fixpoint(self, seeds, not_true)
 
-    def pin_literal(self, literal, value):
+    def pin_literal(self, literal):
         calls["pin"] += 1
-        return real_pin(self, literal, value)
+        return real_pin(self, literal)
 
     return (
         mock.patch.object(EngineState, "fork", fork),
@@ -182,7 +182,7 @@ def test_freeing_check_skips_an_attempt_with_a_companion_pinned_true():
     st_ = fresh_state(inst, trace=True)
     st_.insert_concept(inst.clauses[0], 1)
     st_.insert_concept(inst.clauses[1], 1)
-    assert st_.pin_literal(2, TRUE)
+    assert st_.pin_literal(2)
     assert st_.values[1] == FREE
     calls = {"fork": 0, "not_true": [], "pin": 0}
     fork_patch, fixpoint_patch, pin_patch = _counting(calls)
@@ -224,11 +224,10 @@ class TestRepair:
         # single concept visit appears in the trace
         inst = build_instance(4, [(1, 2, 3), (1, 2, 4)])
         st_ = fresh_state(inst, trace=True)
-        from understanding_sat.solver import SolveConfig, _admit_clause
+        from understanding_sat.solver import _admit_clause
 
-        cfg = SolveConfig(trace=True)
         for clause in inst.clauses:
-            status, st_ = _admit_clause(st_, clause, cfg)
+            status, st_ = _admit_clause(st_, clause)
             assert status == "ok"
         assert st_.values[-1] == FALSE
         result = algorithm_d(st_, -1)
@@ -283,7 +282,7 @@ def test_repair_matches_rebuilding_reference(seed):
     if rng.random() < 0.3:
         lit = rng.choice([l for v in range(1, inst.variable_count + 1) for l in (v, -v)])
         pinned = st_.fork()
-        if pinned.pin_literal(lit, TRUE) and pinned.compute_fixpoint([lit]) is None:
+        if pinned.pin_literal(lit) and pinned.compute_fixpoint([lit]) is None:
             st_ = pinned
     false_literals = [
         lit
@@ -357,7 +356,7 @@ def _direct_trial(state, literal):
     if not algorithms.algorithm_g(state.restrict_to(literal), literal):
         return None
     trial = state.fork()
-    if trial.pin_literal(literal, TRUE) and trial.compute_fixpoint([literal]) is None:
+    if trial.pin_literal(literal) and trial.compute_fixpoint([literal]) is None:
         return trial
     return None
 
@@ -594,7 +593,7 @@ def test_changing_a_returned_trial_leaves_the_store_as_it_was():
             assert _unmet_rescanned(trial)
             before = _final(trial)
             free = [l for l in range(1, state.inst.variable_count + 1) if trial.values[l] == FREE]
-            if free and trial.pin_literal(free[0], TRUE):
+            if free and trial.pin_literal(free[0]):
                 trial.compute_fixpoint([free[0]])
             changed += _final(trial) != before
     assert changed >= 100
@@ -681,7 +680,7 @@ def test_shared_prefix_sweep_matches_per_sequence_enumeration():
 
     import itertools
 
-    from understanding_sat.solver import SolveConfig, _admit_clause
+    from understanding_sat.solver import _admit_clause
 
     from helpers import sweep_assumption_check
 
@@ -693,7 +692,6 @@ def test_shared_prefix_sweep_matches_per_sequence_enumeration():
     naive = Counter()
     n = 2
     universe = list(itertools.combinations((1, -1, 2, -2), 3))
-    cfg = SolveConfig()
 
     def record(st_, clauses):
         for var in (1, 2):
@@ -721,7 +719,7 @@ def test_shared_prefix_sweep_matches_per_sequence_enumeration():
             st_ = EngineState(build_instance(n, list(clauses)))
             status = "ok"
             for clause in st_.inst.clauses:
-                status, st_ = _admit_clause(st_, clause, cfg)
+                status, st_ = _admit_clause(st_, clause)
                 if status != "ok":
                     break
             record(st_, clauses)

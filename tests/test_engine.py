@@ -114,7 +114,7 @@ class TestValueRule:
         st_.add_concept(inst.clauses[0], 3)
         key = (0, 3)
         assert concept_type(st_, key) == CPLUS
-        st_.pin_literal(1, TRUE)
+        st_.pin_literal(1)
         st_.compute_fixpoint([1])
         assert concept_type(st_, key) == CSTAR
 
@@ -126,7 +126,7 @@ class TestPins:
         assert st_.add_concept(inst.clauses[0], -3) is None
         assert st_.add_concept(inst.clauses[1], 1) is None
         assert st_.values[1] == TRUE  # companions of (1): {e, f}
-        assert st_.pin_literal(2, TRUE)
+        assert st_.pin_literal(2)
         assert st_.values[2] == FREE  # lazy until the next recomputation
         assert st_.pins[2] == TRUE  # the effective value, ``pins[2] or values[2]``
         assert st_.compute_fixpoint([2]) is None
@@ -137,14 +137,15 @@ class TestPins:
     def test_pin_couples_both_polarities(self):
         inst = build_instance(3, [(1, 2, 3)])
         st_ = fresh_state(inst)
-        assert st_.pin_literal(-2, FALSE)
+        assert st_.pin_literal(2)
         assert st_.pins[2] == TRUE and st_.pins[-2] == FALSE
-        assert not st_.pin_literal(2, FALSE)  # clashes with existing pin
+        assert st_.pin_literal(2)  # the same pin again does not clash
+        assert not st_.pin_literal(-2)  # clashes with existing pin
 
     def test_pin_conflict_contradiction(self):
         inst = build_instance(3, [(1, 2, 3)])
         st_ = fresh_state(inst)
-        assert st_.pin_literal(1, FALSE)
+        assert st_.pin_literal(-1)
         res = st_.add_concept(inst.clauses[0], 1)  # computes t, pin says f
         assert isinstance(res, Contradiction)
         assert res.reason == "pin-conflict"
@@ -167,7 +168,7 @@ class TestPins:
         # epsilon never contradicts a pin; only direct opposition does
         inst = build_instance(3, [(-1, 2, 3)])
         st_ = fresh_state(inst)
-        assert st_.pin_literal(1, FALSE)
+        assert st_.pin_literal(-1)
         assert st_.add_concept(inst.clauses[0], -1) is None
         assert st_.values[1] == FALSE
 
@@ -243,7 +244,7 @@ class TestViews:
     def test_restrict_keeps_member_order_and_pins(self):
         inst = build_instance(3, [(1, 2, 3)])
         st_ = fresh_state(inst)
-        st_.pin_literal(2, TRUE)
+        st_.pin_literal(2)
         st_.add_concept(inst.clauses[0], 3)
         view = st_.restrict_to(3)
         assert view.concepts[(0, 3)] == (1, 2)
@@ -414,7 +415,7 @@ def staged_states(draw):
                 side.insert_concept(clause, focus)
     for side in (parent, child):
         for _ in range(rng.randint(0, 2)):
-            side.pin_literal(rng.choice((1, -1)) * rng.randint(1, n), TRUE)
+            side.pin_literal(rng.choice((1, -1)) * rng.randint(1, n))
     return parent, child
 
 
@@ -472,7 +473,7 @@ def test_views_are_read_off_the_index(states, seed):
     literals = [l for v in range(1, n + 1) for l in (v, -v)]
     extra = child.fork()
     for _ in range(rng.randint(0, 2)):
-        extra.pin_literal(rng.choice(literals), FALSE)
+        extra.pin_literal(-rng.choice(literals))
     states = (parent, child, extra, extra.fork())
     for lit in literals:
         views = [state.restrict_to(lit) for state in states]
@@ -511,7 +512,7 @@ def test_view_key_tells_pins_apart():
     for pin in (None, 1, 2):
         st_ = staged.fork()
         if pin is not None:
-            assert st_.pin_literal(pin, TRUE)
+            assert st_.pin_literal(pin)
         states.append(st_)
     assert all(st_.checks is staged.checks for st_ in states)
     assert all(st_.values == staged.values for st_ in states)
@@ -635,10 +636,10 @@ def test_unmet_matches_scanning_reference(script):
         elif action == 1 and fresh:
             st_.add_concept(clause, focus)  # may contradict and roll back
         elif action == 2:
-            value = rng.choice((TRUE, FALSE))
+            pinned = rng.choice((lit, -lit))
             # No pin makes a not-true literal true.
-            if (lit if value == TRUE else -lit) not in not_true[st_]:
-                st_.pin_literal(lit, value)
+            if pinned not in not_true[st_]:
+                st_.pin_literal(pinned)
         elif action == 3:
             if st_.pins[lit] != TRUE:
                 not_true[st_].append(lit)
@@ -715,10 +716,10 @@ def _fixpoint_branches(seed):
                 if rng.random() < 0.3 and (clause.id, focus) not in state.concepts:
                     state.insert_concept(clause, focus)
         for _ in range(rng.randint(0, 2)):
-            lit, value = rng.choice(literals), rng.choice((TRUE, FALSE))
+            lit = rng.choice(literals) * rng.choice((1, -1))
             # No pin makes a not-true literal true.
-            if (lit if value == TRUE else -lit) not in not_true:
-                state.pin_literal(lit, value)
+            if lit not in not_true:
+                state.pin_literal(lit)
         for _ in range(rng.randint(0, 2)):
             lit = rng.choice(literals)
             if state.pins[lit] != TRUE:
@@ -785,7 +786,7 @@ def test_failed_fixpoint_restores_the_same_lists(cap):
     st_ = fresh_state(inst, trace=True)
     for clause, focus in zip(inst.clauses, (1, 2, 4)):
         st_.insert_concept(clause, focus)
-    assert st_.pin_literal(3, FALSE)
+    assert st_.pin_literal(-3)
     lists = (st_.values, st_.unmet, st_.pins)
     before = [list(lst) for lst in lists]
     guard = (
@@ -817,8 +818,8 @@ def test_uncoupled_pin_trips_the_coupling_guard(negation_pin):
     assert st_.log.ops == 2  # the step it stops in is counted
 
 
-# Fixed states on one instance: (concepts inserted, pins, seeds, not-true
-# literals, step cap), and what ``compute_fixpoint`` leaves behind: its
+# Fixed states on one instance: (concepts inserted, literals pinned true,
+# seeds, not-true literals, step cap), and what ``compute_fixpoint`` leaves behind: its
 # result, ``ops``, guard trips, the literals that are not free, ``unmet``
 # and every event as (kind, literal, old, new, counter).  The figures are
 # frozen: a change to how the worklist is kept must reproduce them.
@@ -859,7 +860,7 @@ _BOOKKEEPING = {
         ),
     ),
     "pin-conflict": (
-        ([(0, 1), (3, 4)], [(4, FALSE)], [1, 4], (), None),
+        ([(0, 1), (3, 4)], [-4], [1, 4], (), None),
         (
             (4, "pin-conflict"), 3, 0, (), (0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0),
             [("SET", 1, FREE, TRUE, 2), ("CONTRADICTION", 4, None, "pin-conflict", 3)],
@@ -889,8 +890,8 @@ def test_fixpoint_bookkeeping_is_frozen(name):
     st_ = fresh_state(inst, trace=True)
     for cid, focus in concepts:
         st_.insert_concept(inst.clauses[cid], focus)
-    for lit, value in pins:
-        assert st_.pin_literal(lit, value)
+    for lit in pins:
+        assert st_.pin_literal(lit)
     before = snapshot(st_)
     guard = (
         contextlib.nullcontext()

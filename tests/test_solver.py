@@ -30,7 +30,6 @@ from understanding_sat.solver import (
     SolverOutcome,
     _finalize,
     advance,
-    extract_assignment,
     solve,
 )
 
@@ -447,24 +446,28 @@ class TestAnomalies:
 
 
 class TestAssignmentExtraction:
+    # ``_finalize`` reads the model off the final map: true is 1, false
+    # 0, a variable free in both polarities ``default_free``.
     def test_true_false_and_default(self):
         inst = build_instance(3, [(1, 2, 3)])
-        u = {1: "t", -1: "f", 2: "f", -2: "t", 3: "e", -3: "e"}
-        a0 = extract_assignment(u, inst, default_free=0)
-        assert a0.values == {1: 1, 2: 0, 3: 0}
-        a1 = extract_assignment(u, inst, default_free=1)
-        assert a1.values == {1: 1, 2: 0, 3: 1}
+        for default in (0, 1):
+            st_ = EngineState(inst)
+            st_.values[1], st_.values[-1] = "t", "f"
+            st_.values[2], st_.values[-2] = "f", "t"
+            out = _finalize(st_, inst, SolveConfig(default_free=default))
+            assert out.kind == "sat"
+            assert out.assignment == Assignment({1: 1, 2: 0, 3: default}, default)
+            assert out.understanding == {1: "t", -1: "f", 2: "f", -2: "t", 3: "e", -3: "e"}
 
-    def test_coupling_violation_raises(self):
+    def test_coupling_violation_is_an_unverified_anomaly(self):
+        # The clause holds a true literal and the model read off the
+        # positive polarities satisfies it; only the coupling is broken.
         inst = build_instance(2, [(1, 2, -1)])
-        u = {1: "t", -1: "t", 2: "e", -2: "e"}
-        with pytest.raises(ValueError):
-            extract_assignment(u, inst)
-
-    def test_missing_entries_count_as_free(self):
-        inst = build_instance(2, [(1, 2, -1)])
-        a = extract_assignment({1: "t", -1: "f"}, inst, default_free=1)
-        assert a.values == {1: 1, 2: 1}
+        st_ = EngineState(inst)
+        st_.values[1] = st_.values[-1] = "t"
+        out = _finalize(st_, inst, SolveConfig())
+        assert (out.kind, out.anomaly, out.assignment) == ("anomaly", ANOMALY_UNVERIFIED, None)
+        assert out.understanding == {1: "t", -1: "t", 2: "e", -2: "e"}
 
 
 class TestTrace:
