@@ -26,8 +26,8 @@ a contradiction.
 
 ``compute_fixpoint`` re-runs this rule over a worklist of variables
 until stable, applying it to both polarities of a variable in one step.
-All mutating entry points are atomic: when a contradiction surfaces, the
-state is rolled back to what it was on entry.
+A fixpoint that fails rolls the state back to what it was on entry, and
+``add_clause`` undoes only the concept whose fixpoint failed.
 """
 
 from __future__ import annotations
@@ -129,14 +129,14 @@ class EngineState:
     ``by_member[lit]``, the keys holding ``lit`` as a companion, each a
     tuple that is replaced, never changed.  It is copy-on-write: ``fork``
     hands the child the parent's index and marks both states as sharing
-    it; whichever of them next inserts a concept copies the dict and the
+    it; whichever of them next admits a clause copies the dict and the
     two lists first and owns its copy from then on, so neither ever sees
     the other's later inserts.  (A concept is removed only to undo its
     insert on the same state, which already owns its index by then.)
     Values and assumptions are copied on every fork.  A restricted view
     shares an index from ``views`` (below) the same way, marked shared
-    from the start, so an insert into a view copies it first.  Code
-    outside this class reads the index and never changes it.
+    from the start, so a clause admitted into a view copies it first.
+    Package code outside this class reads the index and never changes it.
 
     ``checks`` stores the freeing trials already run on this index: it
     maps ``view_key(literal)`` to what ``algorithms._freeing_trial`` did
@@ -145,12 +145,12 @@ class EngineState:
     ``ops`` it added and the slice of event tuples it logged (each
     ``counter`` relative to the trial's start).  ``fork`` shares the dict
     along with the index; ``__init__``, ``restrict_to`` and
-    ``insert_concept`` give the state a fresh one, which an insert undone
-    by a contradiction leaves in place.  States that share a store
-    therefore share an index, and the key need only name the rest of the
-    view.  A stored event list replays what the state's log recorded, so
-    a state is moved to another log only with a fresh store, as ``solve``
-    does when it resumes a run.
+    ``add_clause`` (once per clause, before its first concept) give the
+    state a fresh one, which a concept undone by a contradiction leaves in
+    place.  States that share a store therefore share an index, and the
+    key need only name the rest of the view.  A stored event list replays
+    what the state's log recorded, so a state is moved to another log
+    only with a fresh store, as ``solve`` does when it resumes a run.
 
     ``views`` stores the indexes of the restricted views already built on
     this index: it maps a variable to the ``(concepts, by_focus,
@@ -158,7 +158,7 @@ class EngineState:
     ``restrict_to`` builds at the first request and hands, read-only, to
     every later view of that variable.  It has the lifetime of
     ``checks``: ``fork`` shares it, and ``__init__``, ``restrict_to`` and
-    ``insert_concept`` give the state a fresh one.  ``solve`` empties
+    ``add_clause`` give the state a fresh one.  ``solve`` empties
     both stores of an outcome's state and of a resumed prefix's fork.
 
     ``unmet[lit]`` is the number of concepts focused on ``lit`` whose two
@@ -167,8 +167,8 @@ class EngineState:
     when it counts, so one reevaluation reads ``P`` and ``Q`` in O(1)
     instead of rescanning the concepts.  Three places step it, each only
     when a literal's effective truth actually changes or a concept enters
-    or leaves the index: ``_index`` and ``_remove_concept`` (a concept's
-    own contribution, each testing the cover inline),
+    or leaves the index: ``add_clause`` and ``_remove_concept`` (a
+    concept's own contribution, each testing the cover inline),
     ``compute_fixpoint``'s value writes (a pinned polarity is skipped, its
     effective value does not move) and ``pin_literal``.  A fixpoint that
     fails writes back the copies of ``values`` and ``unmet`` it took at
@@ -278,17 +278,14 @@ class EngineState:
         values = self.values
         pins = self.pins
         unmet = self.unmet
-        by_member = self.by_member
-        concepts = self.concepts
         log = self.log
         ops = log.ops
         traced = log.enabled
         cap = self._step_cap()
-        while head < len(queue):
+        for var in queue:
             if head >= cap:
                 witness = None
                 break
-            var = queue[head]
             head += 1
             neg = -var
             if queued is not None:
@@ -326,6 +323,7 @@ class EngineState:
             if saved is None:
                 saved = values[:], unmet[:]
                 queued = bytearray(len(values))
+                by_member, concepts = self.by_member, self.concepts
                 for dep in queue[head:]:
                     queued[dep] = queued[-dep] = 1
             fresh = []
@@ -362,43 +360,70 @@ class EngineState:
             log.emit("CONTRADICTION", literal=witness, new=reason)
         return Contradiction(witness, reason)
 
-    def insert_concept(self, clause: Clause, focus: int) -> ConceptKey:
-        """Index a concept without recomputation; low-level piece of
-        ``add_concept``, also used to stage states in tests."""
-        key = (clause.id, focus)
-        if key in self.concepts:
-            raise ValueError(f"concept {key} already present")
+    def add_clause(self, clause: Clause) -> Contradiction | None:
+        """Admit the clause's three concepts, each followed by its
+        fixpoint, and stop at the first that contradicts; ValueError, with
+        the state unchanged, if a concept of the clause is in.
+
+        Each concept goes in on the first literal left still not false, or
+        the first left when all are, its companions the other two in
+        clause order.  It is indexed inline, logged (``U3_PICK``,
+        ``ADD_CONCEPT``) and propagated from its focus; a contradiction or
+        a ``GuardExceeded`` undoes it alone, and earlier ones stay.  The
+        index is owned and the stores made fresh once, before the first.
+        """
+        cid = clause.id
         a, b, c = clause.literals
-        if focus == a:
-            members = b, c
-        elif focus == b:
-            members = a, c
-        elif focus == c:
-            members = a, b
-        else:
-            raise ValueError(f"focus {focus} not in clause {clause.id}")
+        concepts = self.concepts
+        if (cid, a) in concepts or (cid, b) in concepts or (cid, c) in concepts:
+            raise ValueError(f"clause {cid} already admitted")
         if self._shared:
             self._own_index()
-        self._index(key, members)
-        self.checks = {}
-        self.views = {}
-        return key
-
-    def _index(self, key: ConceptKey, members: tuple[int, int]) -> None:
-        self.concepts[key] = members
-        focus = key[1]
-        focused = self.by_focus[focus]
-        if not focused or focused[-1] < key:
-            self.by_focus[focus] = focused + (key,)
+            concepts = self.concepts
+        self.checks, self.views = {}, {}
+        by_focus, by_member = self.by_focus, self.by_member
+        values, pins, unmet = self.values, self.pins, self.unmet
+        log = self.log
+        traced = log.enabled
+        # After the first pick ``x`` goes in, then ``y`` (swapped first
+        # when only ``y`` is not false).  Nothing up to the first fixpoint
+        # spends a recursion level on a fresh state: a trip lands there.
+        if values[a] != FALSE or values[b] == FALSE == values[c]:
+            pick, x, y = a, b, c
+        elif values[b] != FALSE:
+            pick, x, y = b, a, c
         else:
-            i = bisect(focused, key)
-            self.by_focus[focus] = focused[:i] + (key,) + focused[i:]
-        m1, m2 = members
-        self.by_member[m1] += (key,)
-        self.by_member[m2] += (key,)
-        pins, values = self.pins, self.values
-        if (pins[m1] or values[m1]) != TRUE and (pins[m2] or values[m2]) != TRUE:
-            self.unmet[focus] += 1
+            pick, x, y = c, a, b
+        while True:
+            m1, m2 = (b, c) if pick == a else (a, c) if pick == b else (a, b)
+            key = (cid, pick)
+            concepts[key] = m1, m2
+            focused = by_focus[pick]
+            if not focused or focused[-1][0] < cid:
+                by_focus[pick] = focused + (key,)
+            else:
+                i = bisect(focused, key)
+                by_focus[pick] = focused[:i] + (key,) + focused[i:]
+            by_member[m1] += (key,)
+            by_member[m2] += (key,)
+            if (pins[m1] or values[m1]) != TRUE and (pins[m2] or values[m2]) != TRUE:
+                unmet[pick] += 1
+            if traced:
+                log.events.append(("U3_PICK", pick, values[pick], None, cid, log.ops))
+                log.events.append(("ADD_CONCEPT", pick, None, None, cid, log.ops))
+            try:
+                res = self.compute_fixpoint([pick])
+            except GuardExceeded:
+                self._remove_concept(key)
+                raise
+            if res is not None:
+                self._remove_concept(key)
+                return res
+            if pick == y:
+                return None
+            if pick != x and values[x] == FALSE != values[y]:
+                x, y = y, x
+            pick = y if pick == x else x
 
     def _own_index(self) -> None:
         """Copy a shared concept index before changing it."""
@@ -408,9 +433,9 @@ class EngineState:
         self._shared = False
 
     def _remove_concept(self, key: ConceptKey) -> None:
-        # Only ever undoes an insert_concept on this same state, so the
-        # index is already this state's own copy, and its store the empty
-        # one the insert gave it.
+        # Only ever undoes an ``add_clause`` insert on this same state, so
+        # the index is already this state's own copy, and its stores the
+        # empty ones that call gave it.
         members = self.concepts.pop(key)
         focus = key[1]
         m1, m2 = members
@@ -419,20 +444,6 @@ class EngineState:
             self.unmet[focus] -= 1
         for table, lit in ((self.by_focus, focus), (self.by_member, m1), (self.by_member, m2)):
             table[lit] = tuple(k for k in table[lit] if k != key)
-
-    def add_concept(self, clause: Clause, focus: int) -> Contradiction | None:
-        """Admit one concept and propagate; atomic on contradiction."""
-        key = self.insert_concept(clause, focus)
-        if self.log.enabled:
-            self.log.emit("ADD_CONCEPT", literal=focus, clause=clause.id)
-        try:
-            res = self.compute_fixpoint([focus])
-        except GuardExceeded:
-            self._remove_concept(key)
-            raise
-        if res is not None:
-            self._remove_concept(key)
-        return res
 
     # -- copies --------------------------------------------------------
 
@@ -473,8 +484,8 @@ class EngineState:
         those in the ``by_focus`` and ``by_member`` slots of ``literal``
         and ``-literal``; the rest of the store is never scanned.  The
         view's index is built in one pass over those keys in key order,
-        each entered as ``_index`` enters it, so every slot's tuple is in
-        key order.  Only ``unmet`` is counted afresh for each view.
+        each entered as ``add_clause`` enters it, so every slot's tuple is
+        in key order.  Only ``unmet`` is counted afresh for each view.
         """
         var = abs(literal)
         index = self.views.get(var)

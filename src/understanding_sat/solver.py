@@ -19,12 +19,11 @@ from __future__ import annotations
 import functools
 import random
 import typing
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 from .algorithms import algorithm_d
 from .cnf import Assignment, Clause, Instance, evaluate
 from .engine import (
-    Contradiction,
     EngineState,
     FALSE,
     FREE,
@@ -168,21 +167,10 @@ def _admit_clause(state: EngineState, clause: Clause):
     if traced:
         for lit in lits:
             log.emit("U3_VALUE", literal=lit, old=values[lit], clause=clause.id)
-    # Each concept goes in on the first literal still not false, or the
-    # first left when all are; ``add_concept`` changes ``values`` in place.
-    remaining = list(lits)
-    while remaining:
-        for pick in remaining:
-            if values[pick] != FALSE:
-                break
-        else:
-            pick = remaining[0]
-        remaining.remove(pick)
-        if traced:
-            log.emit("U3_PICK", literal=pick, old=values[pick], clause=clause.id)
-        res = state.add_concept(clause, pick)
-        if isinstance(res, Contradiction):
-            return "anomaly", state
+    # One engine call picks, indexes and propagates the three concepts,
+    # non-false focus first, after any repair above.
+    if state.add_clause(clause) is not None:
+        return "anomaly", state
     return "ok", state
 
 
@@ -245,7 +233,7 @@ def solve(
             kind, anomaly = _STOPS[status]
             stopped = _outcome(state, cfg, kind, clause, anomaly=anomaly)
             # Python's own limit tripped before a guard did, in repair or
-            # midway through indexing or retallying a concept, so the
+            # between indexing a concept and running its fixpoint, so the
             # state may be half-updated: the outcome does not carry it.
             return replace(stopped, state=None) if status == "recursion" else stopped
     return _finalize(state, inst, cfg)

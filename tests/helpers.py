@@ -207,10 +207,47 @@ def fresh_state(inst: Instance, trace: bool = False) -> EngineState:
     return EngineState(inst, RunLog(enabled=trace))
 
 
-def admitted_state(inst: Instance, upto: int | None = None):
+def stage_concept(state: EngineState, clause: Clause, focus: int) -> tuple[int, int]:
+    """Index the concept of ``focus`` in ``clause`` as ``add_clause``
+    indexes it, without recomputation, and return its key: companions in
+    clause order, the index owned first, fresh stores.  Stages states the
+    solver would not build, one concept at a time."""
+    key = (clause.id, focus)
+    assert key not in state.concepts and focus in clause.literals, key
+    m1, m2 = (lit for lit in clause.literals if lit != focus)
+    if state._shared:
+        state._own_index()
+    state.concepts[key] = m1, m2
+    state.by_focus[focus] = tuple(sorted(state.by_focus[focus] + (key,)))
+    state.by_member[m1] += (key,)
+    state.by_member[m2] += (key,)
+    if TRUE not in (state.pins[m1] or state.values[m1], state.pins[m2] or state.values[m2]):
+        state.unmet[focus] += 1
+    state.checks, state.views = {}, {}
+    return key
+
+
+def add_concept(state: EngineState, clause: Clause, focus: int) -> Contradiction | None:
+    """One concept admitted as ``add_clause`` admits each: staged, logged
+    as ``ADD_CONCEPT``, propagated from its focus, and undone alone by a
+    contradiction or a guard trip."""
+    key = stage_concept(state, clause, focus)
+    if state.log.enabled:
+        state.log.emit("ADD_CONCEPT", literal=focus, clause=clause.id)
+    try:
+        res = state.compute_fixpoint([focus])
+    except GuardExceeded:
+        state._remove_concept(key)
+        raise
+    if res is not None:
+        state._remove_concept(key)
+    return res
+
+
+def admitted_state(inst: Instance, upto: int | None = None, trace: bool = False):
     """Run the clause-admission loop like the solver does, returning
     (status, state); ``upto`` admits only the first so-many clauses."""
-    state = fresh_state(inst)
+    state = fresh_state(inst, trace)
     stop = len(inst.clauses) if upto is None else upto
     for clause in inst.clauses[:stop]:
         status, state = _admit_clause(state, clause)

@@ -29,6 +29,7 @@ from helpers import (
     LITERAL,
     NEW,
     RecordingList,
+    add_concept,
     admitted_state,
     coupling_violations,
     fresh_state,
@@ -40,6 +41,7 @@ from helpers import (
     scanning_unmet,
     snapshot,
     soundness_violations,
+    stage_concept,
 )
 
 
@@ -48,7 +50,7 @@ def staged(n, inserts):
     inst = build_instance(n, [lits for lits, _ in inserts])
     st_ = fresh_state(inst)
     for cid, (_, focus) in enumerate(inserts):
-        st_.insert_concept(inst.clauses[cid], focus)
+        stage_concept(st_, inst.clauses[cid], focus)
     return st_
 
 
@@ -87,7 +89,7 @@ class TestAssumptionCheck:
         inst = build_instance(8, [(1, 2, 3), (-1, 2, 3), (1, 4, 5), (2, 7, 8)])
         st_ = EngineState(inst, log=RunLog(enabled=True))
         for cid, focus in [(3, 2), (0, 1), (1, -1), (2, 4), (2, 1)]:
-            assert st_.add_concept(inst.clauses[cid], focus) is None
+            assert add_concept(st_, inst.clauses[cid], focus) is None
         assert st_.values[1] == FREE
         assert soundness_violations(st_) == []
         assert lemma_g_conditions(st_, 1) is True
@@ -180,8 +182,8 @@ def test_freeing_check_skips_an_attempt_with_a_companion_pinned_true():
     # the second concept's attempt answers.
     inst = build_instance(5, [(1, 2, 3), (1, 4, 5)])
     st_ = fresh_state(inst, trace=True)
-    st_.insert_concept(inst.clauses[0], 1)
-    st_.insert_concept(inst.clauses[1], 1)
+    stage_concept(st_, inst.clauses[0], 1)
+    stage_concept(st_, inst.clauses[1], 1)
     assert st_.pin_literal(2)
     assert st_.values[1] == FREE
     calls = {"fork": 0, "not_true": [], "pin": 0}
@@ -451,8 +453,8 @@ def test_stored_checks_tell_clause_ids_apart_by_their_literals():
     for first in ((1, -1, -2), (-1, -2, 3)):
         inst = build_instance(3, [first, (1, -1, 2)])
         state = EngineState(inst, log)
-        state.insert_concept(inst.clauses[0], -2)
-        state.insert_concept(inst.clauses[1], 1)
+        stage_concept(state, inst.clauses[0], -2)
+        stage_concept(state, inst.clauses[1], 1)
         assert _check_on_log(state, -2) == _fresh_check(state, -2)
         replayed = _check_on_log(state, -2)
         assert replayed == _fresh_check(state, -2)
@@ -514,8 +516,8 @@ def test_guard_tripping_check_is_not_stored():
     # runs the check again and trips in the same place.
     inst = build_instance(3, [(1, 2, 3), (-1, 2, -3)])
     state = EngineState(inst, RunLog(enabled=True))
-    state.insert_concept(inst.clauses[0], 1)
-    state.insert_concept(inst.clauses[1], 2)
+    stage_concept(state, inst.clauses[0], 1)
+    stage_concept(state, inst.clauses[1], 2)
     with mock.patch.object(EngineState, "_step_cap", lambda self: 1):
         _tripping(state, 1)
     # Without the patched cap the same check completes and is stored.
@@ -638,7 +640,7 @@ def test_conditions_miss_support_retraction_cascades():
     inst = build_instance(5, [(1, 2, 3), (-1, 2, 3), (1, 4, 5)])
     st_ = EngineState(inst)
     for cid, focus in [(2, 4), (2, 1), (0, 2), (0, 1), (1, -1)]:
-        assert st_.add_concept(inst.clauses[cid], focus) is None
+        assert add_concept(st_, inst.clauses[cid], focus) is None
     assert st_.values[1] == FREE
     assert soundness_violations(st_) == []
     assert coupling_violations(st_) == []

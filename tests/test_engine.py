@@ -32,6 +32,7 @@ from helpers import (
     NEW,
     OLD,
     RecordingList,
+    add_concept,
     admitted_state,
     concept_type,
     concept_type_of,
@@ -44,6 +45,7 @@ from helpers import (
     scanning_unmet,
     snapshot,
     soundness_violations,
+    stage_concept,
     view_memo_key,
 )
 
@@ -75,7 +77,7 @@ class TestValueRule:
     def test_needed_literal_becomes_true(self):
         inst = build_instance(3, [(1, 2, 3)])
         st_ = fresh_state(inst)
-        assert st_.add_concept(inst.clauses[0], 1) is None
+        assert add_concept(st_, inst.clauses[0], 1) is None
         assert st_.values[1] == TRUE
         assert st_.values[-1] == FALSE
         assert st_.values[2] == FREE
@@ -84,7 +86,7 @@ class TestValueRule:
         # a concept on -1 with free companions marks 1 false
         inst = build_instance(3, [(-1, 2, 3)])
         st_ = fresh_state(inst)
-        assert st_.add_concept(inst.clauses[0], -1) is None
+        assert add_concept(st_, inst.clauses[0], -1) is None
         assert st_.values[1] == FALSE
         assert st_.values[-1] == TRUE
 
@@ -92,17 +94,17 @@ class TestValueRule:
         # companion already true -> concept is C*, focus stays free
         inst = build_instance(5, [(2, 4, 5), (1, 2, 3)])
         st_ = fresh_state(inst)
-        assert st_.add_concept(inst.clauses[0], 2) is None
+        assert add_concept(st_, inst.clauses[0], 2) is None
         assert st_.values[2] == TRUE
-        assert st_.add_concept(inst.clauses[1], 1) is None
+        assert add_concept(st_, inst.clauses[1], 1) is None
         assert st_.values[1] == FREE
 
     def test_needed_and_opposed_contradicts_and_rolls_back(self):
         inst = build_instance(3, [(1, 2, 3), (-1, 2, 3)])
         st_ = fresh_state(inst)
-        assert st_.add_concept(inst.clauses[0], 1) is None
+        assert add_concept(st_, inst.clauses[0], 1) is None
         before = snapshot(st_)
-        res = st_.add_concept(inst.clauses[1], -1)
+        res = add_concept(st_, inst.clauses[1], -1)
         assert isinstance(res, Contradiction)
         assert res.reason == "needed-and-opposed"
         assert abs(res.witness) == 1
@@ -111,7 +113,7 @@ class TestValueRule:
     def test_concept_type_follows_stored_values(self):
         inst = build_instance(3, [(1, 2, 3)])
         st_ = fresh_state(inst)
-        st_.add_concept(inst.clauses[0], 3)
+        add_concept(st_, inst.clauses[0], 3)
         key = (0, 3)
         assert concept_type(st_, key) == CPLUS
         st_.pin_literal(1)
@@ -123,8 +125,8 @@ class TestPins:
     def test_pin_materializes_and_propagates(self):
         inst = build_instance(5, [(-3, 4, 5), (1, 2, 3)])
         st_ = fresh_state(inst)
-        assert st_.add_concept(inst.clauses[0], -3) is None
-        assert st_.add_concept(inst.clauses[1], 1) is None
+        assert add_concept(st_, inst.clauses[0], -3) is None
+        assert add_concept(st_, inst.clauses[1], 1) is None
         assert st_.values[1] == TRUE  # companions of (1): {e, f}
         assert st_.pin_literal(2)
         assert st_.values[2] == FREE  # lazy until the next recomputation
@@ -146,7 +148,7 @@ class TestPins:
         inst = build_instance(3, [(1, 2, 3)])
         st_ = fresh_state(inst)
         assert st_.pin_literal(-1)
-        res = st_.add_concept(inst.clauses[0], 1)  # computes t, pin says f
+        res = add_concept(st_, inst.clauses[0], 1)  # computes t, pin says f
         assert isinstance(res, Contradiction)
         assert res.reason == "pin-conflict"
         assert st_.values[1] == FREE
@@ -155,7 +157,7 @@ class TestPins:
     def test_not_true_forced_contradiction(self):
         inst = build_instance(3, [(1, 2, 3)])
         st_ = fresh_state(inst)
-        st_.insert_concept(inst.clauses[0], 1)
+        stage_concept(st_, inst.clauses[0], 1)
         res = st_.compute_fixpoint([1], (1,))
         assert isinstance(res, Contradiction)
         assert (res.witness, res.reason) == (1, "not-true-forced")
@@ -169,7 +171,7 @@ class TestPins:
         inst = build_instance(3, [(-1, 2, 3)])
         st_ = fresh_state(inst)
         assert st_.pin_literal(-1)
-        assert st_.add_concept(inst.clauses[0], -1) is None
+        assert add_concept(st_, inst.clauses[0], -1) is None
         assert st_.values[1] == FALSE
 
 
@@ -180,29 +182,40 @@ class TestFixpointMechanics:
         monkeypatch.setattr(EngineState, "_step_cap", lambda self: 0)
         before = snapshot(st_)
         with pytest.raises(GuardExceeded):
-            st_.add_concept(inst.clauses[0], 1)
+            add_concept(st_, inst.clauses[0], 1)
         assert snapshot(st_) == before
         assert st_.log.guard_trips == 1
 
     def test_ops_counts_reevaluations(self):
         inst = build_instance(3, [(1, 2, 3)])
         st_ = fresh_state(inst)
-        st_.add_concept(inst.clauses[0], 1)
+        add_concept(st_, inst.clauses[0], 1)
         assert st_.log.ops > 0
 
-    def test_insert_concept_guards(self):
-        inst = build_instance(3, [(1, 2, 3)])
-        st_ = fresh_state(inst)
-        st_.insert_concept(inst.clauses[0], 1)
-        with pytest.raises(ValueError):
-            st_.insert_concept(inst.clauses[0], 1)
-        with pytest.raises(ValueError):
-            st_.insert_concept(inst.clauses[0], -2)
+    @pytest.mark.parametrize("staged", [None, 1, 2, 3], ids=["whole", "first", "second", "third"])
+    def test_add_clause_refuses_an_admitted_clause(self, staged):
+        # A clause admitted whole, or with any one of its concepts in, is
+        # refused before anything changes: index, counts, stores and log.
+        inst = build_instance(3, [(1, 2, 3), (-1, 2, -3)])
+        st_ = fresh_state(inst, trace=True)
+        assert st_.add_clause(inst.clauses[0]) is None
+        if staged is None:
+            clause = inst.clauses[0]
+        else:
+            clause = inst.clauses[1]
+            stage_concept(st_, clause, clause.literals[staged - 1])
+        before = index_of(st_), st_.unmet[:], st_.checks, st_.views, st_.log.ops
+        events = st_.log.events[:]
+        with pytest.raises(ValueError, match=f"^clause {clause.id} already admitted$"):
+            st_.add_clause(clause)
+        assert (index_of(st_), st_.unmet, st_.checks, st_.views, st_.log.ops) == before
+        assert st_.checks is before[2] and st_.views is before[3]
+        assert st_.log.events == events
 
     def test_trace_events_have_stable_schema(self):
         inst = build_instance(3, [(1, 2, 3)])
         st_ = fresh_state(inst, trace=True)
-        st_.add_concept(inst.clauses[0], 1)
+        add_concept(st_, inst.clauses[0], 1)
         assert st_.log.events, "tracing enabled must record events"
         assert TRACE_FIELDS == ("kind", "literal", "old", "new", "clause", "counter")
         for step, event in enumerate(st_.log.events):
@@ -213,7 +226,7 @@ class TestFixpointMechanics:
     def test_disabled_log_records_no_events(self):
         inst = build_instance(3, [(1, 2, 3)])
         st_ = fresh_state(inst, trace=False)
-        st_.add_concept(inst.clauses[0], 1)
+        add_concept(st_, inst.clauses[0], 1)
         assert st_.log.events == []
         assert st_.log.ops > 0
 
@@ -225,7 +238,7 @@ class TestViews:
         assert status == "ok"
         parent_value = st_.values[3]
         child = st_.fork()
-        child.add_concept(inst.clauses[1], 3)
+        add_concept(child, inst.clauses[1], 3)
         assert (1, 3) in child.concepts
         assert (1, 3) not in st_.concepts
         assert st_.values[3] == parent_value
@@ -245,7 +258,7 @@ class TestViews:
         inst = build_instance(3, [(1, 2, 3)])
         st_ = fresh_state(inst)
         st_.pin_literal(2)
-        st_.add_concept(inst.clauses[0], 3)
+        add_concept(st_, inst.clauses[0], 3)
         view = st_.restrict_to(3)
         assert view.concepts[(0, 3)] == (1, 2)
         assert view.pins[2] == TRUE
@@ -297,7 +310,7 @@ class TestCopyIsolation:
         inst, st_ = self._state()
         child = st_.fork()
         before = index_of(child)
-        assert st_.add_concept(inst.clauses[2], 4) is None
+        assert add_concept(st_, inst.clauses[2], 4) is None
         assert (2, 4) in st_.concepts
         assert index_of(child) == before
 
@@ -306,8 +319,8 @@ class TestCopyIsolation:
         before = index_of(st_)
         child, sibling = st_.fork(), st_.fork()
         grandchild = child.fork()
-        child.insert_concept(inst.clauses[2], 4)
-        grandchild.insert_concept(inst.clauses[1], 3)
+        stage_concept(child, inst.clauses[2], 4)
+        stage_concept(grandchild, inst.clauses[1], 3)
         assert (2, 4) in child.concepts and (1, 3) not in child.concepts
         assert (1, 3) in grandchild.concepts and (2, 4) not in grandchild.concepts
         assert index_of(st_) == before
@@ -317,8 +330,8 @@ class TestCopyIsolation:
         inst, st_ = self._state()
         before = index_of(st_)
         view = st_.restrict_to(3)
-        view.insert_concept(inst.clauses[1], -1)
-        view.insert_concept(inst.clauses[2], 2)
+        stage_concept(view, inst.clauses[1], -1)
+        stage_concept(view, inst.clauses[2], 2)
         assert (1, -1) in view.by_focus[-1]
         assert index_of(st_) == before
 
@@ -332,8 +345,8 @@ class TestCopyIsolation:
         assert st_.restrict_to(-3).concepts is stored[0]
         before = index_of(st_.restrict_to(3))
         copies = dict(stored[0]), stored[1][:], stored[2][:]
-        view.insert_concept(inst.clauses[1], -1)
-        view.insert_concept(inst.clauses[2], 2)
+        stage_concept(view, inst.clauses[1], -1)
+        stage_concept(view, inst.clauses[2], 2)
         assert (1, -1) in view.by_focus[-1] and (1, -1) not in stored[0]
         assert st_.views[3] is stored and stored == copies
         assert index_of(st_.restrict_to(3)) == before
@@ -341,14 +354,14 @@ class TestCopyIsolation:
     def test_rolled_back_add_concept_in_fork_leaves_parent_unchanged(self):
         inst = build_instance(3, [(1, 2, 3), (-1, 2, 3)])
         st_ = fresh_state(inst)
-        assert st_.add_concept(inst.clauses[0], 1) is None
+        assert add_concept(st_, inst.clauses[0], 1) is None
         before = index_of(st_)
         child = st_.fork()
-        assert isinstance(child.add_concept(inst.clauses[1], -1), Contradiction)
+        assert isinstance(add_concept(child, inst.clauses[1], -1), Contradiction)
         assert index_of(child) == before
         assert index_of(st_) == before
         # the parent still owns a working index after the child's copy
-        assert st_.add_concept(inst.clauses[1], 2) is None
+        assert add_concept(st_, inst.clauses[1], 2) is None
         assert index_of(child) == before
 
 
@@ -380,7 +393,7 @@ def test_soundness_audit_leaves_ops_alone():
     assert soundness_violations(state) == []
     assert state.log.ops == 18
     stale = fresh_state(build_instance(3, [(1, 2, 3)]))
-    stale.insert_concept(stale.inst.clauses[0], 1)  # no recomputation
+    stage_concept(stale, stale.inst.clauses[0], 1)  # no recomputation
     assert soundness_violations(stale) == [1]
     assert stale.log.ops == 0
 
@@ -412,7 +425,7 @@ def staged_states(draw):
         for focus in clause.literals:
             side = rng.choice((parent, child, None))
             if side is not None and (clause.id, focus) not in side.concepts:
-                side.insert_concept(clause, focus)
+                stage_concept(side, clause, focus)
     for side in (parent, child):
         for _ in range(rng.randint(0, 2)):
             side.pin_literal(rng.choice((1, -1)) * rng.randint(1, n))
@@ -439,7 +452,7 @@ def _insert_one_missing(state, rng):
         if (clause.id, focus) not in state.concepts
     ]
     if missing:
-        state.insert_concept(*rng.choice(missing))
+        stage_concept(state, *rng.choice(missing))
 
 
 @given(staged_states(), st.integers(min_value=0, max_value=10_000))
@@ -496,7 +509,7 @@ def test_view_key_tells_variable_counts_apart():
     keys = []
     for n in (3, 4):
         st_ = fresh_state(build_instance(n, [(1, 2, 3)]))
-        st_.insert_concept(st_.inst.clauses[0], 1)
+        stage_concept(st_, st_.inst.clauses[0], 1)
         keys.append(st_.view_key(1))
     assert keys[0] != keys[1]
 
@@ -507,7 +520,7 @@ def test_view_key_tells_pins_apart():
     # empty, so without separators the last two would both read "tf".
     inst = build_instance(3, [(1, 2, 3)])
     staged = fresh_state(inst)
-    staged.insert_concept(inst.clauses[0], 3)
+    stage_concept(staged, inst.clauses[0], 3)
     states = []
     for pin in (None, 1, 2):
         st_ = staged.fork()
@@ -528,7 +541,7 @@ def _stored_under(state, literal):
 def _two_clause_state():
     inst = build_instance(6, [(1, 2, 3), (4, 5, 6)])
     st_ = fresh_state(inst)
-    st_.insert_concept(inst.clauses[0], 2)
+    stage_concept(st_, inst.clauses[0], 2)
     return st_
 
 
@@ -551,7 +564,7 @@ def test_insert_outside_the_view_changes_the_key():
     parent = _two_clause_state()
     store = parent.checks
     child = parent.fork()
-    child.insert_concept(child.inst.clauses[1], 4)
+    stage_concept(child, child.inst.clauses[1], 4)
     assert snapshot(child.restrict_to(1)) == snapshot(parent.restrict_to(1))
     assert child.checks is not store and child.checks == {}
     assert _stored_under(child, 1) != _stored_under(parent, 1)
@@ -563,9 +576,9 @@ def test_insert_outside_the_view_changes_the_key():
 def test_add_concept_undone_by_contradiction_changes_the_key():
     inst = build_instance(3, [(1, 2, 3), (-1, 2, 3)])
     st_ = fresh_state(inst)
-    assert st_.add_concept(inst.clauses[0], 1) is None
+    assert add_concept(st_, inst.clauses[0], 1) is None
     before = (snapshot(st_), st_.checks, _stored_under(st_, 2))
-    res = st_.add_concept(inst.clauses[1], -1)
+    res = add_concept(st_, inst.clauses[1], -1)
     assert isinstance(res, Contradiction) and res.reason == "needed-and-opposed"
     assert snapshot(st_) == before[0]
     assert st_.checks is not before[1] and st_.checks == {}
@@ -577,7 +590,7 @@ def test_states_built_apart_never_share_a_key():
     inst = build_instance(3, [(1, 2, 3)])
     states = [fresh_state(inst) for _ in range(2)] + [EngineState(inst) for _ in range(2)]
     for st_ in states:
-        st_.insert_concept(inst.clauses[0], 1)
+        stage_concept(st_, inst.clauses[0], 1)
     assert len({snapshot(st_) for st_ in states}) == 1
     assert len({_stored_under(st_, 1) for st_ in states}) == len(states)
     views = [st_.restrict_to(1) for st_ in states]
@@ -632,9 +645,9 @@ def test_unmet_matches_scanning_reference(script):
         fresh = (clause.id, focus) not in st_.concepts
         action = rng.randrange(8)
         if action == 0 and fresh:
-            st_.insert_concept(clause, focus)
+            stage_concept(st_, clause, focus)
         elif action == 1 and fresh:
-            st_.add_concept(clause, focus)  # may contradict and roll back
+            add_concept(st_, clause, focus)  # may contradict and roll back
         elif action == 2:
             pinned = rng.choice((lit, -lit))
             # No pin makes a not-true literal true.
@@ -652,7 +665,7 @@ def test_unmet_matches_scanning_reference(script):
             with mock.patch.object(EngineState, "_step_cap", lambda self: cap):
                 try:
                     if fresh:
-                        st_.add_concept(clause, focus)
+                        add_concept(st_, clause, focus)
                     else:
                         st_.compute_fixpoint([lit], not_true[st_])
                 except GuardExceeded:
@@ -673,23 +686,117 @@ def test_focus_lists_stay_in_key_order():
     inst = build_instance(3, [(1, 2, 3), (1, 2, -3), (1, -2, 3), (-1, 2, 3)])
     c0, c1, c2, c3 = inst.clauses
     st_ = fresh_state(inst)
-    st_.insert_concept(c2, 1)
-    st_.insert_concept(c0, 1)
+    stage_concept(st_, c2, 1)
+    stage_concept(st_, c0, 1)
     assert st_.by_focus[1] == ((0, 1), (2, 1))
-    st_.insert_concept(c3, -1)
+    stage_concept(st_, c3, -1)
     child = st_.fork()
     # (1, 1) goes between the two, and 1 is then needed and opposed.
-    assert isinstance(st_.add_concept(c1, 1), Contradiction)
+    assert isinstance(add_concept(st_, c1, 1), Contradiction)
     assert st_.by_focus[1] == ((0, 1), (2, 1))
-    child.insert_concept(c1, 1)
+    stage_concept(child, c1, 1)
     assert child.by_focus[1] == ((0, 1), (1, 1), (2, 1))
     assert st_.by_focus[1] == ((0, 1), (2, 1))
     view = st_.restrict_to(2)
-    view.insert_concept(c1, 1)
+    stage_concept(view, c1, 1)
     assert view.by_focus[1] == ((0, 1), (1, 1), (2, 1))
     assert view.by_focus[3] == () and st_.by_focus[-2] == ()
     for state in (st_, child, view, child.restrict_to(-3)):
         assert _focus_order_mismatches(state) == []
+
+
+def _reference_add_clause(state, clause):
+    """``add_clause`` as three ``helpers.add_concept`` calls in its pick
+    order: the first literal still not false, or the first left."""
+    remaining = list(clause.literals)
+    while remaining:
+        pick = next((lit for lit in remaining if state.values[lit] != FALSE), remaining[0])
+        remaining.remove(pick)
+        if state.log.enabled:
+            state.log.emit("U3_PICK", literal=pick, old=state.values[pick], clause=clause.id)
+        res = add_concept(state, clause, pick)
+        if res is not None:
+            return res
+    return None
+
+
+def _admission_branch(seed):
+    """Admit one clause with ``add_clause`` and with the reference, each
+    on its own traced fork of one random state with some concepts of
+    other clauses staged: a fork that owns its index, one that shares it,
+    or one with pins, its stores filled and, now and then, the step guard
+    capped.  Require the same result (a contradiction's witness included)
+    and the same state after, with fresh stores, and the state forked
+    from unchanged.  Returns how the call ended (None, ``"contradiction"``
+    or ``"guard"``), the concept it ended at (1 to 3) and whether the
+    picks left clause order."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 5)
+    inst = random_instance(rng, n, rng.randint(1, 8))
+    _, base = admitted_state(inst, upto=rng.randint(0, len(inst.clauses) - 1), trace=True)
+    clause = rng.choice(
+        [c for c in inst.clauses if not any((c.id, lit) in base.concepts for lit in c.literals)]
+    )
+    # Staged concepts leave stale values, which a later concept's
+    # fixpoint may find contradictory.
+    for other in inst.clauses:
+        for focus in other.literals:
+            if other is not clause and (other.id, focus) not in base.concepts:
+                if rng.random() < 0.3:
+                    stage_concept(base, other, focus)
+    literals = [l for v in range(1, n + 1) for l in (v, -v)]
+    base.restrict_to(rng.choice(literals))  # fills ``views``
+    base.checks["filled"] = None  # never read here
+    mode = rng.choice(("own", "fork", "pinned"))
+    pins = [rng.choice(literals) for _ in range(rng.randint(1, 2))] if mode == "pinned" else []
+    cap = rng.choice((None, None, rng.randint(0, 4)))
+    stores = base.checks, base.views
+    before = index_of(base), dict(base.checks), dict(base.views), base.log.events[:]
+    runs = []
+    for admit in (EngineState.add_clause, _reference_add_clause):
+        state = base.fork()
+        state.log = base.log.copy()
+        if mode == "own":
+            state._own_index()
+        for lit in pins:
+            state.pin_literal(lit)
+        guard = (
+            contextlib.nullcontext()
+            if cap is None
+            else mock.patch.object(EngineState, "_step_cap", lambda self: cap)
+        )
+        with guard:
+            try:
+                res = admit(state, clause)
+            except GuardExceeded:
+                res = "guard"
+        runs.append((state, res))
+    (a, res), (b, ref) = runs
+    assert res == ref
+    for name in ("values", "pins", "unmet", "by_focus", "by_member"):
+        assert getattr(a, name) == getattr(b, name), name
+    assert list(a.concepts.items()) == list(b.concepts.items())
+    assert a.checks == a.views == b.checks == b.views == {}
+    assert a.checks is not stores[0] and a.views is not stores[1]
+    assert (a.log.ops, a.log.guard_trips, a.log.events) == (b.log.ops, b.log.guard_trips, b.log.events)
+    assert (index_of(base), base.checks, base.views, base.log.events) == before
+    assert base.checks is stores[0] and base.views is stores[1]
+    picks = [e[LITERAL] for e in a.log.events[len(before[3]) :] if e[KIND] == "U3_PICK"]
+    ended = None if res is None else "guard" if res == "guard" else "contradiction"
+    at = len(a.concepts) - len(base.concepts) + (res is not None)
+    return ended, at, picks != list(clause.literals[: len(picks)])
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+def test_add_clause_matches_three_reference_admissions(seed):
+    _admission_branch(seed)
+
+
+def test_add_clause_reference_comparison_reaches_every_branch():
+    branches = [_admission_branch(seed) for seed in range(600)]
+    ends = {(None, 3)} | {(end, at) for end in ("contradiction", "guard") for at in (1, 2, 3)}
+    assert {branch[:2] for branch in branches} == ends
+    assert any(reordered for _, _, reordered in branches)
 
 
 def _fixpoint_branches(seed):
@@ -714,7 +821,7 @@ def _fixpoint_branches(seed):
         for clause in inst.clauses:
             for focus in clause.literals:
                 if rng.random() < 0.3 and (clause.id, focus) not in state.concepts:
-                    state.insert_concept(clause, focus)
+                    stage_concept(state, clause, focus)
         for _ in range(rng.randint(0, 2)):
             lit = rng.choice(literals) * rng.choice((1, -1))
             # No pin makes a not-true literal true.
@@ -785,7 +892,7 @@ def test_failed_fixpoint_restores_the_same_lists(cap):
     inst = build_instance(6, [(1, 2, 3), (2, 5, 6), (4, 1, 5)])
     st_ = fresh_state(inst, trace=True)
     for clause, focus in zip(inst.clauses, (1, 2, 4)):
-        st_.insert_concept(clause, focus)
+        stage_concept(st_, clause, focus)
     assert st_.pin_literal(-3)
     lists = (st_.values, st_.unmet, st_.pins)
     before = [list(lst) for lst in lists]
@@ -889,7 +996,7 @@ def test_fixpoint_bookkeeping_is_frozen(name):
     inst = _BOOKKEEPING_INST
     st_ = fresh_state(inst, trace=True)
     for cid, focus in concepts:
-        st_.insert_concept(inst.clauses[cid], focus)
+        stage_concept(st_, inst.clauses[cid], focus)
     for lit in pins:
         assert st_.pin_literal(lit)
     before = snapshot(st_)
@@ -927,7 +1034,7 @@ def test_fixpoint_that_changes_nothing_writes_and_copies_nothing(seed_lit):
     inst = _BOOKKEEPING_INST
     st_ = fresh_state(inst, trace=True)
     for cid, focus in _CHAIN:
-        assert st_.add_concept(inst.clauses[cid], focus) is None
+        assert add_concept(st_, inst.clauses[cid], focus) is None
     before = snapshot(st_), list(st_.unmet)
     ops, events = st_.log.ops, len(st_.log.events)
     st_.values, st_.unmet = RecordingList(st_.values), RecordingList(st_.unmet)

@@ -1,5 +1,6 @@
-"""Every public name of every package module has a user, and README's
-library example runs and does what its comments say."""
+"""Every public name of every package module has a user, no module
+imports a name it never uses, and README's library example runs and does
+what its comments say."""
 
 import ast
 import re
@@ -11,6 +12,7 @@ PACKAGE = Path(understanding_sat.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
 
 
 def _public_names(tree: ast.Module) -> set[str]:
@@ -33,6 +35,18 @@ def _names_used_in(tree: ast.Module) -> set[str]:
         elif isinstance(node, ast.ImportFrom):
             used.update(alias.name for alias in node.names)
     return used
+
+
+def _unused_imports(tree: ast.Module) -> set[str]:
+    # The names an import binds (``import a.b`` binds ``a``) that the
+    # module never reads; ``__future__`` imports bind nothing.
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
 def _library_example() -> str:
@@ -60,6 +74,18 @@ def test_every_export_is_used_by_the_package_or_the_library_example():
         for name in sorted(_public_names(tree) - used)
     ]
     assert not unused
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # Every module of the package and of the tests, ``__init__`` and
+    # ``conftest`` included.
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    unused = {
+        f"{path.parent.name}/{path.name}": sorted(names)
+        for path in paths
+        if (names := _unused_imports(ast.parse(path.read_text())))
+    }
+    assert unused == {}
 
 
 def test_library_example_runs_as_its_comments_say():

@@ -13,7 +13,6 @@ from understanding_sat.harness import (
     DISAGREEMENT_KINDS,
     ComplexitySample,
     CounterexampleRecord,
-    DiffReport,
     GenSpec,
     adjudicate,
     bench_samples,

@@ -27,7 +27,6 @@ from understanding_sat.solver import (
     ANOMALY_UNDEFINED,
     ANOMALY_UNVERIFIED,
     SolveConfig,
-    SolverOutcome,
     _finalize,
     advance,
     solve,
@@ -257,11 +256,11 @@ def _frames_that_fit(limit: int) -> int:
     return deepest
 
 
-def _first_call_depths(code, fn, *args) -> tuple[int, int]:
+def _first_call(code, fn, *args) -> tuple[int, object]:
     """Call ``fn(*args)`` and return the depth of the first frame of
-    ``code`` and of the deepest frame entered while that first frame
-    runs.  Depths count as if the caller had called ``fn`` itself:
-    ``fn``'s own frame is at depth 1."""
+    ``code`` and the code of the first frame it enters.  Depths count as
+    if the caller had called ``fn`` itself: ``fn``'s own frame is at
+    depth 1."""
     top = sys._getframe()
     seen = {}
 
@@ -272,16 +271,14 @@ def _first_call_depths(code, fn, *args) -> tuple[int, int]:
         return n
 
     def hook(frame, event, arg):
-        if "done" in seen:
+        if event != "call" or "entered" in seen:
             return
-        if event == "call":
-            if "frame" in seen:
-                seen["deepest"] = max(seen["deepest"], depth(frame))
-            elif frame.f_code is code:
-                seen["frame"] = frame
-                seen["depth"] = seen["deepest"] = depth(frame)
-        elif event == "return" and frame is seen.get("frame"):
-            seen["done"] = True
+        if "frame" in seen:
+            if frame.f_back is seen["frame"]:
+                seen["entered"] = frame.f_code
+        elif frame.f_code is code:
+            seen["frame"] = frame
+            seen["depth"] = depth(frame)
 
     old = sys.getprofile()
     sys.setprofile(hook)
@@ -289,7 +286,7 @@ def _first_call_depths(code, fn, *args) -> tuple[int, int]:
         fn(*args)
     finally:
         sys.setprofile(old)
-    return seen["depth"], seen["deepest"]
+    return seen["depth"], seen["entered"]
 
 
 class TestAnomalies:
@@ -377,25 +374,26 @@ class TestAnomalies:
         assert out.state is None
         assert out.trace[-1][KIND] == "VERDICT"
 
-    def test_python_recursion_limit_trip_while_indexing_the_first_concept(self):
-        # The levels are measured, not fixed: each limit lets every frame
-        # down to the first ``insert_concept`` run, but not the deepest
-        # frame that call enters, so the limit must trip inside it (in
-        # ``_own_index`` or ``_index``), whatever frames a refactor adds
-        # or removes on that path.  The trip comes before the concept's
-        # ADD_CONCEPT event and before any repair.  The config is built
-        # once, before any limit is set: checking its fields takes frames.
+    def test_python_recursion_limit_trip_before_the_first_concepts_fixpoint(self):
+        # The level is measured, not fixed: the limit lets every frame
+        # down to the first ``add_clause`` run, but not the first frame
+        # that call enters, which must be the first concept's fixpoint.
+        # So the trip comes after that concept is indexed and logged and
+        # before any value is set, with no repair run.  The config is
+        # built once, before any limit is set: checking its fields takes
+        # frames.
         inst = gen_random(GenSpec(n=20, m=80, seed=17))
         assert solve(inst).kind == "unsat"
         cfg = SolveConfig(trace=True)
-        depth, deepest = _first_call_depths(EngineState.insert_concept.__code__, solve, inst, cfg)
+        depth, entered = _first_call(EngineState.add_clause.__code__, solve, inst, cfg)
+        assert entered is EngineState.compute_fixpoint.__code__
         lowest = _lowest_recursion_limit()
         chosen = []
-        for levels in range(1, deepest + 1):
+        for levels in range(1, depth + 2):
             # Called from this frame, not from a comprehension's own.
-            if depth <= _frames_that_fit(lowest + levels) < deepest:
+            if _frames_that_fit(lowest + levels) == depth:
                 chosen.append(levels)
-        assert chosen, (depth, deepest)
+        assert chosen, depth
         for levels in chosen:
             old = sys.getrecursionlimit()
             sys.setrecursionlimit(lowest + levels)
@@ -407,18 +405,16 @@ class TestAnomalies:
             assert out.kind == "anomaly"
             assert out.anomaly == ANOMALY_GUARD
             assert out.state is None
-            assert out.trace[-1][KIND] == "VERDICT"
             assert out.guard_trips == 1
             assert out.failing_clause == 0
             assert not any(e[KIND] == "D_ENTER" for e in out.trace)
-            # The first concept's pick is the last step before the verdict.
-            assert [e[KIND] for e in out.trace[-2:]] == ["U3_PICK", "VERDICT"], levels
+            # The first concept is picked and admitted; nothing is set.
+            kinds = [e[KIND] for e in out.trace[-3:]]
+            assert kinds == ["U3_PICK", "ADD_CONCEPT", "VERDICT"], levels
 
     def test_concept_admission_contradiction_is_an_anomaly(self, monkeypatch):
         monkeypatch.setattr(
-            EngineState,
-            "add_concept",
-            lambda self, clause, focus: Contradiction(focus, "forced"),
+            EngineState, "add_clause", lambda self, clause: Contradiction(clause.literals[0], "forced")
         )
         out = solve(build_instance(3, [(1, 2, 3)]))
         assert out.kind == "anomaly"
@@ -510,9 +506,10 @@ class TestTrace:
         assert minimize(record).kind == "FalseUnsat"
         assert calls == []
         assert kinds == {"sat", "unsat"}
-        # The patch does see a traced run's events.
+        # The patch does see a traced run's events (``add_clause`` appends
+        # its own two kinds directly, as the fixpoint appends SET).
         solve(instances[2], SolveConfig(trace=True))
-        expected = {"ADD_CONCEPT", "CONTRADICTION", "D_ENTER", "G_ENTER", "G_RESULT", "VERDICT"}
+        expected = {"U3_VALUE", "CONTRADICTION", "D_ENTER", "G_ENTER", "G_RESULT", "VERDICT"}
         assert expected <= set(calls)
 
 
