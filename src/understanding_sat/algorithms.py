@@ -180,12 +180,7 @@ def algorithm_d(
                     history.discard(literal)
                 if candidate is None:
                     continue
-            basis = candidate if candidate is not None else work
-            if basis.values[companion] != FREE:
-                # Companions of a C+ concept are free or false; a false
-                # one was just freed above, so this cannot trigger.
-                continue
-            trial = _freeing_trial(basis, companion)
+            trial = _freeing_trial(candidate if candidate is not None else work, companion)
             if trial is None:
                 continue
             work = trial

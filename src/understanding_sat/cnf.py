@@ -1,10 +1,10 @@
 """3SAT problem representation, DIMACS text I/O, and assignment evaluation.
 
 Literals are signed integers in the DIMACS convention: variable ``v``
-appears positively as ``v`` and negated as ``-v``.  A clause holds exactly
-three pairwise distinct literals; the same variable may occur in both
-polarities inside one clause (such a clause is trivially satisfiable but
-legal input).
+appears positively as ``v`` and negated as ``-v``.  A clause is a tuple of
+exactly three pairwise distinct literals, and its id is its position in
+the instance; the same variable may occur in both polarities inside one
+clause (such a clause is trivially satisfiable but legal input).
 """
 
 from __future__ import annotations
@@ -17,20 +17,10 @@ class DimacsError(ValueError):
     """Raised for malformed DIMACS input."""
 
 
-@dataclass(frozen=True)
-class Clause:
-    """Three distinct literals, identified by position in the instance."""
-
-    id: int
-    literals: tuple[int, int, int]
-
-    def literal_set(self) -> frozenset[int]:
-        return frozenset(self.literals)
-
-
 @dataclass(eq=False)
 class Instance:
-    """A 3SAT instance: clause list over variables 1..variable_count.
+    """A 3SAT instance: literal triples over variables 1..variable_count,
+    a clause's id being its position in ``clauses``.
 
     ``dedup_count`` records how many duplicate clauses (same literal set)
     were dropped while building the instance.  Equality compares the
@@ -39,11 +29,11 @@ class Instance:
     """
 
     variable_count: int
-    clauses: list[Clause] = field(default_factory=list)
+    clauses: list[tuple[int, int, int]] = field(default_factory=list)
     dedup_count: int = 0
 
     def literal_profile(self) -> tuple[frozenset[int], ...]:
-        return tuple(c.literal_set() for c in self.clauses)
+        return tuple(map(frozenset, self.clauses))
 
     def __eq__(self, other: object):
         if not isinstance(other, Instance):
@@ -79,7 +69,7 @@ _MAX_VARIABLES = (sys.maxsize - 1) // 2
 
 def _assemble(variable_count: int, clause_literals) -> Instance:
     # Clauses already checked, as tuples; drops the duplicates.
-    clauses: list[Clause] = []
+    clauses: list[tuple[int, int, int]] = []
     seen: set[frozenset[int]] = set()
     dropped = 0
     for lits in clause_literals:
@@ -88,7 +78,7 @@ def _assemble(variable_count: int, clause_literals) -> Instance:
             dropped += 1
             continue
         seen.add(key)
-        clauses.append(Clause(id=len(clauses), literals=lits))
+        clauses.append(lits)
     return Instance(variable_count=variable_count, clauses=clauses, dedup_count=dropped)
 
 
@@ -96,8 +86,8 @@ def build_instance(variable_count: int, clause_literals) -> Instance:
     """Assemble an instance from literal tuples, dropping duplicate clauses.
 
     Duplicates are clauses with an identical literal set; the first
-    occurrence wins and keeps its literal order.  Clause ids are dense and
-    follow input order.  A variable count below 0, or whose ``2n + 1``
+    occurrence wins and keeps its literal order.  A clause's id is its
+    position, in input order.  A variable count below 0, or whose ``2n + 1``
     exceeds ``sys.maxsize``, raises ValueError.
     """
     if variable_count < 0:
@@ -183,7 +173,7 @@ def emit_dimacs(inst: Instance) -> str:
     whitespace.  Parsing the result reproduces the instance."""
     lines = [f"p cnf {inst.variable_count} {len(inst.clauses)}"]
     for clause in inst.clauses:
-        lines.append(" ".join(str(lit) for lit in clause.literals) + " 0")
+        lines.append(" ".join(map(str, clause)) + " 0")
     return "\n".join(lines) + "\n"
 
 
@@ -204,7 +194,7 @@ class Assignment:
 
 
 def evaluate(inst: Instance, assignment: Assignment) -> list[int]:
-    """Ids of clauses the assignment falsifies; empty means satisfied."""
+    """Positions of clauses the assignment falsifies; empty means satisfied."""
     values = assignment.values
     for var, bit in values.items():
         if var < 1 or var > inst.variable_count:
@@ -213,13 +203,13 @@ def evaluate(inst: Instance, assignment: Assignment) -> list[int]:
             raise ValueError(f"assignment value for {var} must be 0 or 1")
     default = assignment.default_free
     falsified = []
-    for clause in inst.clauses:
-        for lit in clause.literals:
+    for cid, clause in enumerate(inst.clauses):
+        for lit in clause:
             if lit > 0:
                 if (values[lit] if lit in values else default) == 1:
                     break
             elif (values[-lit] if -lit in values else default) == 0:
                 break
         else:
-            falsified.append(clause.id)
+            falsified.append(cid)
     return falsified

@@ -35,7 +35,7 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass
 
-from .cnf import Clause, Instance
+from .cnf import Instance
 
 TruthValue = str
 
@@ -360,10 +360,11 @@ class EngineState:
             log.emit("CONTRADICTION", literal=witness, new=reason)
         return Contradiction(witness, reason)
 
-    def add_clause(self, clause: Clause) -> Contradiction | None:
-        """Admit the clause's three concepts, each followed by its
-        fixpoint, and stop at the first that contradicts; ValueError, with
-        the state unchanged, if a concept of the clause is in.
+    def add_clause(self, cid: int, literals: tuple[int, int, int]) -> Contradiction | None:
+        """Admit the three concepts of clause ``cid``, whose literals are
+        ``literals``, each followed by its fixpoint, and stop at the first
+        that contradicts; ValueError, with the state unchanged, if a
+        concept of the clause is in.
 
         Each concept goes in on the first literal left still not false, or
         the first left when all are, its companions the other two in
@@ -372,8 +373,7 @@ class EngineState:
         a ``GuardExceeded`` undoes it alone, and earlier ones stay.  The
         index is owned and the stores made fresh once, before the first.
         """
-        cid = clause.id
-        a, b, c = clause.literals
+        a, b, c = literals
         concepts = self.concepts
         if (cid, a) in concepts or (cid, b) in concepts or (cid, c) in concepts:
             raise ValueError(f"clause {cid} already admitted")

@@ -291,7 +291,7 @@ def minimize(record: CounterexampleRecord) -> CounterexampleRecord:
 
     def kept(row: Adjudication) -> list:
         """The row's clauses, cut after its failing clause when that is safe."""
-        lits = [c.literals for c in row.instance.clauses]
+        lits = row.instance.clauses
         k = row.outcome.failing_clause
         # Dropping clauses keeps a satisfiable instance satisfiable, and
         # the cut run repeats the same outcome, so the bin cannot change.
@@ -300,7 +300,7 @@ def minimize(record: CounterexampleRecord) -> CounterexampleRecord:
             return lits[: k + 1]
         return lits
 
-    row = adjudicated([c.literals for c in inst.clauses])
+    row = adjudicated(inst.clauses)
     lits = kept(row)
     # ``prefix`` is the state after admitting ``lits[:done]``; None is the
     # empty one.  ``row.instance`` starts with ``lits``.

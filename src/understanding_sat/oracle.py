@@ -45,7 +45,7 @@ def brute_force(inst: Instance) -> OracleVerdict:
         mask = 0
         pattern = 0
         tautological = False
-        for lit in clause.literals:
+        for lit in clause:
             bit = 1 << (n - abs(lit))
             want = bit if lit < 0 else 0
             if mask & bit and (pattern & bit) != want:
@@ -92,7 +92,7 @@ def dpll(inst: Instance) -> OracleVerdict:
         value = [0] * (2 * n + 1)
     except MemoryError:
         raise ValueError(f"variable count {n} is too large to allocate") from None
-    for a, b, c in (clause.literals for clause in inst.clauses):
+    for a, b, c in inst.clauses:
         occurs[a] += ((b, c),)
         occurs[b] += ((a, c),)
         occurs[c] += ((a, b),)

@@ -22,7 +22,7 @@ import typing
 from dataclasses import MISSING, dataclass, fields, replace
 
 from .algorithms import algorithm_d
-from .cnf import Assignment, Clause, Instance, evaluate
+from .cnf import Assignment, Instance, evaluate
 from .engine import (
     EngineState,
     FALSE,
@@ -141,19 +141,19 @@ class SolverOutcome:
         }
 
 
-def _admit_clause(state: EngineState, clause: Clause):
-    """Admit one clause; returns (status, state) where status is ``ok``,
-    ``unsat`` or ``anomaly`` and state may be a rewritten fork."""
+def _admit_clause(state: EngineState, cid: int, lits: tuple[int, int, int]):
+    """Admit clause ``cid``, whose literals are ``lits``; returns (status,
+    state) where status is ``ok``, ``unsat`` or ``anomaly`` and state may
+    be a rewritten fork."""
     log = state.log
     traced = log.enabled
-    lits = clause.literals
     if traced:
-        log.emit("U1_CLAUSE", clause=clause.id)
+        log.emit("U1_CLAUSE", clause=cid)
     values = state.values
     a, b, c = lits
     if values[a] == FALSE and values[b] == FALSE and values[c] == FALSE:
         if traced:
-            log.emit("U2_ALLFALSE", clause=clause.id)
+            log.emit("U2_ALLFALSE", clause=cid)
         adopted = None
         for lam in lits:
             res = algorithm_d(state, lam)
@@ -166,10 +166,10 @@ def _admit_clause(state: EngineState, clause: Clause):
         values = state.values
     if traced:
         for lit in lits:
-            log.emit("U3_VALUE", literal=lit, old=values[lit], clause=clause.id)
+            log.emit("U3_VALUE", literal=lit, old=values[lit], clause=cid)
     # One engine call picks, indexes and propagates the three concepts,
     # non-false focus first, after any repair above.
-    if state.add_clause(clause) is not None:
+    if state.add_clause(cid, lits) is not None:
         return "anomaly", state
     return "ok", state
 
@@ -182,14 +182,13 @@ def _clause_order(inst: Instance, cfg: SolveConfig) -> list[int]:
 
 
 def _outcome(
-    state: EngineState, cfg: SolveConfig, kind: str, clause: Clause | None = None, **fields
+    state: EngineState, cfg: SolveConfig, kind: str, failing: int | None = None, **fields
 ) -> SolverOutcome:
-    """Log the verdict and build the outcome; ``clause`` is the failing
-    clause of a run that stopped early."""
+    """Log the verdict and build the outcome; ``failing`` is the position
+    of the clause a run stopped early at."""
     log = state.log
     # The run asks no more checks; the outcome need not hold them.
     state.checks, state.views = {}, {}
-    failing = clause.id if clause is not None else None
     if log.enabled:
         log.emit("VERDICT", new=kind, clause=failing)
     return SolverOutcome(
@@ -220,18 +219,17 @@ def solve(
     outcome, ``ops``, guard trips, gaps and trace all match
     ``solve(inst, cfg)``.  The prefix, its log, its stored checks and its
     stored views are not changed.  A plain run is this loop resumed from
-    the empty state.  Under ``perm`` order the first ``k`` clauses
-    admitted are not ``inst``'s first ``k``, so a prefix raises
-    ValueError.
+    the empty state.  A prefix built for another variable count or other
+    first ``k`` clauses, or given under ``perm`` order (which admits other
+    clauses first), raises ValueError.
     """
     cfg = cfg if cfg is not None else _DEFAULT_CONFIG
     state = _resume(inst, cfg, prefix)
     for cid in _clause_order(inst, cfg)[len(state.concepts) // 3 :]:
-        clause = inst.clauses[cid]
-        status, state = _admit(state, clause)
+        status, state = _admit(state, cid, inst.clauses[cid])
         if status != "ok":
             kind, anomaly = _STOPS[status]
-            stopped = _outcome(state, cfg, kind, clause, anomaly=anomaly)
+            stopped = _outcome(state, cfg, kind, cid, anomaly=anomaly)
             # Python's own limit tripped before a guard did, in repair or
             # between indexing a concept and running its fixpoint, so the
             # state may be half-updated: the outcome does not carry it.
@@ -242,10 +240,11 @@ def solve(
 def advance(prefix: EngineState | None, inst: Instance, cfg: SolveConfig) -> EngineState | None:
     """The state after admitting ``inst``'s next clause onto ``prefix``
     (``None`` is the empty state) as ``solve``'s loop admits it, or None
-    when a run stops at that clause.  Input clause order only; ``prefix``
-    is not changed."""
+    when a run stops at that clause.  Raises ValueError for a prefix
+    ``solve`` refuses; ``prefix`` is not changed."""
     state = _resume(inst, cfg, prefix)
-    status, state = _admit(state, inst.clauses[len(state.concepts) // 3])
+    cid = len(state.concepts) // 3
+    status, state = _admit(state, cid, inst.clauses[cid])
     return state if status == "ok" else None
 
 
@@ -254,6 +253,11 @@ def _resume(inst: Instance, cfg: SolveConfig, prefix: EngineState | None) -> Eng
         return EngineState(inst, RunLog(enabled=cfg.trace))
     if cfg.clause_order != "input":
         raise ValueError("a run can resume from a prefix state only under input clause order")
+    if len(prefix.values) != 2 * inst.variable_count + 1:
+        raise ValueError("the prefix state was built for another variable count")
+    k = len(prefix.concepts) // 3
+    if prefix.inst.clauses[:k] != inst.clauses[:k]:
+        raise ValueError(f"the prefix state admitted clauses other than the instance's first {k}")
     state = prefix.fork()
     state.inst = inst
     state.log = prefix.log.copy()
@@ -262,12 +266,12 @@ def _resume(inst: Instance, cfg: SolveConfig, prefix: EngineState | None) -> Eng
     return state
 
 
-def _admit(state: EngineState, clause: Clause):
+def _admit(state: EngineState, cid: int, lits: tuple[int, int, int]):
     """``_admit_clause`` with a trip turned into a status: ``guard`` for
     GuardExceeded, ``recursion`` for Python's recursion limit, each with
     the state the admission started from."""
     try:
-        return _admit_clause(state, clause)
+        return _admit_clause(state, cid, lits)
     except GuardExceeded:
         return "guard", state
     except RecursionError:
@@ -293,8 +297,7 @@ def _finalize(state: EngineState, inst: Instance, cfg: SolveConfig) -> SolverOut
     assignment = Assignment(values=model, default_free=cfg.default_free)
     verified = verified and not evaluate(inst, assignment)
     if verified:  # and each clause has a literal the map holds true
-        for clause in inst.clauses:
-            a, b, c = clause.literals
+        for a, b, c in inst.clauses:
             if values[a] != TRUE and values[b] != TRUE and values[c] != TRUE:
                 verified = False
                 break

@@ -12,7 +12,7 @@ from unittest import mock
 
 from understanding_sat import solver
 from understanding_sat.algorithms import algorithm_g
-from understanding_sat.cnf import Assignment, Clause, Instance, build_instance, parse_dimacs
+from understanding_sat.cnf import Assignment, Instance, build_instance, parse_dimacs
 from understanding_sat.engine import (
     FALSE,
     FREE,
@@ -67,7 +67,7 @@ def removable_clauses(record: CounterexampleRecord) -> list[int]:
     """Indices of the clauses whose single removal keeps the record's bin;
     empty when the record's instance is 1-minimal for it."""
     inst = parse_dimacs(record.dimacs)
-    lits = [c.literals for c in inst.clauses]
+    lits = inst.clauses
     drops = (
         (i, build_instance(inst.variable_count, lits[:i] + lits[i + 1 :]))
         for i in range(len(lits))
@@ -207,14 +207,15 @@ def fresh_state(inst: Instance, trace: bool = False) -> EngineState:
     return EngineState(inst, RunLog(enabled=trace))
 
 
-def stage_concept(state: EngineState, clause: Clause, focus: int) -> tuple[int, int]:
-    """Index the concept of ``focus`` in ``clause`` as ``add_clause``
-    indexes it, without recomputation, and return its key: companions in
-    clause order, the index owned first, fresh stores.  Stages states the
-    solver would not build, one concept at a time."""
-    key = (clause.id, focus)
-    assert key not in state.concepts and focus in clause.literals, key
-    m1, m2 = (lit for lit in clause.literals if lit != focus)
+def stage_concept(state: EngineState, cid: int, lits: tuple, focus: int) -> tuple[int, int]:
+    """Index the concept of ``focus`` in clause ``cid``, whose literals are
+    ``lits``, as ``add_clause`` indexes it, without recomputation, and
+    return its key: companions in clause order, the index owned first,
+    fresh stores.  Stages states the solver would not build, one concept
+    at a time."""
+    key = (cid, focus)
+    assert key not in state.concepts and focus in lits, key
+    m1, m2 = (lit for lit in lits if lit != focus)
     if state._shared:
         state._own_index()
     state.concepts[key] = m1, m2
@@ -227,13 +228,13 @@ def stage_concept(state: EngineState, clause: Clause, focus: int) -> tuple[int, 
     return key
 
 
-def add_concept(state: EngineState, clause: Clause, focus: int) -> Contradiction | None:
+def add_concept(state: EngineState, cid: int, lits: tuple, focus: int) -> Contradiction | None:
     """One concept admitted as ``add_clause`` admits each: staged, logged
     as ``ADD_CONCEPT``, propagated from its focus, and undone alone by a
     contradiction or a guard trip."""
-    key = stage_concept(state, clause, focus)
+    key = stage_concept(state, cid, lits, focus)
     if state.log.enabled:
-        state.log.emit("ADD_CONCEPT", literal=focus, clause=clause.id)
+        state.log.emit("ADD_CONCEPT", literal=focus, clause=cid)
     try:
         res = state.compute_fixpoint([focus])
     except GuardExceeded:
@@ -249,8 +250,8 @@ def admitted_state(inst: Instance, upto: int | None = None, trace: bool = False)
     (status, state); ``upto`` admits only the first so-many clauses."""
     state = fresh_state(inst, trace)
     stop = len(inst.clauses) if upto is None else upto
-    for clause in inst.clauses[:stop]:
-        status, state = _admit_clause(state, clause)
+    for cid, lits in enumerate(inst.clauses[:stop]):
+        status, state = _admit_clause(state, cid, lits)
         if status != "ok":
             return status, state
     return "ok", state
@@ -356,10 +357,9 @@ def sweep_assumption_check(
                 ):
                     continue
                 child = state.fork()
-                clause = Clause(id=depth, literals=lits)
-                child.inst = Instance(n, state.inst.clauses + [clause])
+                child.inst = Instance(n, state.inst.clauses + [lits])
                 try:
-                    status, child = _admit_clause(child, clause)
+                    status, child = _admit_clause(child, depth, lits)
                 except GuardExceeded:
                     status = "anomaly"
                 new_clauses = clauses + (lits,)
@@ -448,8 +448,7 @@ def scanning_restrict_to(state: EngineState, literal: int) -> EngineState:
     keep = {
         cid
         for cid in {key[0] for key in state.concepts}
-        if literal in state.inst.clauses[cid].literals
-        or -literal in state.inst.clauses[cid].literals
+        if literal in state.inst.clauses[cid] or -literal in state.inst.clauses[cid]
     }
     view = EngineState(state.inst, state.log)
     view.values = state.values[:]
@@ -480,7 +479,7 @@ def negate_variables(inst: Instance, flipped) -> Instance:
     every clause; clause ids and literal positions are kept."""
     return build_instance(
         inst.variable_count,
-        [tuple(-lit if abs(lit) in flipped else lit for lit in c.literals) for c in inst.clauses],
+        [tuple(-lit if abs(lit) in flipped else lit for lit in c) for c in inst.clauses],
     )
 
 
@@ -715,7 +714,7 @@ def recursive_dpll(inst: Instance) -> OracleVerdict:
     variable, true branch first.  It recurses once per decision and
     copies the assignment at every node."""
     n = inst.variable_count
-    clauses = [c.literals for c in inst.clauses]
+    clauses = inst.clauses
     nodes = 0
 
     def lit_value(lit: int, assign: dict[int, bool]):
@@ -802,7 +801,7 @@ def restarting_minimize(record: CounterexampleRecord) -> CounterexampleRecord:
 
     def kept(row: Adjudication) -> list:
         """The row's clauses, cut after its failing clause when that is safe."""
-        lits = [c.literals for c in row.instance.clauses]
+        lits = row.instance.clauses
         k = row.outcome.failing_clause
         # Dropping clauses keeps a satisfiable instance satisfiable, and
         # the cut run repeats the same outcome, so the bin cannot change.
@@ -811,7 +810,7 @@ def restarting_minimize(record: CounterexampleRecord) -> CounterexampleRecord:
             return lits[: k + 1]
         return lits
 
-    row = adjudicated([c.literals for c in inst.clauses])
+    row = adjudicated(inst.clauses)
     lits = kept(row)
     removed = True
     while removed:

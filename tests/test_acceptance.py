@@ -135,11 +135,9 @@ def audit() -> CorpusAudit:
                 if evaluate(inst, outcome.assignment):
                     a.sat_reverify_failures.append(tag)
                 state = outcome.state
-                for clause in inst.clauses:
-                    if not any(
-                        state.values[lit] == TRUE for lit in clause.literals
-                    ):
-                        a.witness_gaps.append(f"{tag} clause {clause.id}")
+                for cid, clause in enumerate(inst.clauses):
+                    if not any(state.values[lit] == TRUE for lit in clause):
+                        a.witness_gaps.append(f"{tag} clause {cid}")
                         break
                 if soundness_violations(state):
                     a.stored_value_mismatches.append(tag)
@@ -150,9 +148,7 @@ def audit() -> CorpusAudit:
                 if verdict.sat and evaluate(inst, verdict.model):
                     a.oracle_model_failures.append(f"{tag} {verdict.method}")
             back = parse_dimacs(emit_dimacs(inst))
-            if back.variable_count != inst.variable_count or [
-                c.literals for c in back.clauses
-            ] != [c.literals for c in inst.clauses]:
+            if back.variable_count != inst.variable_count or back.clauses != inst.clauses:
                 a.roundtrip_failures.append(tag)
         a.records.extend(report.counterexamples)
     a.elapsed = time.perf_counter() - start

@@ -50,7 +50,7 @@ def staged(n, inserts):
     inst = build_instance(n, [lits for lits, _ in inserts])
     st_ = fresh_state(inst)
     for cid, (_, focus) in enumerate(inserts):
-        stage_concept(st_, inst.clauses[cid], focus)
+        stage_concept(st_, cid, inst.clauses[cid], focus)
     return st_
 
 
@@ -89,7 +89,7 @@ class TestAssumptionCheck:
         inst = build_instance(8, [(1, 2, 3), (-1, 2, 3), (1, 4, 5), (2, 7, 8)])
         st_ = EngineState(inst, log=RunLog(enabled=True))
         for cid, focus in [(3, 2), (0, 1), (1, -1), (2, 4), (2, 1)]:
-            assert add_concept(st_, inst.clauses[cid], focus) is None
+            assert add_concept(st_, cid, inst.clauses[cid], focus) is None
         assert st_.values[1] == FREE
         assert soundness_violations(st_) == []
         assert lemma_g_conditions(st_, 1) is True
@@ -182,8 +182,8 @@ def test_freeing_check_skips_an_attempt_with_a_companion_pinned_true():
     # the second concept's attempt answers.
     inst = build_instance(5, [(1, 2, 3), (1, 4, 5)])
     st_ = fresh_state(inst, trace=True)
-    stage_concept(st_, inst.clauses[0], 1)
-    stage_concept(st_, inst.clauses[1], 1)
+    stage_concept(st_, 0, inst.clauses[0], 1)
+    stage_concept(st_, 1, inst.clauses[1], 1)
     assert st_.pin_literal(2)
     assert st_.values[1] == FREE
     calls = {"fork": 0, "not_true": [], "pin": 0}
@@ -228,8 +228,8 @@ class TestRepair:
         st_ = fresh_state(inst, trace=True)
         from understanding_sat.solver import _admit_clause
 
-        for clause in inst.clauses:
-            status, st_ = _admit_clause(st_, clause)
+        for cid, lits in enumerate(inst.clauses):
+            status, st_ = _admit_clause(st_, cid, lits)
             assert status == "ok"
         assert st_.values[-1] == FALSE
         result = algorithm_d(st_, -1)
@@ -346,7 +346,7 @@ def test_repair_history_survives_a_frame_whose_literal_it_holds(monkeypatch):
         log = st_.log
         return res, log.ops, log.guard_trips, log.gaps, log.events
 
-    for lam in inst.clauses[3].literals:
+    for lam in inst.clauses[3]:
         assert st_.values[lam] == FALSE
         assert run(spy, lam) == run(rebuilding_algorithm_d, lam)
     assert (-1, True) in frames
@@ -453,8 +453,8 @@ def test_stored_checks_tell_clause_ids_apart_by_their_literals():
     for first in ((1, -1, -2), (-1, -2, 3)):
         inst = build_instance(3, [first, (1, -1, 2)])
         state = EngineState(inst, log)
-        stage_concept(state, inst.clauses[0], -2)
-        stage_concept(state, inst.clauses[1], 1)
+        stage_concept(state, 0, inst.clauses[0], -2)
+        stage_concept(state, 1, inst.clauses[1], 1)
         assert _check_on_log(state, -2) == _fresh_check(state, -2)
         replayed = _check_on_log(state, -2)
         assert replayed == _fresh_check(state, -2)
@@ -516,8 +516,8 @@ def test_guard_tripping_check_is_not_stored():
     # runs the check again and trips in the same place.
     inst = build_instance(3, [(1, 2, 3), (-1, 2, -3)])
     state = EngineState(inst, RunLog(enabled=True))
-    stage_concept(state, inst.clauses[0], 1)
-    stage_concept(state, inst.clauses[1], 2)
+    stage_concept(state, 0, inst.clauses[0], 1)
+    stage_concept(state, 1, inst.clauses[1], 2)
     with mock.patch.object(EngineState, "_step_cap", lambda self: 1):
         _tripping(state, 1)
     # Without the patched cap the same check completes and is stored.
@@ -640,7 +640,7 @@ def test_conditions_miss_support_retraction_cascades():
     inst = build_instance(5, [(1, 2, 3), (-1, 2, 3), (1, 4, 5)])
     st_ = EngineState(inst)
     for cid, focus in [(2, 4), (2, 1), (0, 2), (0, 1), (1, -1)]:
-        assert add_concept(st_, inst.clauses[cid], focus) is None
+        assert add_concept(st_, cid, inst.clauses[cid], focus) is None
     assert st_.values[1] == FREE
     assert soundness_violations(st_) == []
     assert coupling_violations(st_) == []
@@ -720,8 +720,8 @@ def test_shared_prefix_sweep_matches_per_sequence_enumeration():
             clauses = tuple(universe[j] for j in seq)
             st_ = EngineState(build_instance(n, list(clauses)))
             status = "ok"
-            for clause in st_.inst.clauses:
-                status, st_ = _admit_clause(st_, clause)
+            for cid, lits in enumerate(st_.inst.clauses):
+                status, st_ = _admit_clause(st_, cid, lits)
                 if status != "ok":
                     break
             record(st_, clauses)

@@ -77,7 +77,7 @@ class TestValueRule:
     def test_needed_literal_becomes_true(self):
         inst = build_instance(3, [(1, 2, 3)])
         st_ = fresh_state(inst)
-        assert add_concept(st_, inst.clauses[0], 1) is None
+        assert add_concept(st_, 0, inst.clauses[0], 1) is None
         assert st_.values[1] == TRUE
         assert st_.values[-1] == FALSE
         assert st_.values[2] == FREE
@@ -86,7 +86,7 @@ class TestValueRule:
         # a concept on -1 with free companions marks 1 false
         inst = build_instance(3, [(-1, 2, 3)])
         st_ = fresh_state(inst)
-        assert add_concept(st_, inst.clauses[0], -1) is None
+        assert add_concept(st_, 0, inst.clauses[0], -1) is None
         assert st_.values[1] == FALSE
         assert st_.values[-1] == TRUE
 
@@ -94,17 +94,17 @@ class TestValueRule:
         # companion already true -> concept is C*, focus stays free
         inst = build_instance(5, [(2, 4, 5), (1, 2, 3)])
         st_ = fresh_state(inst)
-        assert add_concept(st_, inst.clauses[0], 2) is None
+        assert add_concept(st_, 0, inst.clauses[0], 2) is None
         assert st_.values[2] == TRUE
-        assert add_concept(st_, inst.clauses[1], 1) is None
+        assert add_concept(st_, 1, inst.clauses[1], 1) is None
         assert st_.values[1] == FREE
 
     def test_needed_and_opposed_contradicts_and_rolls_back(self):
         inst = build_instance(3, [(1, 2, 3), (-1, 2, 3)])
         st_ = fresh_state(inst)
-        assert add_concept(st_, inst.clauses[0], 1) is None
+        assert add_concept(st_, 0, inst.clauses[0], 1) is None
         before = snapshot(st_)
-        res = add_concept(st_, inst.clauses[1], -1)
+        res = add_concept(st_, 1, inst.clauses[1], -1)
         assert isinstance(res, Contradiction)
         assert res.reason == "needed-and-opposed"
         assert abs(res.witness) == 1
@@ -113,7 +113,7 @@ class TestValueRule:
     def test_concept_type_follows_stored_values(self):
         inst = build_instance(3, [(1, 2, 3)])
         st_ = fresh_state(inst)
-        add_concept(st_, inst.clauses[0], 3)
+        add_concept(st_, 0, inst.clauses[0], 3)
         key = (0, 3)
         assert concept_type(st_, key) == CPLUS
         st_.pin_literal(1)
@@ -125,8 +125,8 @@ class TestPins:
     def test_pin_materializes_and_propagates(self):
         inst = build_instance(5, [(-3, 4, 5), (1, 2, 3)])
         st_ = fresh_state(inst)
-        assert add_concept(st_, inst.clauses[0], -3) is None
-        assert add_concept(st_, inst.clauses[1], 1) is None
+        assert add_concept(st_, 0, inst.clauses[0], -3) is None
+        assert add_concept(st_, 1, inst.clauses[1], 1) is None
         assert st_.values[1] == TRUE  # companions of (1): {e, f}
         assert st_.pin_literal(2)
         assert st_.values[2] == FREE  # lazy until the next recomputation
@@ -148,7 +148,7 @@ class TestPins:
         inst = build_instance(3, [(1, 2, 3)])
         st_ = fresh_state(inst)
         assert st_.pin_literal(-1)
-        res = add_concept(st_, inst.clauses[0], 1)  # computes t, pin says f
+        res = add_concept(st_, 0, inst.clauses[0], 1)  # computes t, pin says f
         assert isinstance(res, Contradiction)
         assert res.reason == "pin-conflict"
         assert st_.values[1] == FREE
@@ -157,7 +157,7 @@ class TestPins:
     def test_not_true_forced_contradiction(self):
         inst = build_instance(3, [(1, 2, 3)])
         st_ = fresh_state(inst)
-        stage_concept(st_, inst.clauses[0], 1)
+        stage_concept(st_, 0, inst.clauses[0], 1)
         res = st_.compute_fixpoint([1], (1,))
         assert isinstance(res, Contradiction)
         assert (res.witness, res.reason) == (1, "not-true-forced")
@@ -171,7 +171,7 @@ class TestPins:
         inst = build_instance(3, [(-1, 2, 3)])
         st_ = fresh_state(inst)
         assert st_.pin_literal(-1)
-        assert add_concept(st_, inst.clauses[0], -1) is None
+        assert add_concept(st_, 0, inst.clauses[0], -1) is None
         assert st_.values[1] == FALSE
 
 
@@ -182,14 +182,14 @@ class TestFixpointMechanics:
         monkeypatch.setattr(EngineState, "_step_cap", lambda self: 0)
         before = snapshot(st_)
         with pytest.raises(GuardExceeded):
-            add_concept(st_, inst.clauses[0], 1)
+            add_concept(st_, 0, inst.clauses[0], 1)
         assert snapshot(st_) == before
         assert st_.log.guard_trips == 1
 
     def test_ops_counts_reevaluations(self):
         inst = build_instance(3, [(1, 2, 3)])
         st_ = fresh_state(inst)
-        add_concept(st_, inst.clauses[0], 1)
+        add_concept(st_, 0, inst.clauses[0], 1)
         assert st_.log.ops > 0
 
     @pytest.mark.parametrize("staged", [None, 1, 2, 3], ids=["whole", "first", "second", "third"])
@@ -198,16 +198,15 @@ class TestFixpointMechanics:
         # refused before anything changes: index, counts, stores and log.
         inst = build_instance(3, [(1, 2, 3), (-1, 2, -3)])
         st_ = fresh_state(inst, trace=True)
-        assert st_.add_clause(inst.clauses[0]) is None
-        if staged is None:
-            clause = inst.clauses[0]
-        else:
-            clause = inst.clauses[1]
-            stage_concept(st_, clause, clause.literals[staged - 1])
+        assert st_.add_clause(0, inst.clauses[0]) is None
+        cid = 0 if staged is None else 1
+        clause = inst.clauses[cid]
+        if staged is not None:
+            stage_concept(st_, cid, clause, clause[staged - 1])
         before = index_of(st_), st_.unmet[:], st_.checks, st_.views, st_.log.ops
         events = st_.log.events[:]
-        with pytest.raises(ValueError, match=f"^clause {clause.id} already admitted$"):
-            st_.add_clause(clause)
+        with pytest.raises(ValueError, match=f"^clause {cid} already admitted$"):
+            st_.add_clause(cid, clause)
         assert (index_of(st_), st_.unmet, st_.checks, st_.views, st_.log.ops) == before
         assert st_.checks is before[2] and st_.views is before[3]
         assert st_.log.events == events
@@ -215,7 +214,7 @@ class TestFixpointMechanics:
     def test_trace_events_have_stable_schema(self):
         inst = build_instance(3, [(1, 2, 3)])
         st_ = fresh_state(inst, trace=True)
-        add_concept(st_, inst.clauses[0], 1)
+        add_concept(st_, 0, inst.clauses[0], 1)
         assert st_.log.events, "tracing enabled must record events"
         assert TRACE_FIELDS == ("kind", "literal", "old", "new", "clause", "counter")
         for step, event in enumerate(st_.log.events):
@@ -226,7 +225,7 @@ class TestFixpointMechanics:
     def test_disabled_log_records_no_events(self):
         inst = build_instance(3, [(1, 2, 3)])
         st_ = fresh_state(inst, trace=False)
-        add_concept(st_, inst.clauses[0], 1)
+        add_concept(st_, 0, inst.clauses[0], 1)
         assert st_.log.events == []
         assert st_.log.ops > 0
 
@@ -238,7 +237,7 @@ class TestViews:
         assert status == "ok"
         parent_value = st_.values[3]
         child = st_.fork()
-        add_concept(child, inst.clauses[1], 3)
+        add_concept(child, 1, inst.clauses[1], 3)
         assert (1, 3) in child.concepts
         assert (1, 3) not in st_.concepts
         assert st_.values[3] == parent_value
@@ -258,7 +257,7 @@ class TestViews:
         inst = build_instance(3, [(1, 2, 3)])
         st_ = fresh_state(inst)
         st_.pin_literal(2)
-        add_concept(st_, inst.clauses[0], 3)
+        add_concept(st_, 0, inst.clauses[0], 3)
         view = st_.restrict_to(3)
         assert view.concepts[(0, 3)] == (1, 2)
         assert view.pins[2] == TRUE
@@ -310,7 +309,7 @@ class TestCopyIsolation:
         inst, st_ = self._state()
         child = st_.fork()
         before = index_of(child)
-        assert add_concept(st_, inst.clauses[2], 4) is None
+        assert add_concept(st_, 2, inst.clauses[2], 4) is None
         assert (2, 4) in st_.concepts
         assert index_of(child) == before
 
@@ -319,8 +318,8 @@ class TestCopyIsolation:
         before = index_of(st_)
         child, sibling = st_.fork(), st_.fork()
         grandchild = child.fork()
-        stage_concept(child, inst.clauses[2], 4)
-        stage_concept(grandchild, inst.clauses[1], 3)
+        stage_concept(child, 2, inst.clauses[2], 4)
+        stage_concept(grandchild, 1, inst.clauses[1], 3)
         assert (2, 4) in child.concepts and (1, 3) not in child.concepts
         assert (1, 3) in grandchild.concepts and (2, 4) not in grandchild.concepts
         assert index_of(st_) == before
@@ -330,8 +329,8 @@ class TestCopyIsolation:
         inst, st_ = self._state()
         before = index_of(st_)
         view = st_.restrict_to(3)
-        stage_concept(view, inst.clauses[1], -1)
-        stage_concept(view, inst.clauses[2], 2)
+        stage_concept(view, 1, inst.clauses[1], -1)
+        stage_concept(view, 2, inst.clauses[2], 2)
         assert (1, -1) in view.by_focus[-1]
         assert index_of(st_) == before
 
@@ -345,8 +344,8 @@ class TestCopyIsolation:
         assert st_.restrict_to(-3).concepts is stored[0]
         before = index_of(st_.restrict_to(3))
         copies = dict(stored[0]), stored[1][:], stored[2][:]
-        stage_concept(view, inst.clauses[1], -1)
-        stage_concept(view, inst.clauses[2], 2)
+        stage_concept(view, 1, inst.clauses[1], -1)
+        stage_concept(view, 2, inst.clauses[2], 2)
         assert (1, -1) in view.by_focus[-1] and (1, -1) not in stored[0]
         assert st_.views[3] is stored and stored == copies
         assert index_of(st_.restrict_to(3)) == before
@@ -354,14 +353,14 @@ class TestCopyIsolation:
     def test_rolled_back_add_concept_in_fork_leaves_parent_unchanged(self):
         inst = build_instance(3, [(1, 2, 3), (-1, 2, 3)])
         st_ = fresh_state(inst)
-        assert add_concept(st_, inst.clauses[0], 1) is None
+        assert add_concept(st_, 0, inst.clauses[0], 1) is None
         before = index_of(st_)
         child = st_.fork()
-        assert isinstance(add_concept(child, inst.clauses[1], -1), Contradiction)
+        assert isinstance(add_concept(child, 1, inst.clauses[1], -1), Contradiction)
         assert index_of(child) == before
         assert index_of(st_) == before
         # the parent still owns a working index after the child's copy
-        assert add_concept(st_, inst.clauses[1], 2) is None
+        assert add_concept(st_, 1, inst.clauses[1], 2) is None
         assert index_of(child) == before
 
 
@@ -393,7 +392,7 @@ def test_soundness_audit_leaves_ops_alone():
     assert soundness_violations(state) == []
     assert state.log.ops == 18
     stale = fresh_state(build_instance(3, [(1, 2, 3)]))
-    stage_concept(stale, stale.inst.clauses[0], 1)  # no recomputation
+    stage_concept(stale, 0, stale.inst.clauses[0], 1)  # no recomputation
     assert soundness_violations(stale) == [1]
     assert stale.log.ops == 0
 
@@ -421,11 +420,11 @@ def staged_states(draw):
     inst = random_instance(rng, n, m)
     _, parent = admitted_state(inst, upto=rng.randint(0, len(inst.clauses)))
     child = parent.fork()
-    for clause in inst.clauses:
-        for focus in clause.literals:
+    for cid, clause in enumerate(inst.clauses):
+        for focus in clause:
             side = rng.choice((parent, child, None))
-            if side is not None and (clause.id, focus) not in side.concepts:
-                stage_concept(side, clause, focus)
+            if side is not None and (cid, focus) not in side.concepts:
+                stage_concept(side, cid, clause, focus)
     for side in (parent, child):
         for _ in range(rng.randint(0, 2)):
             side.pin_literal(rng.choice((1, -1)) * rng.randint(1, n))
@@ -446,10 +445,10 @@ def _view_mismatches(state):
 
 def _insert_one_missing(state, rng):
     missing = [
-        (clause, focus)
-        for clause in state.inst.clauses
-        for focus in clause.literals
-        if (clause.id, focus) not in state.concepts
+        (cid, clause, focus)
+        for cid, clause in enumerate(state.inst.clauses)
+        for focus in clause
+        if (cid, focus) not in state.concepts
     ]
     if missing:
         stage_concept(state, *rng.choice(missing))
@@ -509,7 +508,7 @@ def test_view_key_tells_variable_counts_apart():
     keys = []
     for n in (3, 4):
         st_ = fresh_state(build_instance(n, [(1, 2, 3)]))
-        stage_concept(st_, st_.inst.clauses[0], 1)
+        stage_concept(st_, 0, st_.inst.clauses[0], 1)
         keys.append(st_.view_key(1))
     assert keys[0] != keys[1]
 
@@ -520,7 +519,7 @@ def test_view_key_tells_pins_apart():
     # empty, so without separators the last two would both read "tf".
     inst = build_instance(3, [(1, 2, 3)])
     staged = fresh_state(inst)
-    stage_concept(staged, inst.clauses[0], 3)
+    stage_concept(staged, 0, inst.clauses[0], 3)
     states = []
     for pin in (None, 1, 2):
         st_ = staged.fork()
@@ -541,7 +540,7 @@ def _stored_under(state, literal):
 def _two_clause_state():
     inst = build_instance(6, [(1, 2, 3), (4, 5, 6)])
     st_ = fresh_state(inst)
-    stage_concept(st_, inst.clauses[0], 2)
+    stage_concept(st_, 0, inst.clauses[0], 2)
     return st_
 
 
@@ -564,7 +563,7 @@ def test_insert_outside_the_view_changes_the_key():
     parent = _two_clause_state()
     store = parent.checks
     child = parent.fork()
-    stage_concept(child, child.inst.clauses[1], 4)
+    stage_concept(child, 1, child.inst.clauses[1], 4)
     assert snapshot(child.restrict_to(1)) == snapshot(parent.restrict_to(1))
     assert child.checks is not store and child.checks == {}
     assert _stored_under(child, 1) != _stored_under(parent, 1)
@@ -576,9 +575,9 @@ def test_insert_outside_the_view_changes_the_key():
 def test_add_concept_undone_by_contradiction_changes_the_key():
     inst = build_instance(3, [(1, 2, 3), (-1, 2, 3)])
     st_ = fresh_state(inst)
-    assert add_concept(st_, inst.clauses[0], 1) is None
+    assert add_concept(st_, 0, inst.clauses[0], 1) is None
     before = (snapshot(st_), st_.checks, _stored_under(st_, 2))
-    res = add_concept(st_, inst.clauses[1], -1)
+    res = add_concept(st_, 1, inst.clauses[1], -1)
     assert isinstance(res, Contradiction) and res.reason == "needed-and-opposed"
     assert snapshot(st_) == before[0]
     assert st_.checks is not before[1] and st_.checks == {}
@@ -590,7 +589,7 @@ def test_states_built_apart_never_share_a_key():
     inst = build_instance(3, [(1, 2, 3)])
     states = [fresh_state(inst) for _ in range(2)] + [EngineState(inst) for _ in range(2)]
     for st_ in states:
-        stage_concept(st_, inst.clauses[0], 1)
+        stage_concept(st_, 0, inst.clauses[0], 1)
     assert len({snapshot(st_) for st_ in states}) == 1
     assert len({_stored_under(st_, 1) for st_ in states}) == len(states)
     views = [st_.restrict_to(1) for st_ in states]
@@ -640,14 +639,15 @@ def test_unmet_matches_scanning_reference(script):
     for _ in range(16):
         st_ = rng.choice(states)
         lit = rng.choice(literals)
-        clause = rng.choice(inst.clauses)
-        focus = rng.choice(clause.literals)
-        fresh = (clause.id, focus) not in st_.concepts
+        cid = rng.randrange(len(inst.clauses))
+        clause = inst.clauses[cid]
+        focus = rng.choice(clause)
+        fresh = (cid, focus) not in st_.concepts
         action = rng.randrange(8)
         if action == 0 and fresh:
-            stage_concept(st_, clause, focus)
+            stage_concept(st_, cid, clause, focus)
         elif action == 1 and fresh:
-            add_concept(st_, clause, focus)  # may contradict and roll back
+            add_concept(st_, cid, clause, focus)  # may contradict and roll back
         elif action == 2:
             pinned = rng.choice((lit, -lit))
             # No pin makes a not-true literal true.
@@ -665,7 +665,7 @@ def test_unmet_matches_scanning_reference(script):
             with mock.patch.object(EngineState, "_step_cap", lambda self: cap):
                 try:
                     if fresh:
-                        add_concept(st_, clause, focus)
+                        add_concept(st_, cid, clause, focus)
                     else:
                         st_.compute_fixpoint([lit], not_true[st_])
                 except GuardExceeded:
@@ -686,35 +686,35 @@ def test_focus_lists_stay_in_key_order():
     inst = build_instance(3, [(1, 2, 3), (1, 2, -3), (1, -2, 3), (-1, 2, 3)])
     c0, c1, c2, c3 = inst.clauses
     st_ = fresh_state(inst)
-    stage_concept(st_, c2, 1)
-    stage_concept(st_, c0, 1)
+    stage_concept(st_, 2, c2, 1)
+    stage_concept(st_, 0, c0, 1)
     assert st_.by_focus[1] == ((0, 1), (2, 1))
-    stage_concept(st_, c3, -1)
+    stage_concept(st_, 3, c3, -1)
     child = st_.fork()
     # (1, 1) goes between the two, and 1 is then needed and opposed.
-    assert isinstance(add_concept(st_, c1, 1), Contradiction)
+    assert isinstance(add_concept(st_, 1, c1, 1), Contradiction)
     assert st_.by_focus[1] == ((0, 1), (2, 1))
-    stage_concept(child, c1, 1)
+    stage_concept(child, 1, c1, 1)
     assert child.by_focus[1] == ((0, 1), (1, 1), (2, 1))
     assert st_.by_focus[1] == ((0, 1), (2, 1))
     view = st_.restrict_to(2)
-    stage_concept(view, c1, 1)
+    stage_concept(view, 1, c1, 1)
     assert view.by_focus[1] == ((0, 1), (1, 1), (2, 1))
     assert view.by_focus[3] == () and st_.by_focus[-2] == ()
     for state in (st_, child, view, child.restrict_to(-3)):
         assert _focus_order_mismatches(state) == []
 
 
-def _reference_add_clause(state, clause):
+def _reference_add_clause(state, cid, clause):
     """``add_clause`` as three ``helpers.add_concept`` calls in its pick
     order: the first literal still not false, or the first left."""
-    remaining = list(clause.literals)
+    remaining = list(clause)
     while remaining:
         pick = next((lit for lit in remaining if state.values[lit] != FALSE), remaining[0])
         remaining.remove(pick)
         if state.log.enabled:
-            state.log.emit("U3_PICK", literal=pick, old=state.values[pick], clause=clause.id)
-        res = add_concept(state, clause, pick)
+            state.log.emit("U3_PICK", literal=pick, old=state.values[pick], clause=cid)
+        res = add_concept(state, cid, clause, pick)
         if res is not None:
             return res
     return None
@@ -734,16 +734,17 @@ def _admission_branch(seed):
     n = rng.randint(3, 5)
     inst = random_instance(rng, n, rng.randint(1, 8))
     _, base = admitted_state(inst, upto=rng.randint(0, len(inst.clauses) - 1), trace=True)
-    clause = rng.choice(
-        [c for c in inst.clauses if not any((c.id, lit) in base.concepts for lit in c.literals)]
+    cid = rng.choice(
+        [i for i, c in enumerate(inst.clauses) if not any((i, lit) in base.concepts for lit in c)]
     )
+    clause = inst.clauses[cid]
     # Staged concepts leave stale values, which a later concept's
     # fixpoint may find contradictory.
-    for other in inst.clauses:
-        for focus in other.literals:
-            if other is not clause and (other.id, focus) not in base.concepts:
+    for i, other in enumerate(inst.clauses):
+        for focus in other:
+            if i != cid and (i, focus) not in base.concepts:
                 if rng.random() < 0.3:
-                    stage_concept(base, other, focus)
+                    stage_concept(base, i, other, focus)
     literals = [l for v in range(1, n + 1) for l in (v, -v)]
     base.restrict_to(rng.choice(literals))  # fills ``views``
     base.checks["filled"] = None  # never read here
@@ -767,7 +768,7 @@ def _admission_branch(seed):
         )
         with guard:
             try:
-                res = admit(state, clause)
+                res = admit(state, cid, clause)
             except GuardExceeded:
                 res = "guard"
         runs.append((state, res))
@@ -784,7 +785,7 @@ def _admission_branch(seed):
     picks = [e[LITERAL] for e in a.log.events[len(before[3]) :] if e[KIND] == "U3_PICK"]
     ended = None if res is None else "guard" if res == "guard" else "contradiction"
     at = len(a.concepts) - len(base.concepts) + (res is not None)
-    return ended, at, picks != list(clause.literals[: len(picks)])
+    return ended, at, picks != list(clause[: len(picks)])
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -818,10 +819,10 @@ def _fixpoint_branches(seed):
     not_true = []  # passed to every call; it grows as the state does
     branches = []
     for _ in range(4):
-        for clause in inst.clauses:
-            for focus in clause.literals:
-                if rng.random() < 0.3 and (clause.id, focus) not in state.concepts:
-                    stage_concept(state, clause, focus)
+        for cid, clause in enumerate(inst.clauses):
+            for focus in clause:
+                if rng.random() < 0.3 and (cid, focus) not in state.concepts:
+                    stage_concept(state, cid, clause, focus)
         for _ in range(rng.randint(0, 2)):
             lit = rng.choice(literals) * rng.choice((1, -1))
             # No pin makes a not-true literal true.
@@ -891,8 +892,8 @@ def test_failed_fixpoint_restores_the_same_lists(cap):
     # forced true while not-true, or the guard trips first.
     inst = build_instance(6, [(1, 2, 3), (2, 5, 6), (4, 1, 5)])
     st_ = fresh_state(inst, trace=True)
-    for clause, focus in zip(inst.clauses, (1, 2, 4)):
-        stage_concept(st_, clause, focus)
+    for cid, focus in enumerate((1, 2, 4)):
+        stage_concept(st_, cid, inst.clauses[cid], focus)
     assert st_.pin_literal(-3)
     lists = (st_.values, st_.unmet, st_.pins)
     before = [list(lst) for lst in lists]
@@ -996,7 +997,7 @@ def test_fixpoint_bookkeeping_is_frozen(name):
     inst = _BOOKKEEPING_INST
     st_ = fresh_state(inst, trace=True)
     for cid, focus in concepts:
-        stage_concept(st_, inst.clauses[cid], focus)
+        stage_concept(st_, cid, inst.clauses[cid], focus)
     for lit in pins:
         assert st_.pin_literal(lit)
     before = snapshot(st_)
@@ -1034,7 +1035,7 @@ def test_fixpoint_that_changes_nothing_writes_and_copies_nothing(seed_lit):
     inst = _BOOKKEEPING_INST
     st_ = fresh_state(inst, trace=True)
     for cid, focus in _CHAIN:
-        assert add_concept(st_, inst.clauses[cid], focus) is None
+        assert add_concept(st_, cid, inst.clauses[cid], focus) is None
     before = snapshot(st_), list(st_.unmet)
     ops, events = st_.log.ops, len(st_.log.events)
     st_.values, st_.unmet = RecordingList(st_.values), RecordingList(st_.unmet)

@@ -53,10 +53,10 @@ class TestGenSpec:
         a = gen_random(spec)
         b = gen_random(spec)
         assert a == b
-        sets = [frozenset(c.literals) for c in a.clauses]
+        sets = [frozenset(c) for c in a.clauses]
         assert len(set(sets)) == 10
         for c in a.clauses:
-            assert len({abs(l) for l in c.literals}) == 3
+            assert len({abs(l) for l in c}) == 3
 
 
 class TestEnumerateSmall:
@@ -82,7 +82,7 @@ class TestEnumerateSmall:
 
     def test_support_is_exact(self):
         for inst in enumerate_small(2, 2):
-            support = {abs(l) for c in inst.clauses for l in c.literals}
+            support = {abs(l) for c in inst.clauses for l in c}
             assert support == set(range(1, inst.variable_count + 1))
 
     def test_cap(self):

@@ -13,7 +13,7 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from understanding_sat import algorithms, solver
 from understanding_sat.cnf import Assignment, build_instance, evaluate
-from understanding_sat.engine import TRACE_FIELDS, Contradiction, EngineState, RunLog
+from understanding_sat.engine import FALSE, TRACE_FIELDS, Contradiction, EngineState, RunLog
 from understanding_sat.harness import (
     CounterexampleRecord,
     GenSpec,
@@ -414,7 +414,7 @@ class TestAnomalies:
 
     def test_concept_admission_contradiction_is_an_anomaly(self, monkeypatch):
         monkeypatch.setattr(
-            EngineState, "add_clause", lambda self, clause: Contradiction(clause.literals[0], "forced")
+            EngineState, "add_clause", lambda self, cid, lits: Contradiction(lits[0], "forced")
         )
         out = solve(build_instance(3, [(1, 2, 3)]))
         assert out.kind == "anomaly"
@@ -438,7 +438,7 @@ class TestAnomalies:
         assert out.kind == "sat"
         state = out.state
         for clause in state.inst.clauses:
-            assert any(state.values[l] == "t" for l in clause.literals)
+            assert any(state.values[l] == "t" for l in clause)
 
 
 class TestAssignmentExtraction:
@@ -540,12 +540,33 @@ def test_runs_are_deterministic(seed, order):
 def test_sat_outcomes_self_verify(seed):
     rng = random.Random(seed)
     inst = random_instance(rng, rng.randint(2, 6), rng.randint(1, 8))
-    out = solve(inst)
-    if out.kind == "sat":
-        assert evaluate(inst, out.assignment) == []
-    elif out.kind == "unsat":
-        assert 0 <= out.failing_clause < len(inst.clauses)
-    assert out.ops >= 1
+    for cfg in (SolveConfig(), SolveConfig(clause_order="perm", order_seed=seed)):
+        out = solve(inst, cfg)
+        if out.kind == "sat":
+            assert evaluate(inst, out.assignment) == []
+        elif out.kind == "unsat":
+            _assert_failing_clause_all_false(inst, out)
+        assert out.ops >= 1
+
+
+def _assert_failing_clause_all_false(inst, out):
+    # An unsat run stops at a clause whose literals are all false, and
+    # ``failing_clause`` is that clause's position in the instance.
+    assert 0 <= out.failing_clause < len(inst.clauses)
+    assert all(out.state.values[lit] == FALSE for lit in inst.clauses[out.failing_clause])
+
+
+def test_failing_clause_is_a_position_under_permuted_order():
+    # Under ``perm`` order a clause's position is not the step at which
+    # it is admitted.
+    cfg = SolveConfig(clause_order="perm", order_seed=2)
+    unsat = 0
+    for inst in enumerate_small(3, 4):
+        out = solve(inst, cfg)
+        if out.kind == "unsat":
+            _assert_failing_clause_all_false(inst, out)
+            unsat += 1
+    assert unsat > 0
 
 
 class TestResume:
@@ -554,6 +575,36 @@ class TestResume:
         prefix = advance(None, inst, SolveConfig())
         with pytest.raises(ValueError, match="input clause order"):
             solve(inst, SolveConfig(clause_order="perm", order_seed=0), prefix=prefix)
+
+    def test_prefix_for_another_variable_count_raises(self):
+        # The lists are indexed by literal: resumed on the 3-variable
+        # state, this run would take literal 4 for -3 and end as a
+        # DepthGuard anomaly at clause 3, not sat.
+        cfg = SolveConfig()
+        prefix = advance(None, build_instance(3, [(1, 2, 3)]), cfg)
+        inst = build_instance(
+            5,
+            [(1, 2, 3), (1, -4, 2), (2, -5, 1), (-1, 3, -4), (5, -3, 4), (5, -3, -2), (5, 2, 4), (1, 3, 2)],
+        )
+        fresh = solve(inst, cfg)
+        assert (fresh.kind, fresh.ops) == ("sat", 50)
+        message = "^the prefix state was built for another variable count$"
+        with pytest.raises(ValueError, match=message):
+            solve(inst, cfg, prefix=prefix)
+        with pytest.raises(ValueError, match=message):
+            advance(prefix, inst, cfg)
+
+    def test_prefix_for_other_first_clauses_raises(self):
+        cfg = SolveConfig()
+        prefix = advance(None, build_instance(3, [(1, 2, 3)]), cfg)
+        message = "^the prefix state admitted clauses other than the instance's first 1$"
+        for clauses in ([(1, 2, -3), (1, 2, 3)], [(2, 1, 3), (-1, 2, 3)], []):
+            inst = build_instance(3, clauses)
+            with pytest.raises(ValueError, match=message):
+                solve(inst, cfg, prefix=prefix)
+            if clauses:
+                with pytest.raises(ValueError, match=message):
+                    advance(prefix, inst, cfg)
 
 
 # No shrinking: each example solves up to 61 instances twice, traced, so
@@ -573,10 +624,10 @@ def test_resumed_run_equals_a_fresh_run(case):
     n, m, seed, tail_seed = case
     cfg = SolveConfig(trace=True)
     inst = gen_random(GenSpec(n=n, m=m, seed=seed))
-    tail = [c.literals for c in gen_random(GenSpec(n=n, m=m, seed=tail_seed)).clauses]
+    tail = gen_random(GenSpec(n=n, m=m, seed=tail_seed)).clauses
     prefix = None
     for k in range(len(inst.clauses) + 1):
-        other = build_instance(n, [c.literals for c in inst.clauses[:k]] + tail[k:])
+        other = build_instance(n, inst.clauses[:k] + tail[k:])
         assert other.clauses[:k] == inst.clauses[:k]
         before = None
         if prefix is not None:
